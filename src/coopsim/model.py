@@ -180,6 +180,11 @@ class NetworkConfig:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def last_drawable_state(self) -> int:
+        """Index of the last sorted state with p > 0."""
+        return max(i for i, s in enumerate(self.sorted_states) if self.fading.table[s] > 0)
+
     def probability(self, f) -> float:
         return self.fading.table.get(f, 0.0)
 
@@ -318,11 +323,18 @@ def sample_fading(config: NetworkConfig, rng: np.random.Generator):
     The draw consumes exactly one uniform variate, so a seeded generator
     reproduces the same state sequence on every run.
     """
-    u = rng.random()
-    i = int(np.searchsorted(config.cumulative_probs, u, side="right"))
-    if i >= len(config.sorted_states):
-        i = len(config.sorted_states) - 1
-    return config.sorted_states[i]
+    return config.sorted_states[int(fading_indices(config, rng.random()))]
+
+
+def fading_indices(config: NetworkConfig, u):
+    """Sorted-state indices of uniform variates ``u`` (a scalar or an array).
+
+    A variate at or above the table's total probability, which rounding can
+    leave just below 1, maps to the last state with p > 0, never to a
+    trailing zero-probability state.
+    """
+    idx = np.searchsorted(config.cumulative_probs, u, side="right")
+    return np.minimum(idx, config.last_drawable_state)
 
 
 def queue_count_encoding_based(config: NetworkConfig) -> int:

@@ -15,6 +15,24 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
                    is plain uniform {0..2*mu} whenever mu is an integer
   bernoulli-batch  batch_k bits with probability mu / batch_k, else 0
 
+The block loop keeps one flat per-relay queue of length M * |F|^N instead
+of the (N, M, |F|^N) relay array: every update reaches all N relays alike,
+so the relays always hold equal queues.  It runs as a scalar kernel over
+Python floats, with the controller and queue rules of ``controller`` and
+``queueing`` inlined, and reproduces those reference functions bit for bit:
+
+  * a relay column sum is N * q.  Queues start empty and move only in whole
+    multiples of the integer T, so every q and N * q is an exactly
+    represented integer and the sum over relays is exact in any order;
+  * the first-hop weight A accumulates k ascending from 0.0, the order
+    numpy's reduction uses for fewer than 8 destinations (signed zeros
+    included).  The controller documents this order for any K;
+  * ties go to the lowest scheme and then the smallest g1 (strict >), with
+    first hop winning on A >= B, as in ``controller.decide``;
+  * the per-block series are numpy row sums over buffered chunks of the
+    relay-tiled queue, which equal the 1-D sums of the reference bit for
+    bit.
+
 The stability verdict fits a least-squares slope to the total backlog, in
 bits, over the trailing half of the horizon.  Relay symbols convert to
 bits with each queue's own rate sum r_m . 1 by default (the same weighting
@@ -29,12 +47,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import FIRST_HOP, IDLE, SECOND_HOP, decide, lyapunov
-from .model import NetworkConfig, sample_fading
-from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop, snapshot_header, snapshot_row
+from .model import NetworkConfig, fading_indices, sample_fading
+from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop, snapshot_header
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
 VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)
 VARIANT_CODES = {name: i for i, name in enumerate(VARIANT_NAMES)}
+
+# Blocks per chunk: draws are converted to Python lists, and the series and
+# snapshot rows computed, one chunk at a time, so memory stays flat in the
+# horizon.
+CHUNK = 256
 
 METRICS_COLUMNS = (
     "block",
@@ -58,16 +81,16 @@ class ArrivalConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if any(r < 0 for r in self.rates):
-            raise ValueError("arrival rates must be non-negative")
+        if not all(0.0 <= r < math.inf for r in self.rates):
+            raise ValueError("arrival rates must be finite and non-negative")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown arrival distribution {self.distribution!r}")
         if self.batch is not None:
             object.__setattr__(self, "batch", tuple(float(b) for b in self.batch))
             if len(self.batch) != len(self.rates):
                 raise ValueError("batch needs one entry per destination")
-            if any(b <= 0 for b in self.batch):
-                raise ValueError("batch sizes must be positive")
+            if not all(0.0 < b < math.inf for b in self.batch):
+                raise ValueError("batch sizes must be finite and positive")
 
 
 def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: float, size=None):
@@ -208,6 +231,38 @@ def stability_verdict(
 # the block loop
 
 
+def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: int):
+    """All of a run's random input: sorted-state indices (horizon,) and
+    arrivals (K, horizon), from one substream for fading and one per
+    destination."""
+    k_dest = config.shape.num_destinations
+    T = config.shape.block_length
+    children = np.random.SeedSequence(seed).spawn(1 + k_dest)
+    state_idx = fading_indices(config, np.random.default_rng(children[0]).random(horizon))
+    arr = np.empty((k_dest, horizon))
+    for k in range(k_dest):
+        arr[k] = _draw_destination(arrivals, k, np.random.default_rng(children[1 + k]), T, horizon)
+    return state_idx, arr
+
+
+def _state_table(config: NetworkConfig) -> list:
+    """Per sorted fading state: the flat queue index of each scheme's
+    (m, f1) cell, and the drainable cells under f2 as (index, (r_m . 1)^2)
+    in row-major (m, then g1) order."""
+    n_g1 = len(config.first_hop_space)
+    w2 = (config.rate_sums * config.rate_sums).tolist()
+    table = []
+    for f1, f2 in config.sorted_states:
+        g1i = config.g1_index[f1]
+        first = tuple(m * n_g1 + g1i for m in range(len(config.schemes)))
+        drains = []
+        for m, g in np.argwhere(config.support.mask(f2, config)).tolist():
+            assert (m, config.first_hop_space[g], f2) in config.support
+            drains.append((m * n_g1 + g, w2[m]))
+        table.append((first, tuple(drains)))
+    return table
+
+
 def run(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -227,68 +282,101 @@ def run(
     if len(arrivals.rates) != k_dest:
         raise ValueError(f"arrival rates must have {k_dest} entries")
     T = config.shape.block_length
+    n_relays = config.shape.num_relays
+    n_g1 = len(config.first_hop_space)
+    n_cells = len(config.schemes) * n_g1
+    state_idx, arr = _draws(config, arrivals, horizon, seed)
 
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(1 + k_dest)
-    rng_fade = np.random.default_rng(children[0])
-    u = rng_fade.random(horizon)
-    state_idx = np.searchsorted(config.cumulative_probs, u, side="right")
-    np.minimum(state_idx, len(config.sorted_states) - 1, out=state_idx)
-    arr = np.empty((k_dest, horizon))
-    for k in range(k_dest):
-        arr[k] = _draw_destination(arrivals, k, np.random.default_rng(children[1 + k]), T, horizon)
-
-    states = config.sorted_states
-    g1_index = config.g1_index
-    rate_sums = config.rate_sums
+    table = _state_table(config)
+    rates = config.rates.tolist()
+    rates_T = (config.rates * T).tolist()
+    # relay-tiled (n, m, g1) weights r_m . 1 of the bits and potential series
+    tiled_rate_sums = np.tile(np.repeat(config.rate_sums, n_g1), n_relays)
 
     src_series = np.empty(horizon)
     rel_series = np.empty(horizon)
     rel_bits_series = np.empty(horizon)
     v_series = np.empty(horizon)
     variants = np.empty(horizon, dtype=np.int8)
-    dec_m = np.full(horizon, -1, dtype=np.int32)
-    dec_g1 = np.full(horizon, -1, dtype=np.int32)
+    dec_m = np.empty(horizon, dtype=np.int32)
+    dec_g1 = np.empty(horizon, dtype=np.int32)
     w_first = np.empty(horizon)
     w_second = np.empty(horizon)
-    delivered = np.zeros(k_dest)
+    delivered = [0.0] * k_dest
 
-    state = QueueState.zeros(config)
+    src = [0.0] * k_dest
+    q = [0.0] * n_cells  # one relay's queues, index m * |F|^N + g1
     if snapshot_sink is not None:
         snapshot_sink.write(",".join(snapshot_header(config)) + "\n")
 
-    for t in range(horizon):
-        f = states[state_idx[t]]
-        a = arr[:, t]
-        d = decide(state, f, config.support, allow_idle=allow_idle)
-        if d.variant == FIRST_HOP:
-            state = apply_first_hop(state, a, d.m, f[0])
-            dec_m[t] = d.m
-        elif d.variant == SECOND_HOP:
-            assert (d.m, d.g1, f[1]) in config.support
-            pre = state.relay[0, d.m, g1_index[d.g1]]
-            delivered += min(T, pre) * config.rates[d.m]
-            state = apply_second_hop(state, a, d.m, d.g1)
-            dec_m[t] = d.m
-            dec_g1[t] = g1_index[d.g1]
-        else:
-            state = apply_idle(state, a)
-        variants[t] = VARIANT_CODES[d.variant]
-        w_first[t] = d.weight_first
-        w_second[t] = d.weight_second
-        src_series[t] = state.source.sum()
-        rel_series[t] = state.relay.sum()
-        rel_bits_series[t] = (state.relay * rate_sums[None, :, None]).sum()
-        v_series[t] = lyapunov(state)
+    for lo in range(0, horizon, CHUNK):
+        hi = min(lo + CHUNK, horizon)
+        ch_var, ch_m, ch_g1, ch_a, ch_b = [], [], [], [], []
+        ch_src, ch_q = [], []
+        for s, a in zip(state_idx[lo:hi].tolist(), arr[:, lo:hi].T.tolist()):
+            first, drains = table[s]
+            for m, c in enumerate(first):
+                col = n_relays * q[c]
+                w = 0.0
+                for x, r in zip(src, rates[m]):
+                    w += (x - r * col) * r
+                if m == 0 or w > wa:
+                    wa, m_star = w, m
+            wb = -math.inf
+            for c, w2 in drains:
+                w = w2 * (n_relays * q[c])
+                if w > wb:
+                    wb, c_hat = w, c
+            if allow_idle and wa <= 0.0 and wb <= 0.0:
+                src = [x + y for x, y in zip(src, a)]
+                ch_var.append(VARIANT_CODES[IDLE])
+                ch_m.append(-1)
+                ch_g1.append(-1)
+            elif wa >= wb:
+                # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
+                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, rates_T[m_star])]
+                q[first[m_star]] += T
+                ch_var.append(VARIANT_CODES[FIRST_HOP])
+                ch_m.append(m_star)
+                ch_g1.append(-1)
+            else:
+                pre = q[c_hat]
+                m_hat, g1_hat = divmod(c_hat, n_g1)
+                sent = min(T, pre)
+                delivered = [d + sent * r for d, r in zip(delivered, rates[m_hat])]
+                src = [x + y for x, y in zip(src, a)]
+                q[c_hat] = v if (v := pre - T) > 0.0 else 0.0
+                ch_var.append(VARIANT_CODES[SECOND_HOP])
+                ch_m.append(m_hat)
+                ch_g1.append(g1_hat)
+            ch_a.append(wa)
+            ch_b.append(wb)
+            ch_src.append(src)
+            ch_q.extend(q)
+
+        variants[lo:hi] = ch_var
+        dec_m[lo:hi] = ch_m
+        dec_g1[lo:hi] = ch_g1
+        w_first[lo:hi] = ch_a
+        w_second[lo:hi] = ch_b
+        source = np.array(ch_src)
+        relay = np.tile(np.array(ch_q).reshape(hi - lo, n_cells), (1, n_relays))
+        weighted = relay * tiled_rate_sums
+        src_series[lo:hi] = source.sum(axis=1)
+        rel_series[lo:hi] = relay.sum(axis=1)
+        rel_bits_series[lo:hi] = weighted.sum(axis=1)
+        v_series[lo:hi] = (source * source).sum(axis=1) + (weighted * weighted).sum(axis=1)
         if snapshot_sink is not None:
-            snapshot_sink.write(
-                ",".join(str(v) if isinstance(v, int) else repr(v) for v in snapshot_row(state, t))
-                + "\n"
-            )
+            lines = []
+            for t, row_src, j in zip(range(lo, hi), ch_src, range(0, len(ch_q), n_cells)):
+                relay_text = ",".join(map(repr, ch_q[j:j + n_cells]))
+                lines.append(f"{t},{','.join(map(repr, row_src))},{','.join([relay_text] * n_relays)}\n")
+            snapshot_sink.writelines(lines)
 
     offered = arr.sum(axis=1)
     start = horizon // 2
     counts = np.bincount(variants, minlength=3)
+    final_relay = np.tile(np.array(q).reshape(len(config.schemes), n_g1), (n_relays, 1, 1))
     return Metrics(
         horizon=horizon,
         block_length=T,
@@ -305,7 +393,7 @@ def run(
         g1_space=config.first_hop_space,
         max_scheme_rate=float(config.rates.max()),
         seed=seed,
-        delivered_bits=np.minimum(delivered, offered),
+        delivered_bits=np.minimum(np.array(delivered), offered),
         offered_bits=offered,
         fraction_first=counts[0] / horizon,
         fraction_second=counts[1] / horizon,
@@ -315,7 +403,7 @@ def run(
         trailing_avg_total_bits=float(
             (src_series[start:] + rel_bits_series[start:]).mean()
         ),
-        final_state=state,
+        final_state=QueueState(config, np.array(src), final_relay),
     )
 
 
@@ -341,10 +429,13 @@ def drift_check(
     rng_arr = np.random.default_rng(ch_arr)
     v0 = lyapunov(probe_state)
     dv = np.empty(samples)
+    decisions = {}  # the probe is fixed, so a decision depends on f alone
     for i in range(samples):
         f = sample_fading(config, rng_fade)
         a = generate_arrivals(arrivals, rng_arr, T)
-        d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+        d = decisions.get(f)
+        if d is None:
+            d = decisions[f] = decide(probe_state, f, config.support, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
             nxt = apply_first_hop(probe_state, a, d.m, f[0])
         elif d.variant == SECOND_HOP:
@@ -364,22 +455,25 @@ def drift_check(
 def write_metrics_csv(metrics: Metrics, fh) -> None:
     """Frozen column order; floats use shortest round-trip formatting."""
     fh.write(",".join(METRICS_COLUMNS) + "\n")
-    for t in range(metrics.horizon):
-        m = metrics.decision_m[t]
-        g1 = metrics.decision_g1[t]
-        row = (
-            str(t),
-            VARIANT_NAMES[metrics.variants[t]],
-            "" if m < 0 else str(int(m)),
-            "" if g1 < 0 else "|".join(metrics.g1_space[g1]),
-            repr(float(metrics.weight_first[t])),
-            repr(float(metrics.weight_second[t])),
-            repr(float(metrics.source_backlog[t])),
-            repr(float(metrics.relay_backlog[t])),
-            repr(float(metrics.relay_backlog_bits[t])),
-            repr(float(metrics.lyapunov[t])),
+    g1_names = ["|".join(g1) for g1 in metrics.g1_space]
+    columns = (
+        metrics.variants,
+        metrics.decision_m,
+        metrics.decision_g1,
+        metrics.weight_first,
+        metrics.weight_second,
+        metrics.source_backlog,
+        metrics.relay_backlog,
+        metrics.relay_backlog_bits,
+        metrics.lyapunov,
+    )
+    for lo in range(0, metrics.horizon, CHUNK):
+        rows = zip(range(lo, metrics.horizon), *(c[lo:lo + CHUNK].tolist() for c in columns))
+        fh.writelines(
+            f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]},"
+            f"{a!r},{b!r},{src!r},{rel!r},{rel_bits!r},{pot!r}\n"
+            for t, v, m, g1, a, b, src, rel, rel_bits, pot in rows
         )
-        fh.write(",".join(row) + "\n")
 
 
 def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:

@@ -4,6 +4,14 @@
 block's discrete scheduling program with plain Python loops (k ascending,
 n ascending) and picks the maximum under the documented preference order.
 
+``reference_run`` is the simulator's block loop written against the
+spec-level functions: ``controller.decide`` on the full ``(N, M, |F|^N)``
+relay array, the pure ``queueing.apply_*`` updates and numpy reductions for
+every series.  ``sim.run`` must reproduce it bit for bit.
+
+``reference_drift_check`` is ``drift_check`` with one ``decide`` call per
+sample.
+
 ``slack_oracle`` / ``scale_oracle`` evaluate the region queries by direct
 grid search over the time-sharing fractions: feasibility and the margin
 are computed from the defining constraint formulas at every grid point,
@@ -12,7 +20,21 @@ objectives are concave (minima of affine functions over a box), so the
 local refinement converges to the global optimum.
 """
 
+import math
+
 import numpy as np
+
+from coopsim.controller import FIRST_HOP, SECOND_HOP, decide, lyapunov
+from coopsim.model import sample_fading
+from coopsim.queueing import (
+    QueueState,
+    apply_first_hop,
+    apply_idle,
+    apply_second_hop,
+    snapshot_header,
+    snapshot_row,
+)
+from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws, generate_arrivals
 
 
 def bruteforce_decide(state, f, support):
@@ -51,6 +73,117 @@ def bruteforce_decide(state, f, support):
     if best_first[0] >= best_second[0]:
         return ("first_hop", best_first[1], None, best_first[0], best_second[0])
     return ("second_hop", best_second[1], best_second[2], best_first[0], best_second[0])
+
+
+def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_sink=None):
+    """``sim.run`` as one ``decide`` and one pure queue update per block."""
+    k_dest = config.shape.num_destinations
+    T = config.shape.block_length
+    state_idx, arr = _draws(config, arrivals, horizon, seed)
+
+    states = config.sorted_states
+    g1_index = config.g1_index
+    rate_sums = config.rate_sums
+
+    src_series = np.empty(horizon)
+    rel_series = np.empty(horizon)
+    rel_bits_series = np.empty(horizon)
+    v_series = np.empty(horizon)
+    variants = np.empty(horizon, dtype=np.int8)
+    dec_m = np.full(horizon, -1, dtype=np.int32)
+    dec_g1 = np.full(horizon, -1, dtype=np.int32)
+    w_first = np.empty(horizon)
+    w_second = np.empty(horizon)
+    delivered = np.zeros(k_dest)
+
+    state = QueueState.zeros(config)
+    if snapshot_sink is not None:
+        snapshot_sink.write(",".join(snapshot_header(config)) + "\n")
+
+    for t in range(horizon):
+        f = states[state_idx[t]]
+        a = arr[:, t]
+        d = decide(state, f, config.support, allow_idle=allow_idle)
+        if d.variant == FIRST_HOP:
+            state = apply_first_hop(state, a, d.m, f[0])
+            dec_m[t] = d.m
+        elif d.variant == SECOND_HOP:
+            assert (d.m, d.g1, f[1]) in config.support
+            pre = state.relay[0, d.m, g1_index[d.g1]]
+            delivered += min(T, pre) * config.rates[d.m]
+            state = apply_second_hop(state, a, d.m, d.g1)
+            dec_m[t] = d.m
+            dec_g1[t] = g1_index[d.g1]
+        else:
+            state = apply_idle(state, a)
+        variants[t] = VARIANT_CODES[d.variant]
+        w_first[t] = d.weight_first
+        w_second[t] = d.weight_second
+        src_series[t] = state.source.sum()
+        rel_series[t] = state.relay.sum()
+        rel_bits_series[t] = (state.relay * rate_sums[None, :, None]).sum()
+        v_series[t] = lyapunov(state)
+        if snapshot_sink is not None:
+            snapshot_sink.write(
+                ",".join(str(v) if isinstance(v, int) else repr(v) for v in snapshot_row(state, t))
+                + "\n"
+            )
+
+    offered = arr.sum(axis=1)
+    start = horizon // 2
+    counts = np.bincount(variants, minlength=3)
+    return Metrics(
+        horizon=horizon,
+        block_length=T,
+        source_backlog=src_series,
+        relay_backlog=rel_series,
+        relay_backlog_bits=rel_bits_series,
+        lyapunov=v_series,
+        variants=variants,
+        decision_m=dec_m,
+        decision_g1=dec_g1,
+        weight_first=w_first,
+        weight_second=w_second,
+        fading_state_idx=state_idx,
+        g1_space=config.first_hop_space,
+        max_scheme_rate=float(config.rates.max()),
+        seed=seed,
+        delivered_bits=np.minimum(delivered, offered),
+        offered_bits=offered,
+        fraction_first=counts[0] / horizon,
+        fraction_second=counts[1] / horizon,
+        fraction_idle=counts[2] / horizon,
+        trailing_avg_source_bits=float(src_series[start:].mean()),
+        trailing_avg_relay_symbols=float(rel_series[start:].mean()),
+        trailing_avg_total_bits=float(
+            (src_series[start:] + rel_bits_series[start:]).mean()
+        ),
+        final_state=state,
+    )
+
+
+def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_idle=False):
+    """``drift_check`` with a fresh controller decision for every sample."""
+    T = config.shape.block_length
+    ch_fade, ch_arr = np.random.SeedSequence(seed).spawn(2)
+    rng_fade = np.random.default_rng(ch_fade)
+    rng_arr = np.random.default_rng(ch_arr)
+    v0 = lyapunov(probe_state)
+    dv = np.empty(samples)
+    for i in range(samples):
+        f = sample_fading(config, rng_fade)
+        a = generate_arrivals(arrivals, rng_arr, T)
+        d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+        if d.variant == FIRST_HOP:
+            nxt = apply_first_hop(probe_state, a, d.m, f[0])
+        elif d.variant == SECOND_HOP:
+            nxt = apply_second_hop(probe_state, a, d.m, d.g1)
+        else:
+            nxt = apply_idle(probe_state, a)
+        dv[i] = lyapunov(nxt) - v0
+    return DriftEstimate(
+        mean=float(dv.mean()), stderr=float(dv.std(ddof=1) / math.sqrt(samples)), samples=samples
+    )
 
 
 # ---------------------------------------------------------------------------

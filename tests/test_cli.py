@@ -122,6 +122,14 @@ def test_simulate_bad_lambda(capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_simulate_non_finite_lambda(tmp_path, capsys):
+    for lam in ("nan", "inf"):
+        assert main(["simulate", TOY, "--lambda", lam, "--arrival", "constant", "--horizon", "10",
+                     "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_sweep_rows_and_consistency(tmp_path, capsys):
     spec = {"direction": [1.0, 1.0], "load_factors": [0.5, 1.1], "horizon": 8000,
             "seeds": [1, 2]}

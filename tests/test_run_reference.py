@@ -1,0 +1,180 @@
+"""``sim.run`` against ``oracles.reference_run``, the block loop written with
+``controller.decide`` and the pure ``queueing.apply_*`` updates.
+
+Every ``Metrics`` field must match bit for bit: arrays by dtype, shape and
+raw bytes (so the sign of every zero and every -inf counts), scalars the
+same way, and ``final_state`` through both of its arrays.  ``drift_check``
+is held to its one-decision-per-sample reference the same way.
+"""
+
+import dataclasses
+import io
+import itertools
+
+import numpy as np
+import pytest
+
+import coopsim as cs
+from coopsim import sim
+from conftest import make_doc
+from oracles import reference_drift_check, reference_run
+
+# (config fixture, interior rate, exterior rate); desk rho* is about 1.213
+# along (1, 1), both toys have rho* = 0.5
+CONFIG_RATES = {
+    "desk": (1.1, 1.7),
+    "toy_goodbad": (0.45, 0.7),
+    "toy_single": (0.45, 0.7),
+}
+HORIZON = 2 * sim.CHUNK + 188
+
+
+def _bits(value):
+    if isinstance(value, cs.QueueState):
+        return (_bits(value.source), _bits(value.relay))
+    if isinstance(value, (np.ndarray, np.generic, float)):
+        arr = np.asarray(value)
+        return (arr.dtype.str, arr.shape, arr.tobytes())
+    return value
+
+
+def assert_bit_identical(got, want):
+    for f in dataclasses.fields(sim.Metrics):
+        assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
+def _synthetic_config(n, k, seed):
+    """Random sparse config: a handful of states, mixed-rate schemes (one
+    with a zero rate when K > 1) and a random support subset."""
+    rng = np.random.default_rng(seed)
+    alphabet = ("a", "b")
+    f1s = list(itertools.product(alphabet, repeat=n))
+    f2s = list(itertools.product(alphabet, repeat=n * k))
+    picks = rng.choice(len(f1s) * len(f2s), size=7, replace=False)
+    probs = rng.dirichlet(np.ones(len(picks)))
+    states = [
+        {"f1": list(f1s[i // len(f2s)]), "f2": list(f2s[i % len(f2s)]), "p": float(p)}
+        for i, p in zip(picks, probs)
+    ]
+    states[-1]["p"] = 1.0 - sum(s["p"] for s in states[:-1])
+    rates = np.round(rng.uniform(0.1, 1.3, size=(3, k)), 3)
+    if k > 1:
+        rates[1, k - 1] = 0.0
+    support = [
+        {"m": m, "g1": list(g1), "g2": s["f2"]}
+        for m in range(3)
+        for g1 in f1s
+        for s in states
+        if rng.random() < 0.4
+    ]
+    doc = make_doc(n=n, k=k, T=7, alphabet=alphabet, rates=rates.tolist(), support=support, states=states)
+    return cs.validate_config(doc)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("distribution", sim.DISTRIBUTIONS)
+@pytest.mark.parametrize("allow_idle", [False, True])
+@pytest.mark.parametrize("name", sorted(CONFIG_RATES))
+def test_run_matches_reference(request, name, allow_idle, distribution, seed):
+    config = request.getfixturevalue(name)
+    rate = CONFIG_RATES[name][seed - 1]
+    arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
+    got = cs.run(config, arrivals, HORIZON, seed, allow_idle=allow_idle)
+    want = reference_run(config, arrivals, HORIZON, seed, allow_idle=allow_idle)
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 1, 11), (1, 3, 12), (2, 3, 13)])
+@pytest.mark.parametrize("allow_idle", [False, True])
+def test_run_matches_reference_synthetic(n, k, seed, allow_idle):
+    config = _synthetic_config(n, k, seed)
+    for rate in (0.2, 0.9):
+        arrivals = cs.ArrivalConfig(rates=(rate,) * k)
+        got_rows, want_rows = io.StringIO(), io.StringIO()
+        got = cs.run(config, arrivals, HORIZON, seed, allow_idle=allow_idle, snapshot_sink=got_rows)
+        want = reference_run(config, arrivals, HORIZON, seed, allow_idle=allow_idle, snapshot_sink=want_rows)
+        assert_bit_identical(got, want)
+        assert got_rows.getvalue() == want_rows.getvalue()
+
+
+@pytest.mark.parametrize("horizon", [1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1])
+def test_run_matches_reference_at_chunk_edges(desk, horizon):
+    arrivals = cs.ArrivalConfig(rates=(1.3, 1.3), distribution="bernoulli-batch")
+    got_rows, want_rows = io.StringIO(), io.StringIO()
+    got = cs.run(desk, arrivals, horizon, 5, snapshot_sink=got_rows)
+    want = reference_run(desk, arrivals, horizon, 5, snapshot_sink=want_rows)
+    assert_bit_identical(got, want)
+    assert got_rows.getvalue() == want_rows.getvalue()
+
+
+# -- drift ------------------------------------------------------------------
+
+
+def _desk_probes(desk):
+    interior = cs.QueueState.zeros(desk)
+    interior.source[:] = 5e4
+    exterior = cs.run(desk, cs.ArrivalConfig(rates=(1.8, 1.8)), 3000, 4).final_state
+    return [(interior, 1.0), (exterior, 1.8)]
+
+
+@pytest.mark.parametrize("allow_idle", [False, True])
+def test_drift_check_matches_reference(desk, toy_goodbad, allow_idle):
+    probe = cs.QueueState.zeros(toy_goodbad)
+    probe.source[:] = 300.0
+    probe.relay[:] = 40.0
+    cases = [(toy_goodbad, probe, 0.4), (toy_goodbad, cs.QueueState.zeros(toy_goodbad), 0.1)]
+    cases += [(desk, p, rate) for p, rate in _desk_probes(desk)]
+    for seed, (config, probe, rate) in enumerate(cases):
+        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations)
+        got = cs.drift_check(config, arrivals, probe, 3000, seed=seed, allow_idle=allow_idle)
+        want = reference_drift_check(config, arrivals, probe, 3000, seed=seed, allow_idle=allow_idle)
+        assert [_bits(getattr(got, f)) for f in ("mean", "stderr", "samples")] == [
+            _bits(getattr(want, f)) for f in ("mean", "stderr", "samples")
+        ]
+
+
+def test_drift_check_decides_once_per_fading_state(desk, monkeypatch):
+    calls = []
+
+    def counting_decide(*args, **kwargs):
+        calls.append(args[1])
+        return cs.decide(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "decide", counting_decide)
+    probe, rate = _desk_probes(desk)[1]
+    cs.drift_check(desk, cs.ArrivalConfig(rates=(rate, rate)), probe, 5000, seed=1)
+    assert len(calls) == len(set(calls)) <= len(desk.sorted_states)
+
+
+# -- the zero-probability clamp ---------------------------------------------
+
+
+class _TopDraws:
+    """A generator whose uniform variates all sit just below 1."""
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+
+def _trailing_zero_state_config():
+    states = [
+        {"f1": ["a"], "f2": ["a"], "p": 1.0 - 1e-13},
+        {"f1": ["b"], "f2": ["b"], "p": 0.0},  # sorts last
+    ]
+    config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
+    assert config.cumulative_probs[-1] < np.nextafter(1.0, 0.0)
+    assert config.sorted_states[-1] == (("b",), ("b",))
+    return config
+
+
+def test_sample_fading_never_draws_zero_probability_state():
+    config = _trailing_zero_state_config()
+    assert cs.sample_fading(config, _TopDraws()) == (("a",), ("a",))
+
+
+def test_run_never_draws_zero_probability_state(monkeypatch):
+    config = _trailing_zero_state_config()
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
+    m = cs.run(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), 10, 0)
+    assert m.fading_state_idx.tolist() == [0] * 10

@@ -16,6 +16,11 @@ def test_arrival_validation():
         cs.ArrivalConfig(rates=(0.5,), distribution="poisson")
     with pytest.raises(ValueError):
         cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(0.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cs.ArrivalConfig(rates=(0.5, bad))
+        with pytest.raises(ValueError):
+            cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(bad,))
 
 
 def test_uniform_integer_bounds_and_mean():
