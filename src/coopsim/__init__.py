@@ -22,7 +22,6 @@ from .model import (
     load_config,
     queue_count_encoding_based,
     queue_count_state_based,
-    sample_fading,
     validate_config,
 )
 from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop
@@ -45,7 +44,6 @@ from .sim import (
     Metrics,
     StabilityVerdict,
     drift_check,
-    generate_arrivals,
     run,
     stability_verdict,
 )

@@ -317,15 +317,6 @@ def load_config(path) -> NetworkConfig:
 # sampling and counting
 
 
-def sample_fading(config: NetworkConfig, rng: np.random.Generator):
-    """Draw one combined state (f1, f2) from the joint table.
-
-    The draw consumes exactly one uniform variate, so a seeded generator
-    reproduces the same state sequence on every run.
-    """
-    return config.sorted_states[int(fading_indices(config, rng.random()))]
-
-
 def fading_indices(config: NetworkConfig, u):
     """Sorted-state indices of uniform variates ``u`` (a scalar or an array).
 

@@ -292,6 +292,8 @@ def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (config.shape.num_destinations,):
         raise ValueError(f"lambda must have {config.shape.num_destinations} entries")
+    if not np.isfinite(lam).all():
+        raise ValueError("lambda entries must be finite")
     if (lam < 0).any():
         raise ValueError("lambda must be non-negative")
 
@@ -327,6 +329,8 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (config.shape.num_destinations,):
         raise ValueError(f"direction must have {config.shape.num_destinations} entries")
+    if not np.isfinite(direction).all():
+        raise ValueError("direction entries must be finite")
     if (direction < 0).any() or not (direction > 0).any():
         raise ValueError("direction must be non-negative with at least one positive entry")
 

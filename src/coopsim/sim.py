@@ -33,6 +33,15 @@ Python floats, with the controller and queue rules of ``controller`` and
     relay-tiled queue, which equal the 1-D sums of the reference bit for
     bit.
 
+A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
+draws a run of that many blocks would use.  The controller decides once per
+drawn fading state, which fixes the bits taken from the source and the
+relay term of V (``apply_*`` and ``lyapunov`` on the probe's relays).  The
+source term max(Qs + a - sub, 0)^2 is one array pass, summed along
+contiguous rows (the order of a 1-D sum).  The clamp is a no-op unless bits
+are taken, as probe and arrivals are non-negative, so the estimate equals
+one decide, update and potential per sample bit for bit.
+
 The stability verdict fits a least-squares slope to the total backlog, in
 bits, over the trailing half of the horizon.  Relay symbols convert to
 bits with each queue's own rate sum r_m . 1 by default (the same weighting
@@ -47,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import FIRST_HOP, IDLE, SECOND_HOP, decide, lyapunov
-from .model import NetworkConfig, fading_indices, sample_fading
+from .model import NetworkConfig, fading_indices
 from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop, snapshot_header
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
@@ -93,35 +102,23 @@ class ArrivalConfig:
                 raise ValueError("batch sizes must be finite and positive")
 
 
-def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: float, size=None):
-    """Arrivals for destination k; scalar when size is None, else (size,)."""
+def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: float, size: int):
+    """Arrivals for destination k over ``size`` blocks, shape (size,)."""
     mu = cfg.rates[k] * T
     if cfg.distribution == "constant":
-        return mu if size is None else np.full(size, mu)
+        return np.full(size, mu)
     if cfg.distribution == "uniform-integer":
         base = math.floor(mu)
-        frac = mu - base
         u = rng.integers(0, 2 * base + 1, size=size)
-        b = rng.random(size) < frac
-        if size is None:
-            return float(u) + float(b)
-        return u.astype(float) + b
+        return u.astype(float) + (rng.random(size) < mu - base)
     # bernoulli-batch
     if mu == 0.0:
-        return 0.0 if size is None else np.zeros(size)
+        return np.zeros(size)
     batch = cfg.batch[k] if cfg.batch is not None else 2.0 * mu
     p = mu / batch
     if p > 1.0:
         raise ValueError(f"batch size {batch} below mean {mu} for destination {k}")
-    hit = rng.random(size) < p
-    if size is None:
-        return batch * float(hit)
-    return batch * hit
-
-
-def generate_arrivals(cfg: ArrivalConfig, rng: np.random.Generator, T: float) -> np.ndarray:
-    """One block of arrivals, destinations drawn in ascending order."""
-    return np.array([_draw_destination(cfg, k, rng, T) for k in range(len(cfg.rates))])
+    return batch * (rng.random(size) < p)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +233,8 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     arrivals (K, horizon), from one substream for fading and one per
     destination."""
     k_dest = config.shape.num_destinations
+    if len(arrivals.rates) != k_dest:
+        raise ValueError(f"arrival rates must have {k_dest} entries")
     T = config.shape.block_length
     children = np.random.SeedSequence(seed).spawn(1 + k_dest)
     state_idx = fading_indices(config, np.random.default_rng(children[0]).random(horizon))
@@ -279,8 +278,6 @@ def run(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k_dest = config.shape.num_destinations
-    if len(arrivals.rates) != k_dest:
-        raise ValueError(f"arrival rates must have {k_dest} entries")
     T = config.shape.block_length
     n_relays = config.shape.num_relays
     n_g1 = len(config.first_hop_space)
@@ -419,30 +416,38 @@ def drift_check(
 
     Each sample independently draws (fading, arrivals), applies the
     controller's action to the probe state, and measures V(next) - V(probe).
+    The probe's queues must be finite and non-negative.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    T = config.shape.block_length
-    seq = np.random.SeedSequence(seed)
-    ch_fade, ch_arr = seq.spawn(2)
-    rng_fade = np.random.default_rng(ch_fade)
-    rng_arr = np.random.default_rng(ch_arr)
-    v0 = lyapunov(probe_state)
-    dv = np.empty(samples)
-    decisions = {}  # the probe is fixed, so a decision depends on f alone
-    for i in range(samples):
-        f = sample_fading(config, rng_fade)
-        a = generate_arrivals(arrivals, rng_arr, T)
-        d = decisions.get(f)
-        if d is None:
-            d = decisions[f] = decide(probe_state, f, config.support, allow_idle=allow_idle)
+    for queue in (probe_state.source, probe_state.relay):
+        if not (np.isfinite(queue).all() and (queue >= 0.0).all()):
+            raise ValueError("probe queues must be finite and non-negative")
+    state_idx, arr = _draws(config, arrivals, samples, seed)
+    n_states = len(config.sorted_states)
+    zero = np.zeros(config.shape.num_destinations)
+    bare = QueueState(config, zero, probe_state.relay)  # V(bare) is the relay term
+    sub = np.zeros((n_states, len(zero)))  # bits the action takes from the source
+    relay_term = np.zeros(n_states)
+    for s in np.flatnonzero(np.bincount(state_idx)).tolist():
+        f = config.sorted_states[s]
+        d = decide(probe_state, f, config.support, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
-            nxt = apply_first_hop(probe_state, a, d.m, f[0])
+            sub[s] = config.rates[d.m] * config.shape.block_length
+            nxt = apply_first_hop(bare, zero, d.m, f[0])
         elif d.variant == SECOND_HOP:
-            nxt = apply_second_hop(probe_state, a, d.m, d.g1)
+            nxt = apply_second_hop(bare, zero, d.m, d.g1)
         else:
-            nxt = apply_idle(probe_state, a)
-        dv[i] = lyapunov(nxt) - v0
+            nxt = apply_idle(bare, zero)
+        relay_term[s] = lyapunov(nxt)
+    src = np.ascontiguousarray(arr.T)  # next source queues, one row per sample
+    src += probe_state.source
+    src -= sub[state_idx]
+    np.maximum(src, 0.0, out=src)
+    src *= src
+    dv = src.sum(axis=1)
+    dv += relay_term[state_idx]
+    dv -= lyapunov(probe_state)
     mean = float(dv.mean())
     stderr = float(dv.std(ddof=1) / math.sqrt(samples))
     return DriftEstimate(mean=mean, stderr=stderr, samples=samples)

@@ -9,8 +9,12 @@ spec-level functions: ``controller.decide`` on the full ``(N, M, |F|^N)``
 relay array, the pure ``queueing.apply_*`` updates and numpy reductions for
 every series.  ``sim.run`` must reproduce it bit for bit.
 
-``reference_drift_check`` is ``drift_check`` with one ``decide`` call per
-sample.
+``reference_drift_check`` is ``drift_check`` with one ``decide`` call, one
+pure queue update and one full potential per sample.
+
+``expected_drift`` is the exact one-block drift at a probe: the sum over
+every fading state and every point of the finite arrival support, weighted
+by its probability, of the same per-sample change of the potential.
 
 ``slack_oracle`` / ``scale_oracle`` evaluate the region queries by direct
 grid search over the time-sharing fractions: feasibility and the margin
@@ -20,12 +24,12 @@ objectives are concave (minima of affine functions over a box), so the
 local refinement converges to the global optimum.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from coopsim.controller import FIRST_HOP, SECOND_HOP, decide, lyapunov
-from coopsim.model import sample_fading
 from coopsim.queueing import (
     QueueState,
     apply_first_hop,
@@ -34,7 +38,7 @@ from coopsim.queueing import (
     snapshot_header,
     snapshot_row,
 )
-from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws, generate_arrivals
+from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws
 
 
 def bruteforce_decide(state, f, support):
@@ -163,16 +167,14 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
 
 
 def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_idle=False):
-    """``drift_check`` with a fresh controller decision for every sample."""
-    T = config.shape.block_length
-    ch_fade, ch_arr = np.random.SeedSequence(seed).spawn(2)
-    rng_fade = np.random.default_rng(ch_fade)
-    rng_arr = np.random.default_rng(ch_arr)
+    """``drift_check`` with a fresh controller decision, a pure queue update
+    and a full potential for every sample, on the draws of ``sim._draws``."""
+    state_idx, arr = _draws(config, arrivals, samples, seed)
     v0 = lyapunov(probe_state)
     dv = np.empty(samples)
     for i in range(samples):
-        f = sample_fading(config, rng_fade)
-        a = generate_arrivals(arrivals, rng_arr, T)
+        f = config.sorted_states[state_idx[i]]
+        a = arr[:, i]
         d = decide(probe_state, f, config.support, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
             nxt = apply_first_hop(probe_state, a, d.m, f[0])
@@ -184,6 +186,55 @@ def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_
     return DriftEstimate(
         mean=float(dv.mean()), stderr=float(dv.std(ddof=1) / math.sqrt(samples)), samples=samples
     )
+
+
+def _arrival_support(arrivals, k, T):
+    """[(probability, bits)] of destination k's arrivals in one block."""
+    mu = arrivals.rates[k] * T
+    if arrivals.distribution == "constant":
+        return [(1.0, mu)]
+    if arrivals.distribution == "uniform-integer":
+        base = math.floor(mu)
+        frac = mu - base
+        top_up = [(1.0 - frac, 0), (frac, 1)]
+        return [(pb / (2 * base + 1), float(u + b)) for u in range(2 * base + 1) for pb, b in top_up if pb > 0]
+    if mu == 0.0:
+        return [(1.0, 0.0)]
+    batch = arrivals.batch[k] if arrivals.batch is not None else 2.0 * mu
+    return [(1.0 - mu / batch, 0.0), (mu / batch, batch)]
+
+
+def expected_drift(config, arrivals, probe_state, allow_idle=False):
+    """E[V(next) - V(probe)] over fading states x arrival supports, exactly
+    enumerated with the spec-level ``decide``, ``apply_*`` and ``lyapunov``.
+
+    States with the same action share one pass over the arrival outcomes.
+    """
+    T = config.shape.block_length
+    supports = [_arrival_support(arrivals, k, T) for k in range(config.shape.num_destinations)]
+    outcomes = [
+        (math.prod(p for p, _ in combo), np.array([a for _, a in combo]))
+        for combo in itertools.product(*supports)
+    ]
+    actions = {}
+    for f in config.sorted_states:
+        p = config.probability(f)
+        if p > 0.0:
+            d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+            key = (d.variant, d.m, f[0] if d.variant == FIRST_HOP else d.g1)
+            actions[key] = actions.get(key, 0.0) + p
+    v0 = lyapunov(probe_state)
+    terms = []
+    for (variant, m, g1), p_action in actions.items():
+        for p_arr, a in outcomes:
+            if variant == FIRST_HOP:
+                nxt = apply_first_hop(probe_state, a, m, g1)
+            elif variant == SECOND_HOP:
+                nxt = apply_second_hop(probe_state, a, m, g1)
+            else:
+                nxt = apply_idle(probe_state, a)
+            terms.append(p_action * p_arr * (lyapunov(nxt) - v0))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -217,3 +218,23 @@ def test_drift_check_cli_relay_fill(capsys):
     assert rc == 0
     out = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines())
     assert float(out["mean_dv"]) > 0
+
+
+@pytest.mark.parametrize("flags", [["--qs", "nan"], ["--relay-fill", "inf"], ["--qs", "-5"]])
+def test_drift_check_rejects_bad_probe(capsys, flags):
+    rc = main(["drift-check", TOY, "--lambda", "0.3", "--samples", "100", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite and non-negative" in captured.err
+
+
+@pytest.mark.parametrize("direction", ["nan,1", "1,inf", "1,-inf"])
+def test_region_non_finite_direction(capsys, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any RuntimeWarning fails the test
+        rc = main(["region", DESK, "--direction", direction])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coopsim: error: direction entries must be finite\n"

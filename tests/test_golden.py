@@ -1,5 +1,6 @@
-"""Golden outputs: ``simulate`` (metrics.csv, summary.json, --queues) and
-``sweep`` stdout at fixed seeds, compared byte for byte.
+"""Golden outputs: ``simulate`` (metrics.csv, summary.json, --queues),
+``sweep`` stdout and ``drift-check`` stdout at fixed seeds, compared byte
+for byte.
 
 These files pin the deterministic output contract across refactors of the
 block loop.  An intended change to any of them must be named column by
@@ -43,6 +44,19 @@ SIMULATE_CASES = {
          "--allow-idle", "--arrival", "bernoulli-batch"],
     ),
 }
+# name -> (config, drift-check arguments): desk at 0.8 rho* with Qs = 5e4,
+# desk beyond rho* with every relay queue filled (positive drift), and
+# toy_single on its growth ray.
+DRIFT_CASES = {
+    "drift_desk_interior": ("desk", ["--lambda", "0.97", "--qs", "50000", "--samples", "4000", "--seed", "11"]),
+    "drift_desk_exterior": (
+        "desk",
+        ["--lambda", "1.82", "--qs", "50000", "--relay-fill", "2000", "--samples", "4000", "--seed", "12",
+         "--arrival", "bernoulli-batch"],
+    ),
+    "drift_single": ("toy_single", ["--lambda", "0.75", "--qs", "10000", "--relay-fill", "4000",
+                                    "--samples", "3000", "--seed", "13"]),
+}
 SWEEP_SPEC = {"direction": [1.0, 1.0], "load_factors": [0.5, 1.5], "horizon": 1500, "seeds": [1, 2]}
 
 
@@ -63,6 +77,14 @@ def _sweep(spec_dir: Path) -> bytes:
     return buf.getvalue().encode()
 
 
+def _drift(name: str) -> bytes:
+    config, args = DRIFT_CASES[name]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["drift-check", str(ROOT / "configs" / f"{config}.json"), *args]) == 0
+    return buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
 def test_simulate_matches_golden(name, tmp_path):
     _simulate(name, tmp_path)
@@ -75,9 +97,17 @@ def test_sweep_matches_golden(tmp_path):
     assert _sweep(tmp_path) == (GOLDEN / "sweep_desk.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DRIFT_CASES))
+def test_drift_check_matches_golden(name):
+    assert _drift(name) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     for case in SIMULATE_CASES:
         _simulate(case, GOLDEN / case)
     (GOLDEN / "sweep_desk.txt").write_bytes(_sweep(GOLDEN))
     (GOLDEN / "sweep_spec.json").unlink()
-    print(f"captured {len(SIMULATE_CASES)} simulate cases and one sweep under {GOLDEN}", file=sys.stderr)
+    for case in DRIFT_CASES:
+        (GOLDEN / f"{case}.txt").write_bytes(_drift(case))
+    print(f"captured {len(SIMULATE_CASES)} simulate cases, one sweep and {len(DRIFT_CASES)} drift checks "
+          f"under {GOLDEN}", file=sys.stderr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coopsim as cs
+from coopsim.model import fading_indices
 from conftest import make_doc
 
 
@@ -74,11 +75,10 @@ def test_sparse_table_zero_states_implicit():
 
 
 def test_sample_point_mass():
-    doc = make_doc()
-    cfg = cs.validate_config(doc)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        assert cs.sample_fading(cfg, rng) == (("a",), ("a",))
+    cfg = cs.validate_config(make_doc())
+    idx = fading_indices(cfg, np.random.default_rng(0).random(100))
+    assert idx.tolist() == [0] * 100
+    assert cfg.sorted_states[0] == (("a",), ("a",))
 
 
 def test_sample_two_state_frequency():
@@ -88,10 +88,10 @@ def test_sample_two_state_frequency():
         {"f1": ["b"], "f2": ["b"], "p": 0.5},
     ]
     cfg = cs.validate_config(doc)
-    rng = np.random.default_rng(42)
     n = 100_000
-    hits = sum(cs.sample_fading(cfg, rng) == (("a",), ("a",)) for _ in range(n))
-    assert abs(hits / n - 0.5) <= 0.01
+    idx = fading_indices(cfg, np.random.default_rng(42).random(n))
+    assert cfg.sorted_states[0] == (("a",), ("a",))
+    assert abs(np.count_nonzero(idx == 0) / n - 0.5) <= 0.01
 
 
 def test_sample_determinism():
@@ -101,23 +101,19 @@ def test_sample_determinism():
         {"f1": ["b"], "f2": ["b"], "p": 0.7},
     ]
     cfg = cs.validate_config(doc)
-    seq1 = [cs.sample_fading(cfg, np.random.default_rng(7)) for _ in range(1)]
-    r1, r2 = np.random.default_rng(123), np.random.default_rng(123)
-    a = [cs.sample_fading(cfg, r1) for _ in range(500)]
-    b = [cs.sample_fading(cfg, r2) for _ in range(500)]
-    assert a == b
+    a = fading_indices(cfg, np.random.default_rng(123).random(500))
+    b = fading_indices(cfg, np.random.default_rng(123).random(500))
+    assert np.array_equal(a, b)
+    assert set(a.tolist()) == {0, 1}
 
 
 def test_sample_empirical_convergence(desk):
     n = 100_000
-    rng = np.random.default_rng(3)
-    counts = {}
-    for _ in range(n):
-        f = cs.sample_fading(desk, rng)
-        counts[f] = counts.get(f, 0) + 1
+    idx = fading_indices(desk, np.random.default_rng(3).random(n))
+    counts = np.bincount(idx, minlength=len(desk.sorted_states))
     bound = 5.0 * math.sqrt(math.log(n) / n)
-    for f in desk.sorted_states:
-        assert abs(counts.get(f, 0) / n - desk.probability(f)) <= bound
+    for f, c in zip(desk.sorted_states, counts.tolist()):
+        assert abs(c / n - desk.probability(f)) <= bound
 
 
 # -- queue counts -----------------------------------------------------------

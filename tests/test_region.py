@@ -113,6 +113,11 @@ def test_direction_validation(toy_single):
         cs.boundary_scale(toy_single, [-1.0])
     with pytest.raises(ValueError):
         cs.interior_slack(toy_single, [-0.1])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="direction entries must be finite"):
+            cs.build_scale_lp(toy_single, [bad])
+        with pytest.raises(ValueError, match="lambda entries must be finite"):
+            cs.build_slack_lp(toy_single, [bad])
 
 
 def test_witness_replay(toy_single, toy_goodbad, desk):

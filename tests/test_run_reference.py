@@ -4,7 +4,8 @@
 Every ``Metrics`` field must match bit for bit: arrays by dtype, shape and
 raw bytes (so the sign of every zero and every -inf counts), scalars the
 same way, and ``final_state`` through both of its arrays.  ``drift_check``
-is held to its one-decision-per-sample reference the same way.
+is held to its one-decision-per-sample reference the same way, and its
+mean to the exactly enumerated ``oracles.expected_drift``.
 """
 
 import dataclasses
@@ -16,8 +17,9 @@ import pytest
 
 import coopsim as cs
 from coopsim import sim
+from coopsim.model import fading_indices
 from conftest import make_doc
-from oracles import reference_drift_check, reference_run
+from oracles import expected_drift, reference_drift_check, reference_run
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
 # along (1, 1), both toys have rho* = 0.5
@@ -117,20 +119,56 @@ def _desk_probes(desk):
     return [(interior, 1.0), (exterior, 1.8)]
 
 
-@pytest.mark.parametrize("allow_idle", [False, True])
-def test_drift_check_matches_reference(desk, toy_goodbad, allow_idle):
+def _drift_cases(desk, toy_goodbad):
+    """(config, probe, rate) for every drift comparison: toy_goodbad at a
+    loaded and an empty probe, desk at its interior and warm exterior
+    probes, and a synthetic N=1/K=3 config at a warm and a hand-made probe."""
     probe = cs.QueueState.zeros(toy_goodbad)
     probe.source[:] = 300.0
     probe.relay[:] = 40.0
     cases = [(toy_goodbad, probe, 0.4), (toy_goodbad, cs.QueueState.zeros(toy_goodbad), 0.1)]
     cases += [(desk, p, rate) for p, rate in _desk_probes(desk)]
-    for seed, (config, probe, rate) in enumerate(cases):
-        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations)
-        got = cs.drift_check(config, arrivals, probe, 3000, seed=seed, allow_idle=allow_idle)
-        want = reference_drift_check(config, arrivals, probe, 3000, seed=seed, allow_idle=allow_idle)
+    synthetic = _synthetic_config(1, 3, 12)
+    warm = cs.run(synthetic, cs.ArrivalConfig(rates=(0.9,) * 3), 2000, 3).final_state
+    hand = cs.QueueState.zeros(synthetic)
+    hand.source[:] = [400.0, 0.0, 35.5]
+    hand.relay[0, :, 0] = [70.0, 0.0, 14.0]
+    hand.relay[0, :, 1] = [0.0, 21.0, 7.0]
+    cases += [(synthetic, warm, 0.9), (synthetic, hand, 0.5)]
+    return cases
+
+
+@pytest.mark.parametrize("allow_idle", [False, True])
+def test_drift_check_matches_reference(desk, toy_goodbad, allow_idle):
+    cases = itertools.product(sim.DISTRIBUTIONS, _drift_cases(desk, toy_goodbad))
+    for seed, (distribution, (config, probe, rate)) in enumerate(cases):
+        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
+        got = cs.drift_check(config, arrivals, probe, 1500, seed=seed, allow_idle=allow_idle)
+        want = reference_drift_check(config, arrivals, probe, 1500, seed=seed, allow_idle=allow_idle)
         assert [_bits(getattr(got, f)) for f in ("mean", "stderr", "samples")] == [
             _bits(getattr(want, f)) for f in ("mean", "stderr", "samples")
         ]
+
+
+@pytest.mark.parametrize("distribution", sim.DISTRIBUTIONS)
+def test_drift_check_within_4_stderr_of_expected_drift(desk, toy_goodbad, distribution):
+    for seed, (config, probe, rate) in enumerate(_drift_cases(desk, toy_goodbad)[:4]):  # the toy and desk cases
+        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
+        est = cs.drift_check(config, arrivals, probe, 20_000, seed=seed)
+        exact = expected_drift(config, arrivals, probe)
+        # plus rounding: the oracle's probabilities sum to 1 only to float precision
+        assert abs(est.mean - exact) <= 4 * est.stderr + 1e-12 * abs(exact), (config.shape, rate, est, exact)
+
+
+def test_expected_drift_point_mass(toy_single):
+    # one fading state and constant arrivals: every sample is the exact drift
+    probe = cs.QueueState.zeros(toy_single)
+    probe.source[:] = 123.0
+    probe.relay[:] = 7.0
+    arrivals = cs.ArrivalConfig(rates=(0.35,), distribution="constant")
+    est = cs.drift_check(toy_single, arrivals, probe, 50, seed=1)
+    assert est.stderr == 0.0
+    assert est.mean == expected_drift(toy_single, arrivals, probe)
 
 
 def test_drift_check_decides_once_per_fading_state(desk, monkeypatch):
@@ -168,9 +206,11 @@ def _trailing_zero_state_config():
     return config
 
 
-def test_sample_fading_never_draws_zero_probability_state():
+def test_fading_indices_never_draws_zero_probability_state():
     config = _trailing_zero_state_config()
-    assert cs.sample_fading(config, _TopDraws()) == (("a",), ("a",))
+    top = _TopDraws().random(3)
+    assert fading_indices(config, top).tolist() == [0, 0, 0]
+    assert int(fading_indices(config, top[0])) == 0
 
 
 def test_run_never_draws_zero_probability_state(monkeypatch):
@@ -178,3 +218,17 @@ def test_run_never_draws_zero_probability_state(monkeypatch):
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
     m = cs.run(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), 10, 0)
     assert m.fading_state_idx.tolist() == [0] * 10
+
+
+def test_drift_check_never_draws_zero_probability_state(monkeypatch):
+    config = _trailing_zero_state_config()
+    seen = []
+
+    def recording_decide(state, f, *args, **kwargs):
+        seen.append(f)
+        return cs.decide(state, f, *args, **kwargs)
+
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
+    monkeypatch.setattr(sim, "decide", recording_decide)
+    cs.drift_check(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), cs.QueueState.zeros(config), 10)
+    assert seen == [config.sorted_states[0]]

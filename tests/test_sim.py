@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.sim import METRICS_COLUMNS, _draw_destination, write_metrics_csv
+from coopsim.sim import METRICS_COLUMNS, _draws, write_metrics_csv
 from conftest import make_doc
 
 
@@ -23,51 +23,55 @@ def test_arrival_validation():
             cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(bad,))
 
 
-def test_uniform_integer_bounds_and_mean():
-    cfg = cs.ArrivalConfig(rates=(0.5,))
-    rng = np.random.default_rng(1)
-    draws = _draw_destination(cfg, 0, rng, 10, size=100_000)
+def _arrivals(config, rates, horizon, seed, **kwargs):
+    """The (K, horizon) arrivals a run of ``config`` draws for ``rates``."""
+    return _draws(config, cs.ArrivalConfig(rates=rates, **kwargs), horizon, seed)[1]
+
+
+def test_uniform_integer_bounds_and_mean(toy_single):
+    draws = _arrivals(toy_single, (0.5,), 100_000, 1)[0]
     assert draws.min() >= 0 and draws.max() <= 10
     assert np.all(draws == np.round(draws))
     assert abs(draws.mean() - 5.0) <= 0.05
 
 
-def test_uniform_integer_exact_mean_fractional():
+def test_uniform_integer_exact_mean_fractional(toy_single):
     # mean must be rate*T even when it is not an integer
-    cfg = cs.ArrivalConfig(rates=(0.675,))
-    rng = np.random.default_rng(2)
-    draws = _draw_destination(cfg, 0, rng, 10, size=400_000)
+    draws = _arrivals(toy_single, (0.675,), 400_000, 2)[0]
     assert draws.max() <= 2 * 6 + 1
     assert abs(draws.mean() - 6.75) <= 0.05
 
 
-def test_zero_rate_always_zero():
-    cfg = cs.ArrivalConfig(rates=(0.0,))
-    rng = np.random.default_rng(3)
-    assert _draw_destination(cfg, 0, rng, 10, size=1000).sum() == 0.0
+def test_zero_rate_always_zero(toy_single):
+    assert _arrivals(toy_single, (0.0,), 1000, 3).sum() == 0.0
 
 
-def test_constant_distribution():
-    cfg = cs.ArrivalConfig(rates=(0.5,), distribution="constant")
-    rng = np.random.default_rng(4)
-    assert cs.generate_arrivals(cfg, rng, 10).tolist() == [5.0]
+def test_constant_distribution(toy_single):
+    assert _arrivals(toy_single, (0.5,), 3, 4, distribution="constant").tolist() == [[5.0] * 3]
 
 
-def test_bernoulli_batch():
-    cfg = cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch")
-    rng = np.random.default_rng(5)
-    draws = _draw_destination(cfg, 0, rng, 10, size=200_000)
+def test_bernoulli_batch(toy_single):
+    draws = _arrivals(toy_single, (0.5,), 200_000, 5, distribution="bernoulli-batch")[0]
     assert set(np.unique(draws)) == {0.0, 10.0}
     assert abs(draws.mean() - 5.0) <= 0.1
-    small = cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(2.0,))
     with pytest.raises(ValueError):
-        _draw_destination(small, 0, np.random.default_rng(0), 10)
+        _arrivals(toy_single, (0.5,), 10, 0, distribution="bernoulli-batch", batch=(2.0,))
 
 
-def test_generate_arrivals_orders_destinations():
-    cfg = cs.ArrivalConfig(rates=(0.0, 0.5), distribution="constant")
-    out = cs.generate_arrivals(cfg, np.random.default_rng(0), 10)
-    assert out.tolist() == [0.0, 5.0]
+def test_draws_order_destinations():
+    two = cs.validate_config(make_doc(k=2, rates=((1.0, 1.0),)))
+    assert _arrivals(two, (0.0, 0.5), 2, 0, distribution="constant").tolist() == [[0.0, 0.0], [5.0, 5.0]]
+    # one substream per destination: destination 1 does not see destination 0's rate
+    a = _arrivals(two, (0.2, 0.7), 500, 6)
+    b = _arrivals(two, (0.9, 0.7), 500, 6)
+    assert np.array_equal(a[1], b[1]) and not np.array_equal(a[0], b[0])
+
+
+def test_draws_reject_rate_count_mismatch(toy_single):
+    with pytest.raises(ValueError, match="1 entries"):
+        _arrivals(toy_single, (0.5, 0.5), 10, 0)
+    with pytest.raises(ValueError, match="1 entries"):
+        cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.5, 0.5)), cs.QueueState.zeros(toy_single), 10)
 
 
 # -- run --------------------------------------------------------------------
@@ -211,6 +215,14 @@ def test_drift_positive_exterior(toy_single):
     probe.relay[0, 0, 0] = 4e3
     est = cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.75,)), probe, samples=10_000, seed=3)
     assert est.mean > 3 * est.stderr
+
+
+@pytest.mark.parametrize("part,value", [("source", math.nan), ("source", -5.0), ("relay", math.inf), ("relay", -3.0)])
+def test_drift_check_rejects_bad_probe(toy_single, part, value):
+    probe = cs.QueueState.zeros(toy_single)
+    getattr(probe, part)[:] = value
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.3,)), probe, samples=100)
 
 
 def test_drift_determinism(toy_single):
