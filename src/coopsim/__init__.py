@@ -29,6 +29,7 @@ from .region import (
     DegeneracyError,
     LinearProgram,
     RegionWitness,
+    SolverError,
     boundary_scale,
     build_scale_lp,
     build_slack_lp,

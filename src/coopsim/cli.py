@@ -27,7 +27,7 @@ from .model import (
     queue_count_state_based,
 )
 from .queueing import QueueState
-from .region import DegeneracyError, boundary_scale, interior_slack, scale_witness
+from .region import SolverError, boundary_scale, interior_slack, scale_witness
 from .sim import (
     ArrivalConfig,
     DISTRIBUTIONS,
@@ -61,20 +61,28 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _witness_records(entries: dict) -> list:
-    out = []
-    for (f, m, g), val in sorted(entries.items()):
-        out.append(
-            {
-                "f1": list(f[0]),
-                "f2": list(f[1]),
-                "m": m,
-                "g1": list(g[0]),
-                "g2": list(g[1]),
-                "value": val,
-            }
-        )
-    return out
+def _witness_records(config, wit) -> dict:
+    """The a and b records of a witness, one per (f, m, g1, g2): a b fraction
+    drains under g2 = f2, and an a fraction is split across g2 in proportion
+    to its class's drain flow under each (evenly over the supported g2 if
+    nothing drains it), so per-triple flows balance as class flows do."""
+    drain: dict = {}  # (m, g1) -> {g2: sum of pi_f * b_f over f with f2 = g2}
+    for (f, m, g1), val in wit.b.items():
+        per_g2 = drain.setdefault((m, g1), {})
+        per_g2[f[1]] = per_g2.get(f[1], 0.0) + config.probability(f) * val
+    a = []
+    for (f, m, g1), val in wit.a.items():
+        weights = drain.get((m, g1))
+        if not weights:
+            weights = {t[2]: 1.0 for t in sorted(config.support.triples) if t[:2] == (m, g1)}
+        total = sum(weights.values())
+        a += [(f, m, g1, g2, val * w / total) for g2, w in weights.items()]
+    b = [(f, m, g1, f[1], val) for (f, m, g1), val in wit.b.items()]
+
+    def record(f, m, g1, g2, value):
+        return dict(f1=list(f[0]), f2=list(f[1]), m=m, g1=list(g1), g2=list(g2), value=value)
+
+    return {"a": [record(*r) for r in sorted(a)], "b": [record(*r) for r in sorted(b)]}
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +94,8 @@ def cmd_region(args) -> int:
     k = config.shape.num_destinations
     direction = _vector(args.direction, k, "direction")
     wit = scale_witness(config, direction)
+    if wit.status != "optimal":
+        raise SolverError(f"scale LP ended {wit.status}")
     rho = wit.value
     delta = interior_slack(config, 0.9 * rho * direction)
     if args.witness:
@@ -94,8 +104,7 @@ def cmd_region(args) -> int:
             "rho_star": rho,
             "delta_star_at_rho(0.9)": delta,
             "status": wit.status,
-            "a": _witness_records(wit.a),
-            "b": _witness_records(wit.b),
+            **_witness_records(config, wit),
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
@@ -289,8 +298,8 @@ def main(argv=None) -> int:
     except CountOverflowError as exc:
         print(f"coopsim: overflow: {exc}", file=sys.stderr)
         return 4
-    except DegeneracyError as exc:
-        print(f"coopsim: solver degeneracy: {exc}", file=sys.stderr)
+    except SolverError as exc:
+        print(f"coopsim: solver failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"coopsim: error: {exc}", file=sys.stderr)

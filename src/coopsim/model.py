@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -140,12 +141,6 @@ class NetworkConfig:
         return tuple(itertools.product(self.fading.alphabet, repeat=self.shape.num_relays))
 
     @cached_property
-    def second_hop_space(self) -> tuple:
-        """All F^(N*K) tuples, lexicographic.  Exponential; desk scale only."""
-        n = self.shape.num_relays * self.shape.num_destinations
-        return tuple(itertools.product(self.fading.alphabet, repeat=n))
-
-    @cached_property
     def g1_index(self) -> dict:
         return {g1: i for i, g1 in enumerate(self.first_hop_space)}
 
@@ -227,6 +222,17 @@ def _label_tuple(raw, arity: int, alphabet: set, what: str) -> HopState:
     return tuple(raw)
 
 
+def _number(raw, what: str, code: str, integral: bool = False):
+    """A finite JSON number, or an integral one; ``code`` tags NaN, inf and non-numbers."""
+    if isinstance(raw, bool):
+        raise ConfigError("boolean-value", f"{what} must be a number, got {raw!r}")
+    if not isinstance(raw, (int, float)) or not math.isfinite(raw):
+        raise ConfigError(code, f"{what} must be a finite number, got {raw!r}")
+    if integral and raw != int(raw):
+        raise ConfigError("non-integral-value", f"{what} must be an integer, got {raw!r}")
+    return int(raw) if integral else float(raw)
+
+
 def validate_config(raw) -> NetworkConfig:
     """Validate a parsed config document (or re-validate a NetworkConfig)."""
     if isinstance(raw, NetworkConfig):
@@ -240,10 +246,7 @@ def validate_config(raw) -> NetworkConfig:
 
     sh = raw["shape"]
     _require_keys(sh, {"N", "K", "T"}, "shape")
-    try:
-        n, k, t = int(sh["N"]), int(sh["K"]), int(sh["T"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("bad-shape", f"shape requires integer N, K, T: {exc}") from None
+    n, k, t = (_number(sh.get(v), f"shape {v}", "bad-shape", integral=True) for v in ("N", "K", "T"))
     if n < 1 or k < 1 or t < 1:
         raise ConfigError("bad-shape", "N, K and T must all be >= 1")
     shape = NetworkShape(n, k, t)
@@ -251,8 +254,9 @@ def validate_config(raw) -> NetworkConfig:
     fad = raw["fading"]
     _require_keys(fad, {"alphabet", "states"}, "fading")
     alphabet = tuple(fad.get("alphabet", ()))
-    if not alphabet or len(set(alphabet)) != len(alphabet):
-        raise ConfigError("bad-alphabet", "alphabet must be a non-empty list of distinct labels")
+    strings = all(isinstance(lab, str) for lab in alphabet)
+    if not alphabet or not strings or len(set(alphabet)) != len(alphabet):
+        raise ConfigError("bad-alphabet", "alphabet must be a non-empty list of distinct string labels")
     alpha_set = set(alphabet)
     table: dict = {}
     total = 0.0
@@ -260,7 +264,7 @@ def validate_config(raw) -> NetworkConfig:
         _require_keys(ent, {"f1", "f2", "p"}, "fading state")
         f1 = _label_tuple(ent.get("f1"), n, alpha_set, "f1")
         f2 = _label_tuple(ent.get("f2"), n * k, alpha_set, "f2")
-        p = float(ent.get("p", 0.0))
+        p = _number(ent.get("p", 0.0), f"state {(f1, f2)} probability", "non-finite-probability")
         if p < 0.0:
             raise ConfigError("negative-probability", f"state {(f1, f2)} has probability {p}")
         if (f1, f2) in table:
@@ -279,9 +283,9 @@ def validate_config(raw) -> NetworkConfig:
     schemes = []
     for pos, ent in enumerate(raw_schemes):
         _require_keys(ent, {"id", "rates"}, "scheme")
-        if int(ent.get("id", -1)) != pos:
+        if _number(ent.get("id"), "scheme id", "bad-scheme-id", integral=True) != pos:
             raise ConfigError("bad-scheme-id", "scheme ids must be contiguous 0..M-1 in order")
-        rates = tuple(float(x) for x in ent.get("rates", ()))
+        rates = tuple(_number(x, f"scheme {pos} rate", "non-finite-rate") for x in ent.get("rates", ()))
         if len(rates) != k:
             raise ConfigError("dimension-mismatch", f"scheme {pos} needs {k} rates, got {len(rates)}")
         if any(r < 0 for r in rates):
@@ -293,7 +297,7 @@ def validate_config(raw) -> NetworkConfig:
     triples = set()
     for ent in raw["support"]:
         _require_keys(ent, {"m", "g1", "g2"}, "support entry")
-        m = int(ent.get("m", -1))
+        m = _number(ent.get("m"), "support m", "support-references-unknown-scheme", integral=True)
         if not 0 <= m < len(schemes):
             raise ConfigError("support-references-unknown-scheme", f"support references scheme {m}")
         g1 = _label_tuple(ent.get("g1"), n, alpha_set, "support g1")

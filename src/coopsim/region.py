@@ -1,39 +1,47 @@
 """Throughput-region linear programs and a small dense simplex solver.
 
 The throughput region of the network is the set of arrival-rate vectors
-(bits/symbol per destination) for which time-sharing fractions exist:
-``a_f^{m,g}`` is the fraction of blocks in fading state f spent sending
-first-hop packets of class (m, g), and ``b_f^{m,g}`` the fraction spent
-draining them on the second hop.  Columns exist only where they can be
-nonzero: ``a`` needs g1 = f1 and (m, g) supported, ``b`` needs g2 = f2 and
-(m, g) supported.  The constraint system is
+(bits/symbol per destination) for which time-sharing fractions exist.  The
+flow classes are the relays' own queues: the (m, g1) pairs of the support.
+The states are the fading table's states with p > 0.  ``a_f^{m,g1}`` is the
+fraction of blocks in state f spent sending first-hop packets into class
+(m, g1), ``b_f^{m,g1}`` the fraction spent draining it on the second hop.
+Columns exist only where they can be nonzero: ``a`` needs f1 = g1, ``b``
+needs (m, g1, f2) supported.  The constraint system is
 
-    rate    sum_{f,m,g} pi_f r_m^k a_f^{m,g} >= (target rate)_k   per k
-    flow    sum_f pi_f a_f^{m,g}  =  sum_f pi_f b_f^{m,g}         per (m,g)
-    time    sum_{m,g} (a_f^{m,g} + b_f^{m,g}) <= 1                per f
+    rate    sum_{f,m,g1} pi_f r_m^k a_f^{m,g1} >= (target rate)_k   per k
+    flow    sum_f pi_f a_f^{m,g1}  =  sum_f pi_f b_f^{m,g1}         per (m,g1)
+    time    sum_{m,g1} (a_f^{m,g1} + b_f^{m,g1}) <= 1                per f
+
+This region is exact.  A first-hop packet enters queue (m, g1) whichever
+second-hop state later drains it, so a per-(m, g1, g2) solution sums to a
+per-class one, and a per-class one splits back across g2 in proportion to
+its drain flow under each.  A p = 0 state carries no rate and no flow.
 
 Two queries are exposed.  ``boundary_scale`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
 query ``interior_slack`` maximizes the uniform margin delta by which every
-rate and flow row holds strictly; delta > 0 certifies a strictly interior
-rate vector, delta <= 0 a boundary or exterior one.  Since every column of
-a LinearProgram is non-negative while delta may legitimately be negative,
-the slack LP optimizes the shifted variable d = delta + shift (shift =
-max(lambda) + 1, a lower bound certified by the all-zero assignment) and
-the reported value is d - shift.
+rate row and every relay queue's flow row holds strictly; delta > 0
+certifies a strictly interior rate vector, delta <= 0 a boundary or
+exterior one.  Since every column of a LinearProgram is non-negative while
+delta may legitimately be negative, the slack LP optimizes the shifted
+variable d = delta + shift (shift = max(lambda) + 1, a lower bound
+certified by the all-zero assignment) and the reported value is d - shift.
 
 The solver is a deterministic dense two-phase simplex.  Pricing is
 Dantzig's (most negative reduced cost, ties to the lowest index) while the
 objective improves; if it stalls on degenerate pivots the solver switches
 to Bland's anti-cycling rule (lowest eligible index, leaving ties broken
 by lowest basic-variable index), which guarantees termination.  Both rules
-are deterministic, so a fixed LP always produces the same solution.
-Desk-scale problems stay below a few thousand columns, where determinism
-and zero dependencies matter more than speed.
+are deterministic, so a fixed LP always produces the same solution.  An
+optimum is replayed against the rows before it is returned.  Desk-scale
+problems stay below a few hundred columns, where determinism and zero
+dependencies matter more than speed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +51,16 @@ from .model import NetworkConfig
 PIVOT_TOL = 1e-12
 ENTER_TOL = 1e-9
 FEAS_TOL = 1e-8
+RESIDUAL_TOL = 1e-9  # post-solve check, relative to each row's magnitude
 MAX_PIVOTS = 200_000
 
 
-class DegeneracyError(RuntimeError):
-    """Every usable pivot in the chosen column fell below 1e-12."""
+class SolverError(RuntimeError):
+    """The simplex could not certify an optimum."""
+
+
+class DegeneracyError(SolverError):
+    """A pivot fell below 1e-12, or the returned point broke a constraint."""
 
 
 @dataclass
@@ -58,22 +71,9 @@ class LinearProgram:
     matrix: np.ndarray
     senses: tuple  # "<=", "=" or ">=" per row
     rhs: np.ndarray
-    columns: tuple  # per-column tags: ("a", m, g, f), ("b", m, g, f), ("delta",), ("rho",)
+    columns: tuple  # per-column tags: ("a", m, g1, f), ("b", m, g1, f), ("delta",), ("rho",)
     kind: str = "generic"  # "slack" | "scale" | "generic"
     objective_shift: float = 0.0  # reported value = raw optimum - shift
-
-    def column_labels(self) -> list[str]:
-        out = []
-        for col in self.columns:
-            if col[0] in ("a", "b"):
-                _, m, g, f = col
-                out.append(
-                    f"{col[0]}[m={m};g={'|'.join(g[0])},{'|'.join(g[1])};"
-                    f"f={'|'.join(f[0])},{'|'.join(f[1])}]"
-                )
-            else:
-                out.append(col[0])
-        return out
 
 
 @dataclass
@@ -82,7 +82,7 @@ class RegionWitness:
 
     ``value`` is the slack delta (kind "slack"), the scale rho (kind
     "scale") or the raw objective (generic LPs).  ``a`` and ``b`` hold the
-    nonzero fractions keyed (f, m, g).
+    nonzero fractions keyed (f, m, g1).
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -157,7 +157,7 @@ def _iterate(tab, cost, basis, allowed: np.ndarray) -> str:
                 stall += 1
                 if stall > STALL_LIMIT:
                     bland = True
-    raise RuntimeError("simplex failed to converge within the pivot limit")
+    raise SolverError("simplex failed to converge within the pivot limit")
 
 
 def _cost_row(cvec: np.ndarray, tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -166,8 +166,22 @@ def _cost_row(cvec: np.ndarray, tab: np.ndarray, basis: np.ndarray) -> np.ndarra
     return cost
 
 
+def _check_primal(matrix: np.ndarray, senses, rhs: np.ndarray, x: np.ndarray) -> None:
+    """Raise DegeneracyError unless x >= 0 and every row holds, each to
+    RESIDUAL_TOL relative to 1 + |rhs_i| + sum_j |A_ij x_j|."""
+    gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + np.abs(matrix) @ np.abs(x))
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
+    excess = np.where(sign == 0.0, np.abs(gap), sign * gap)
+    worst = max(excess.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
+    if worst > RESIDUAL_TOL:
+        raise DegeneracyError(f"post-solve residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
+
+
 def solve_lp(lp: LinearProgram) -> RegionWitness:
-    """Solve with a two-phase dense simplex; deterministic for a fixed LP."""
+    """Solve with a two-phase dense simplex; deterministic for a fixed LP.
+
+    An optimum that does not replay against every row raises DegeneracyError.
+    """
     a_in = np.asarray(lp.matrix, dtype=float)
     if a_in.ndim != 2:
         a_in = a_in.reshape(len(lp.rhs), -1)
@@ -229,15 +243,16 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
     x_full = np.zeros(total)
     x_full[basis] = tab[:, -1]
     x = x_full[:n_cols]
+    _check_primal(a_in, lp.senses, np.asarray(lp.rhs, dtype=float), x)
     raw = float(np.dot(lp.objective, x))
     wit = RegionWitness(
         status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x
     )
     for j, col in enumerate(lp.columns):
         if col and col[0] in ("a", "b") and x[j] > PIVOT_TOL:
-            _, m, g, f = col
+            _, m, g1, f = col
             target = wit.a if col[0] == "a" else wit.b
-            target[(f, m, g)] = float(x[j])
+            target[(f, m, g1)] = float(x[j])
     return wit
 
 
@@ -245,46 +260,38 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
 # LP construction
 
 
-def _sorted_support(config: NetworkConfig) -> list:
+def _classes(config: NetworkConfig) -> list:
+    """The (m, g1) pairs of the support, ordered by scheme, then g1."""
     g1i = config.g1_index
-    g2i = {g2: i for i, g2 in enumerate(config.second_hop_space)}
-    return sorted(config.support.triples, key=lambda t: (t[0], g1i[t[1]], g2i[t[2]]))
+    pairs = {(m, g1) for m, g1, _ in config.support.triples}
+    return sorted(pairs, key=lambda c: (c[0], g1i[c[1]]))
 
 
-def region_columns(config: NetworkConfig) -> list:
-    """Column tags for the a/b families, in canonical order."""
-    cols = []
-    for m, g1, g2 in _sorted_support(config):
-        g = (g1, g2)
-        for f2 in config.second_hop_space:
-            cols.append(("a", m, g, (g1, f2)))
-        for f1 in config.first_hop_space:
-            cols.append(("b", m, g, (f1, g2)))
-    return cols
+def _assemble(config: NetworkConfig, extra_tag: tuple):
+    """Shared rate/flow/time skeleton plus one trailing column the caller fills.
 
-
-def _assemble(config: NetworkConfig, cols: list, extra_tag: tuple):
-    """Shared rate/flow/time skeleton; the caller patches the extra column."""
-    support = _sorted_support(config)
+    Returns the column tags, the matrix and the slice of flow rows.
+    """
     k_dest = config.shape.num_destinations
-    flow_row = {(m, (g1, g2)): k_dest + i for i, (m, g1, g2) in enumerate(support)}
-    combined = [
-        (f1, f2) for f1 in config.first_hop_space for f2 in config.second_hop_space
-    ]
-    time_row = {f: k_dest + len(support) + i for i, f in enumerate(combined)}
-    n_rows = k_dest + len(support) + len(combined)
+    classes = _classes(config)
+    states = [f for f in config.sorted_states if config.fading.table[f] > 0.0]
+    flow_row = {c: k_dest + i for i, c in enumerate(classes)}
+    time_row = {f: k_dest + len(classes) + i for i, f in enumerate(states)}
+    columns = []
+    for m, g1 in classes:
+        columns += [("a", m, g1, f) for f in states if f[0] == g1]
+        columns += [("b", m, g1, f) for f in states if (m, g1, f[1]) in config.support]
 
-    columns = cols + [extra_tag]
-    matrix = np.zeros((n_rows, len(columns)))
-    for j, (fam, m, g, f) in enumerate(cols):
-        pi = config.probability(f)
+    matrix = np.zeros((k_dest + len(classes) + len(states), len(columns) + 1))
+    for j, (fam, m, g1, f) in enumerate(columns):
+        pi = config.fading.table[f]
         if fam == "a":
             matrix[:k_dest, j] = -pi * config.rates[m]
-            matrix[flow_row[(m, g)], j] = pi
+            matrix[flow_row[(m, g1)], j] = pi
         else:
-            matrix[flow_row[(m, g)], j] = -pi
+            matrix[flow_row[(m, g1)], j] = -pi
         matrix[time_row[f], j] = 1.0
-    return columns, matrix, flow_row, time_row, n_rows
+    return tuple(columns) + (extra_tag,), matrix, slice(k_dest, k_dest + len(classes))
 
 
 def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
@@ -298,27 +305,23 @@ def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
         raise ValueError("lambda must be non-negative")
 
     shift = float(lam.max(initial=0.0)) + 1.0
-    columns, matrix, flow_row, time_row, n_rows = _assemble(config, region_columns(config), ("delta",))
-    d = len(columns) - 1
+    columns, matrix, flows = _assemble(config, ("delta",))
     k_dest = config.shape.num_destinations
-    matrix[:k_dest, d] = 1.0
-    for r in flow_row.values():
-        matrix[r, d] = 1.0
+    matrix[:k_dest, -1] = 1.0
+    matrix[flows, -1] = 1.0
 
-    rhs = np.ones(n_rows)
+    rhs = np.ones(len(matrix))
     rhs[:k_dest] = shift - lam
-    for r in flow_row.values():
-        rhs[r] = shift
-    senses = ("<=",) * n_rows
+    rhs[flows] = shift
 
     objective = np.zeros(len(columns))
-    objective[d] = 1.0
+    objective[-1] = 1.0
     return LinearProgram(
         objective=objective,
         matrix=matrix,
-        senses=senses,
+        senses=("<=",) * len(matrix),
         rhs=rhs,
-        columns=tuple(columns),
+        columns=columns,
         kind="slack",
         objective_shift=shift,
     )
@@ -334,26 +337,24 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
     if (direction < 0).any() or not (direction > 0).any():
         raise ValueError("direction must be non-negative with at least one positive entry")
 
-    columns, matrix, flow_row, time_row, n_rows = _assemble(config, region_columns(config), ("rho",))
-    rho = len(columns) - 1
+    columns, matrix, flows = _assemble(config, ("rho",))
     k_dest = config.shape.num_destinations
-    matrix[:k_dest, rho] = direction  # rho*dir_k - sum pi r a <= 0
+    matrix[:k_dest, -1] = direction  # rho*dir_k - sum pi r a <= 0
 
-    rhs = np.ones(n_rows)
+    rhs = np.ones(len(matrix))
     rhs[:k_dest] = 0.0
-    senses = ["<="] * n_rows
-    for r in flow_row.values():
-        rhs[r] = 0.0
-        senses[r] = "="
+    rhs[flows] = 0.0
+    senses = ["<="] * len(matrix)
+    senses[flows] = ["="] * (flows.stop - flows.start)
 
     objective = np.zeros(len(columns))
-    objective[rho] = 1.0
+    objective[-1] = 1.0
     return LinearProgram(
         objective=objective,
         matrix=matrix,
         senses=tuple(senses),
         rhs=rhs,
-        columns=tuple(columns),
+        columns=columns,
         kind="scale",
     )
 
@@ -377,7 +378,7 @@ def interior_slack(config: NetworkConfig, lam) -> float:
     """
     wit = slack_witness(config, lam)
     if wit.status != "optimal":
-        raise RuntimeError(f"slack LP ended {wit.status}")
+        raise SolverError(f"slack LP ended {wit.status}")
     return wit.value
 
 
@@ -385,7 +386,7 @@ def boundary_scale(config: NetworkConfig, direction) -> float:
     """Largest rho with rho * direction inside the region."""
     wit = scale_witness(config, direction)
     if wit.status != "optimal":
-        raise RuntimeError(f"scale LP ended {wit.status}")
+        raise SolverError(f"scale LP ended {wit.status}")
     return wit.value
 
 
@@ -395,47 +396,33 @@ def witness_max_violation(
     """Replay a witness against the region constraints; max violation.
 
     Checked from first principles (the witness dicts), independent of the
-    LP matrix that produced it.
+    LP matrix that produced it: flows are balanced per relay queue (m, g1),
+    and an entry outside its family's states counts as an infinite breach.
     """
     if witness.status != "optimal":
         raise ValueError("can only replay an optimal witness")
-    k_dest = config.shape.num_destinations
-
-    rate = np.zeros(k_dest)
-    flow: dict = {}
+    rate = np.zeros(config.shape.num_destinations)
+    flow = dict.fromkeys(_classes(config), 0.0)  # net inflow per relay queue
     time_used: dict = {}
     worst = 0.0
-    for (f, m, g), val in witness.a.items():
-        worst = max(worst, -val)
-        pi = config.probability(f)
-        rate += pi * val * config.rates[m]
-        flow[(m, g)] = flow.get((m, g), 0.0) + pi * val
+    for (f, m, g1), val in witness.a.items():
+        worst = max(worst, -val, 0.0 if f[0] == g1 else math.inf)
+        rate += config.probability(f) * val * config.rates[m]
+        flow[(m, g1)] = flow.get((m, g1), 0.0) + config.probability(f) * val
         time_used[f] = time_used.get(f, 0.0) + val
-    for (f, m, g), val in witness.b.items():
-        worst = max(worst, -val)
-        pi = config.probability(f)
-        flow[(m, g)] = flow.get((m, g), 0.0) - pi * val
+    for (f, m, g1), val in witness.b.items():
+        worst = max(worst, -val, 0.0 if (m, g1, f[1]) in config.support else math.inf)
+        flow[(m, g1)] -= config.probability(f) * val
         time_used[f] = time_used.get(f, 0.0) + val
-
-    for used in time_used.values():
-        worst = max(worst, used - 1.0)
+    worst = max(worst, max(time_used.values(), default=1.0) - 1.0)
 
     if witness.kind == "slack":
-        lam = np.asarray(lam, dtype=float)
         delta = witness.value
-        worst = max(worst, float((lam + delta - rate).max()))
-        seen = set(flow)
-        for key, net in flow.items():
-            worst = max(worst, net + delta)
-        for m, g1, g2 in config.support.triples:
-            if (m, (g1, g2)) not in seen:
-                worst = max(worst, delta)  # empty class still needs net <= -delta
+        worst = max(worst, float((np.asarray(lam, dtype=float) + delta - rate).max()))
+        worst = max(worst, max(flow.values(), default=-delta) + delta)
     elif witness.kind == "scale":
-        direction = np.asarray(direction, dtype=float)
-        rho = witness.value
-        worst = max(worst, float((rho * direction - rate).max()))
-        for net in flow.values():
-            worst = max(worst, abs(net))
+        worst = max(worst, float((witness.value * np.asarray(direction, dtype=float) - rate).max()))
+        worst = max(worst, max(map(abs, flow.values()), default=0.0))
     else:
         raise ValueError(f"cannot replay witness of kind {witness.kind!r}")
     return worst

@@ -404,6 +404,7 @@ def run(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as ValueError
 def drift_check(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -416,13 +417,17 @@ def drift_check(
 
     Each sample independently draws (fading, arrivals), applies the
     controller's action to the probe state, and measures V(next) - V(probe).
-    The probe's queues must be finite and non-negative.
+    The probe's queues must be finite and non-negative, and V(probe) and the
+    estimate must be finite floats; anything else raises ValueError.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     for queue in (probe_state.source, probe_state.relay):
         if not (np.isfinite(queue).all() and (queue >= 0.0).all()):
             raise ValueError("probe queues must be finite and non-negative")
+    v0 = lyapunov(probe_state)
+    if not math.isfinite(v0):
+        raise ValueError("the probe's potential V overflows the float range")
     state_idx, arr = _draws(config, arrivals, samples, seed)
     n_states = len(config.sorted_states)
     zero = np.zeros(config.shape.num_destinations)
@@ -447,9 +452,11 @@ def drift_check(
     src *= src
     dv = src.sum(axis=1)
     dv += relay_term[state_idx]
-    dv -= lyapunov(probe_state)
+    dv -= v0
     mean = float(dv.mean())
     stderr = float(dv.std(ddof=1) / math.sqrt(samples))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError("the drift estimate overflows the float range")
     return DriftEstimate(mean=mean, stderr=stderr, samples=samples)
 
 

@@ -16,6 +16,9 @@ pure queue update and one full potential per sample.
 every fading state and every point of the finite arrival support, weighted
 by its probability, of the same per-sample change of the potential.
 
+``highs_value`` solves a ``LinearProgram`` with scipy's HiGHS (tests only;
+the package itself needs numpy alone).
+
 ``slack_oracle`` / ``scale_oracle`` evaluate the region queries by direct
 grid search over the time-sharing fractions: feasibility and the margin
 are computed from the defining constraint formulas at every grid point,
@@ -241,12 +244,24 @@ def expected_drift(config, arrivals, probe_state, allow_idle=False):
 # grid search over time-sharing fractions
 
 
+def _second_hop_space(config):
+    n = config.shape.num_relays * config.shape.num_destinations
+    return list(itertools.product(config.fading.alphabet, repeat=n))
+
+
 def _oracle_columns(config):
+    """Per support triple (m, g1, g2), over the full F^N x F^(NK) product.
+
+    Deliberately the unaggregated layout: one flow class per triple, every
+    combined state including p = 0 ones, so it checks the package's
+    per-(m, g1) LP independently.
+    """
     g1rank = {g: i for i, g in enumerate(config.first_hop_space)}
-    g2rank = {g: i for i, g in enumerate(config.second_hop_space)}
+    second_hop_space = _second_hop_space(config)
+    g2rank = {g: i for i, g in enumerate(second_hop_space)}
     cols = []
     for m, g1, g2 in sorted(config.support.triples, key=lambda t: (t[0], g1rank[t[1]], g2rank[t[2]])):
-        for f2 in config.second_hop_space:
+        for f2 in second_hop_space:
             cols.append(("a", m, (g1, g2), (g1, f2)))
         for f1 in config.first_hop_space:
             cols.append(("b", m, (g1, g2), (f1, g2)))
@@ -257,9 +272,7 @@ def _constraint_matrices(config, cols):
     k_dest = config.shape.num_destinations
     classes = sorted({(m, g) for _, m, g, _ in cols})
     class_rank = {c: i for i, c in enumerate(classes)}
-    fstates = [
-        (f1, f2) for f1 in config.first_hop_space for f2 in config.second_hop_space
-    ]
+    fstates = list(itertools.product(config.first_hop_space, _second_hop_space(config)))
     frank = {f: i for i, f in enumerate(fstates)}
     rate = np.zeros((k_dest, len(cols)))
     flow = np.zeros((len(classes), len(cols)))  # net = sum pi (a - b)
@@ -350,3 +363,28 @@ def scale_oracle(config, direction, start_step=None):
         return vals
 
     return _grid_search(dim, evaluate, start_step)
+
+
+# ---------------------------------------------------------------------------
+# independent LP solver
+
+
+def highs_value(lp):
+    """Optimum of ``lp`` by HiGHS, reported as the package does (raw - shift)."""
+    from scipy.optimize import linprog
+
+    senses = np.asarray(lp.senses)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    a_ub = np.vstack([lp.matrix[le], -lp.matrix[ge]])
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    res = linprog(
+        -np.asarray(lp.objective),
+        A_ub=a_ub if len(b_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=lp.matrix[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun) - lp.objective_shift

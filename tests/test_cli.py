@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 import coopsim as cs
-from coopsim.cli import main
+from coopsim.cli import _witness_records, main
 from conftest import CONFIG_DIR, make_doc
 
 TOY = str(CONFIG_DIR / "toy_single.json")
@@ -46,6 +46,75 @@ def test_region_witness_json(capsys):
     assert doc["rho_star"] == pytest.approx(0.5, abs=1e-9)
     assert doc["a"] and doc["b"]
     assert doc["a"][0]["m"] == 0
+
+
+def test_region_witness_records_balance_per_triple(capsys):
+    # a-records are split across g2 by drain flow, so every (m, g1, g2)
+    # triple's fill and drain still balance, and the split sums back
+    desk = cs.load_config(DESK)
+    assert main(["region", DESK, "--direction", "1,1", "--witness"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    wit = cs.scale_witness(desk, [1.0, 1.0])
+
+    def key(rec, *fields):
+        return tuple(tuple(rec[k]) if isinstance(rec[k], list) else rec[k] for k in fields)
+
+    net, filled = {}, {}
+    for sign, family in ((1.0, "a"), (-1.0, "b")):
+        for rec in doc[family]:
+            pi = desk.probability(key(rec, "f1", "f2"))
+            triple = key(rec, "m", "g1", "g2")
+            assert triple in desk.support
+            net[triple] = net.get(triple, 0.0) + sign * pi * rec["value"]
+            if family == "a":
+                f_m_g1 = (key(rec, "f1", "f2"), rec["m"], tuple(rec["g1"]))
+                filled[f_m_g1] = filled.get(f_m_g1, 0.0) + rec["value"]
+    assert max(abs(v) for v in net.values()) <= 1e-9
+    assert filled.keys() == wit.a.keys()
+    assert all(filled[k] == pytest.approx(v, abs=1e-12) for k, v in wit.a.items())
+    assert [key(r, "f1", "f2", "m", "g1", "g2") for r in doc["b"]] == sorted(
+        (*f, m, g1, f[1]) for f, m, g1 in wit.b
+    )
+
+
+def test_witness_records_split_undrained_class_evenly(toy_goodbad):
+    doc = toy_goodbad.to_document()
+    doc["support"].append({"m": 0, "g1": ["G"], "g2": ["B"]})
+    cfg = cs.validate_config(doc)
+    good = (("G",), ("G",))
+    wit = cs.RegionWitness("optimal", "slack", -0.1, a={(good, 0, ("G",)): 0.5})
+    records = _witness_records(cfg, wit)
+    assert [(r["g2"], r["value"]) for r in records["a"]] == [(["B"], 0.25), (["G"], 0.25)]
+    assert records["b"] == []
+
+
+def test_region_pinned_direction(capsys):
+    rc = main(["region", DESK, "--direction", "0.6263039869788208,0.7430217329347985"])
+    assert rc == 0
+    out = dict(line.rsplit(",", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert abs(float(out["rho_star"]) - 1.7510870485311762) <= 1e-9
+    assert out["status"] == "optimal"
+
+
+@pytest.mark.parametrize("argv", [["region", DESK], ["sweep", DESK, "SPEC", "--jobs", "1"]])
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
+    import coopsim.region as region
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"load_factors": [0.5], "horizon": 10, "seeds": [1]}))
+    monkeypatch.setattr(region, "MAX_PIVOTS", 1)  # every desk solve hits the limit
+    assert main([str(spec) if a == "SPEC" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coopsim: solver failure: simplex failed to converge within the pivot limit\n"
+
+
+def test_region_non_optimal_scale_lp_exits_3(capsys, monkeypatch):
+    import coopsim.cli as cli
+
+    monkeypatch.setattr(cli, "scale_witness", lambda config, d: cs.RegionWitness("unbounded", "scale", float("nan")))
+    assert main(["region", DESK]) == 3
+    assert capsys.readouterr().err == "coopsim: solver failure: scale LP ended unbounded\n"
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -227,6 +296,16 @@ def test_drift_check_rejects_bad_probe(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite and non-negative" in captured.err
+
+
+def test_drift_check_overflowing_probe_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any RuntimeWarning fails the test
+        rc = main(["drift-check", TOY, "--lambda", "0.3", "--qs", "1e200", "--samples", "10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coopsim: error: the probe's potential V overflows the float range\n"
 
 
 @pytest.mark.parametrize("direction", ["nan,1", "1,inf", "1,-inf"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -130,11 +132,12 @@ def test_second_hop_weight_scales_linearly():
     cfg = cs.validate_config(
         make_doc(n=2, k=2, alphabet=("a", "b"), rates=((1.0, 0.5), (0.25, 2.0)))
     )
+    second_hop_space = list(itertools.product(cfg.fading.alphabet, repeat=4))
     rng = np.random.default_rng(11)
     for _ in range(50):
         st = cs.QueueState.zeros(cfg)
         st.relay[:] = rng.uniform(0, 40, size=st.relay.shape)
-        f2 = cfg.second_hop_space[int(rng.integers(0, len(cfg.second_hop_space)))]
+        f2 = second_hop_space[int(rng.integers(0, len(second_hop_space)))]
         base = cs.second_hop_weight(st, f2, cfg.support)
         c = float(rng.uniform(0.1, 9.0))
         scaled = cs.QueueState.from_values(cfg, st.source * c, st.relay * c)

@@ -1,0 +1,87 @@
+"""Differential test of the in-repo simplex against scipy's HiGHS.
+
+Every optimum the package reports must match HiGHS on the very same
+LinearProgram to 1e-7 relative, and its witness must replay against the
+region constraints to 1e-7: on desk over random directions (scale LP) and
+random loads up to 1.2 rho* (slack LP), and on small random configs with
+sparse fading tables, zero-probability states and random support.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("scipy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+import coopsim as cs  # noqa: E402
+from oracles import highs_value  # noqa: E402
+
+TOL = 1e-7
+
+
+def _agrees(config, witness, lp, **target):
+    assert witness.status == "optimal"
+    ref = highs_value(lp)
+    assert abs(witness.value - ref) <= TOL * (1.0 + abs(ref)), (witness.value, ref)
+    assert cs.witness_max_violation(config, witness, **target) <= TOL
+    return ref
+
+
+def _scale_and_slack(config, direction, fraction):
+    lp = cs.build_scale_lp(config, direction)
+    rho = _agrees(config, cs.solve_lp(lp), lp, direction=direction)
+    lam = fraction * rho * np.asarray(direction)
+    lp = cs.build_slack_lp(config, lam)
+    _agrees(config, cs.solve_lp(lp), lp, lam=lam)
+
+
+def test_desk_scale_matches_highs(desk):
+    rng = np.random.default_rng(2024)
+    for theta in rng.uniform(0.0, np.pi / 2, size=200):
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        lp = cs.build_scale_lp(desk, direction)
+        _agrees(desk, cs.solve_lp(lp), lp, direction=direction)
+
+
+def test_desk_slack_matches_highs(desk):
+    rng = np.random.default_rng(2025)
+    for theta, fraction in zip(rng.uniform(0.0, np.pi / 2, size=30), rng.uniform(0.0, 1.2, size=30)):
+        _scale_and_slack(desk, np.array([np.cos(theta), np.sin(theta)]), fraction)
+
+
+@st.composite
+def small_configs(draw):
+    """N, K <= 2 over {G, B}: a sparse table whose first state has p = 0."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    f1s = list(itertools.product("GB", repeat=n))
+    f2s = list(itertools.product("GB", repeat=n * k))
+    states = draw(st.lists(st.sampled_from(list(itertools.product(f1s, f2s))), min_size=2, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(states) - 1, max_size=len(states) - 1))
+    probs = [0.0] + [w / sum(weights) for w in weights]
+    rates = draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any), min_size=1, max_size=3)
+    )
+    triples = list(itertools.product(range(len(rates)), f1s, f2s))
+    support = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
+    doc = {
+        "shape": {"N": n, "K": k, "T": 10},
+        "fading": {
+            "alphabet": ["G", "B"],
+            "states": [{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(states, probs)],
+        },
+        "schemes": [{"id": i, "rates": [r / 2 for r in row]} for i, row in enumerate(rates)],
+        "support": [{"m": m, "g1": list(g1), "g2": list(g2)} for m, g1, g2 in support],
+    }
+    config = cs.validate_config(doc)
+    direction = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    return config, direction, draw(st.floats(0.0, 1.2))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_configs())
+def test_small_configs_match_highs(case):
+    config, direction, fraction = case
+    _scale_and_slack(config, direction, fraction)

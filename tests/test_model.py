@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,20 @@ def test_minimal_config_valid():
         (lambda d: d.update(extra=1), "unknown-field"),
         (lambda d: d["shape"].update(T=0), "bad-shape"),
         (lambda d: d["schemes"][0].update(rates=[-1.0]), "negative-rate"),
+        (lambda d: d["fading"]["states"][0].update(p=math.nan), "non-finite-probability"),
+        (lambda d: d["fading"]["states"][0].update(p=math.inf), "non-finite-probability"),
+        (lambda d: d["schemes"][0].update(rates=[math.inf]), "non-finite-rate"),
+        (lambda d: d["schemes"][0].update(rates=[math.nan]), "non-finite-rate"),
+        (lambda d: d["shape"].update(T=True), "boolean-value"),
+        (lambda d: d["fading"]["states"][0].update(p=True), "boolean-value"),
+        (lambda d: d["schemes"][0].update(rates=[True]), "boolean-value"),
+        (lambda d: d["support"][0].update(m=False), "boolean-value"),
+        (lambda d: d["shape"].update(N=1.9), "non-integral-value"),
+        (lambda d: d["shape"].update(K=1.5), "non-integral-value"),
+        (lambda d: d["shape"].update(T=10.5), "non-integral-value"),
+        (lambda d: d["schemes"][0].update(id=0.7), "non-integral-value"),
+        (lambda d: d["support"][0].update(m=0.5), "non-integral-value"),
+        (lambda d: d["fading"].update(alphabet=[["a"]]), "bad-alphabet"),
     ],
 )
 def test_validation_errors(mutate, code):
@@ -62,6 +77,36 @@ def test_validate_is_idempotent():
     again = cs.validate_config(cfg)
     assert again == cfg
     assert cs.validate_config(cfg.to_document()) == cfg
+
+
+def test_integral_floats_accepted_and_strings_rejected():
+    doc = make_doc()
+    doc["shape"].update(N=1.0, T=10.0)
+    doc["schemes"][0]["id"] = 0.0
+    assert cs.validate_config(doc) == cs.validate_config(make_doc())
+    doc["shape"]["N"] = "1"
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(doc)
+    assert exc.value.code == "bad-shape"
+
+
+@pytest.mark.parametrize("name", ["toy_single", "toy_goodbad", "desk", "sparse"])
+def test_to_document_round_trip(request, name):
+    if name == "sparse":  # a p = 0 state and a support triple no drawable state reaches
+        doc = make_doc(n=2, k=1, alphabet=("G", "B"), rates=((1.0,), (0.5,)), support=[])
+        doc["fading"]["states"] = [
+            {"f1": ["G", "B"], "f2": ["B", "G"], "p": 0.75},
+            {"f1": ["B", "B"], "f2": ["G", "G"], "p": 0.25},
+            {"f1": ["G", "G"], "f2": ["G", "G"], "p": 0.0},
+        ]
+        doc["support"] = [{"m": 1, "g1": ["G", "B"], "g2": ["B", "B"]}]
+        cfg = cs.validate_config(doc)
+    else:
+        cfg = request.getfixturevalue(name)
+    doc = cfg.to_document()
+    again = cs.validate_config(json.loads(json.dumps(doc)))
+    assert again == cfg
+    assert again.to_document() == doc
 
 
 def test_sparse_table_zero_states_implicit():

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.region import LinearProgram, region_columns
+from coopsim.region import LinearProgram
 from conftest import make_doc
-from oracles import scale_oracle, slack_oracle
+from oracles import _constraint_matrices, _oracle_columns, highs_value, scale_oracle, slack_oracle
+
+# On the per-triple LP of this direction the solver once returned rho*
+# 1.76082, with a witness breaking a time row by 0.386; HiGHS gives this value.
+PINNED_DIRECTION = (0.6263039869788208, 0.7430217329347985)
+PINNED_RHO = 1.7510870485311762
 
 
 def _lp(objective, matrix, senses, rhs):
@@ -54,21 +59,42 @@ def test_solver_mixed_senses():
 
 def test_toy_slack_lp_shape(toy_single):
     lp = cs.build_slack_lp(toy_single, [0.4])
-    assert len(lp.columns) == 3  # a, b, delta
+    state = (("a",), ("a",))
+    assert lp.columns == (("a", 0, ("a",), state), ("b", 0, ("a",), state), ("delta",))
     assert len(lp.rhs) == 3  # rate, flow, time
-    labels = lp.column_labels()
-    assert labels[-1] == "delta"
-    assert labels[0].startswith("a[") and labels[1].startswith("b[")
 
 
 def test_column_count_closed_form(desk):
-    cols = region_columns(desk)
-    n1 = len(desk.first_hop_space)
-    n2 = len(desk.second_hop_space)
-    expected = sum(n2 + n1 for _ in desk.support.triples)
-    assert len(cols) == expected
-    lp = cs.build_slack_lp(desk, [0.1, 0.1])
-    assert len(lp.columns) == expected + 1
+    # a: one column per (m, g1) class and drawable state with f1 = g1;
+    # b: one per support triple and drawable state with f2 = g2
+    drawable = [f for f in desk.sorted_states if desk.probability(f) > 0]
+    classes = {(m, g1) for m, g1, _ in desk.support.triples}
+    expected = sum(sum(f[0] == g1 for f in drawable) for _, g1 in classes)
+    expected += sum(sum(f[1] == g2 for f in drawable) for _, _, g2 in desk.support.triples)
+    assert expected == 384
+    for lp in (cs.build_slack_lp(desk, [0.1, 0.1]), cs.build_scale_lp(desk, [1.0, 1.0])):
+        assert lp.matrix.shape == (2 + len(classes) + len(drawable), expected + 1) == (78, 385)
+        assert len(lp.columns) == expected + 1
+
+
+def test_zero_probability_states_add_no_rows():
+    # the good/bad toy plus a p = 0 state (B, B), the only state that could
+    # fill class (0, B): (B, B) gets no time row and no column; same rho
+    doc = make_doc(alphabet=("G", "B"))
+    doc["fading"]["states"] = [
+        {"f1": ["G"], "f2": ["G"], "p": 0.5},
+        {"f1": ["G"], "f2": ["B"], "p": 0.5},
+        {"f1": ["B"], "f2": ["B"], "p": 0.0},
+    ]
+    doc["support"] = [{"m": 0, "g1": ["G"], "g2": ["G"]}, {"m": 0, "g1": ["B"], "g2": ["B"]}]
+    cfg = cs.validate_config(doc)
+    lp = cs.build_scale_lp(cfg, [1.0])
+    assert lp.matrix.shape == (1 + 2 + 2, 4 + 1)  # rate, 2 classes, 2 states
+    assert all(col[3][0] == ("G",) for col in lp.columns[:-1])
+    assert [col[:3] for col in lp.columns[:-1]] == [
+        ("a", 0, ("G",)), ("a", 0, ("G",)), ("b", 0, ("G",)), ("b", 0, ("B",))
+    ]
+    assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_zero_rate_interior(toy_single):
@@ -131,6 +157,18 @@ def test_witness_replay(toy_single, toy_goodbad, desk):
         assert cs.witness_max_violation(cfg, wit, direction=direction) <= 1e-7
 
 
+def test_witness_replay_rejects_misplaced_fractions(desk):
+    wit = cs.scale_witness(desk, [1.0, 1.0])
+    (f, m, g1), val = next(iter(wit.a.items()))
+    other = next(s for s in desk.sorted_states if s[0] != g1)
+    moved = cs.RegionWitness("optimal", "scale", wit.value, a={**wit.a, (other, m, g1): 0.0}, b=wit.b)
+    assert cs.witness_max_violation(desk, moved, direction=[1.0, 1.0]) == np.inf  # a needs f1 = g1
+    (f, m, g1), val = next(iter(wit.b.items()))
+    unsupported = next(s for s in desk.sorted_states if (m, g1, s[1]) not in desk.support)
+    moved = cs.RegionWitness("optimal", "scale", wit.value, a=wit.a, b={**wit.b, (unsupported, m, g1): 0.0})
+    assert cs.witness_max_violation(desk, moved, direction=[1.0, 1.0]) == np.inf  # b needs support
+
+
 def test_witness_fractions_in_unit_interval(desk):
     wit = cs.scale_witness(desk, [1.0, 1.0])
     for val in list(wit.a.values()) + list(wit.b.values()):
@@ -160,10 +198,10 @@ def test_support_monotonicity_of_scale(toy_goodbad, desk):
 
 def test_slack_is_not_monotone_in_support(desk):
     # The uniform margin delta is NOT monotone in the support relation:
-    # every supported (m, g) class carries its own flow row demanding a
-    # drain surplus of at least delta out of the shared time budget, so
-    # adding classes can shrink the best uniform margin even though the
-    # rate region itself only grows.  Pin one concrete instance.
+    # every relay queue (m, g1) carries its own flow row demanding a drain
+    # surplus of at least delta out of the shared time budget, so adding
+    # classes can shrink the best uniform margin even though the rate region
+    # itself only grows.  Pin one concrete instance (0.0681 > 0.0357).
     doc = desk.to_document()
     doc["support"] = doc["support"][: len(doc["support"]) // 2]
     smaller = cs.validate_config(doc)
@@ -192,3 +230,40 @@ def test_desk_slack_sign_tracks_boundary(desk):
     outside = cs.interior_slack(desk, [1.1 * rho, 1.1 * rho])
     assert inside > 0.0
     assert outside < 0.0
+
+
+def test_solver_never_returns_a_broken_optimum(desk):
+    # The old per-triple scale LP for the pinned direction: the solver must
+    # either raise or agree with HiGHS, never report a wrong optimum.
+    pytest.importorskip("scipy")
+    rate, flow, time = _constraint_matrices(desk, _oracle_columns(desk))
+    zero = np.zeros((len(flow) + len(time), 1))
+    matrix = np.vstack([np.hstack([-rate, np.asarray(PINNED_DIRECTION)[:, None]]), np.hstack([np.vstack([flow, time]), zero])])
+    senses = ("<=",) * len(rate) + ("=",) * len(flow) + ("<=",) * len(time)
+    rhs = np.concatenate([np.zeros(len(rate) + len(flow)), np.ones(len(time))])
+    objective = np.zeros(matrix.shape[1])
+    objective[-1] = 1.0
+    lp = _lp(objective, matrix, senses, rhs)
+    assert matrix.shape == (114, 961)
+    ref = highs_value(lp)
+    assert ref == pytest.approx(PINNED_RHO, abs=1e-9)
+    try:
+        wit = cs.solve_lp(lp)
+    except cs.DegeneracyError:
+        return
+    assert wit.status == "optimal"
+    assert wit.value == pytest.approx(ref, abs=1e-7)
+
+
+def test_post_solve_check_rejects_a_broken_point(monkeypatch):
+    # force the check to see a point that breaks its row
+    import coopsim.region as region
+
+    real = region._check_primal
+    monkeypatch.setattr(region, "_check_primal", lambda m, s, r, x: real(m, s, r, x + 1.0))
+    with pytest.raises(cs.DegeneracyError, match="post-solve residual"):
+        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+
+
+def test_pinned_direction_matches_highs(desk):
+    assert cs.boundary_scale(desk, PINNED_DIRECTION) == pytest.approx(PINNED_RHO, abs=1e-9)

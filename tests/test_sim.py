@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,24 @@ def test_drift_check_rejects_bad_probe(toy_single, part, value):
     getattr(probe, part)[:] = value
     with pytest.raises(ValueError, match="finite and non-negative"):
         cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.3,)), probe, samples=100)
+
+
+def test_drift_check_rejects_overflow(toy_single, toy_goodbad):
+    probe = cs.QueueState.zeros(toy_single)
+    probe.source[:] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        with pytest.raises(ValueError, match="potential V overflows"):
+            cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.3,)), probe, samples=10)
+        # V(probe) is finite, but the spread of the changes overflows
+        doc = toy_goodbad.to_document()
+        doc["schemes"][0]["rates"] = [1e140]
+        cfg = cs.validate_config(doc)
+        probe = cs.QueueState.zeros(cfg)
+        probe.source[:] = 1e150
+        probe.relay[:] = 1e10
+        with pytest.raises(ValueError, match="estimate overflows"):
+            cs.drift_check(cfg, cs.ArrivalConfig(rates=(0.3,)), probe, samples=100)
 
 
 def test_drift_determinism(toy_single):
