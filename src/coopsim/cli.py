@@ -2,8 +2,8 @@
 
 Subcommands: region, simulate, sweep, queue-count, drift-check.  Standard
 output carries machine-readable CSV or JSON only; diagnostics go to
-standard error.  Exit codes: 0 ok, 2 bad config or arguments, 3 solver
-degeneracy, 4 queue-count overflow.  The environment variable
+standard error.  Exit codes: 0 ok, 2 bad config or arguments, 3 LP solver
+failure, 4 queue-count overflow.  The environment variable
 COOPSIM_OUTPUT_DIR overrides the output directory for file-writing
 commands.
 """
@@ -49,6 +49,23 @@ def _vector(text: str, k: int, what: str) -> np.ndarray:
     if len(parts) != k:
         raise ValueError(f"{what} needs {k} entries, got {len(parts)}")
     return np.array(parts)
+
+
+def _spec_list(spec: dict, key: str, default=()) -> list:
+    value = spec.get(key, list(default))
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _spec_number(value, what: str, integral: bool = False):
+    """A JSON number, or an integral one; never a boolean or a string."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and integral:
+        ok = isinstance(value, int) or value.is_integer()
+    if not ok:
+        raise ValueError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def _out_dir(flag_value: str) -> Path:
@@ -163,23 +180,28 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("sweep spec must be a JSON object")
     allowed = {"direction", "load_factors", "horizon", "seeds", "allow_idle"}
     unknown = set(spec) - allowed
     if unknown:
         raise ValueError(f"unknown sweep field(s) {sorted(unknown)}")
     k = config.shape.num_destinations
-    direction = np.asarray(spec.get("direction", [1.0] * k), dtype=float)
-    load_factors = [float(x) for x in spec.get("load_factors", [])]
+    direction = [_spec_number(x, "direction entry") for x in _spec_list(spec, "direction", [1.0] * k)]
+    load_factors = [_spec_number(x, "load factor") for x in _spec_list(spec, "load_factors")]
     if not load_factors or any(lf <= 0 for lf in load_factors):
         raise ValueError("load_factors must be a non-empty list of positive numbers")
-    seeds = [int(s) for s in spec.get("seeds", [])]
+    seeds = [_spec_number(s, "seed", integral=True) for s in _spec_list(spec, "seeds")]
     if not seeds:
         raise ValueError("seeds must be a non-empty list")
-    horizon = int(spec.get("horizon", 0))
+    horizon = _spec_number(spec.get("horizon", 0), "horizon", integral=True)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    allow_idle = bool(spec.get("allow_idle", False))
+    allow_idle = spec.get("allow_idle", False)
+    if not isinstance(allow_idle, bool):
+        raise ValueError(f"allow_idle must be true or false, got {allow_idle!r}")
 
+    direction = np.array(direction)
     rho = boundary_scale(config, direction)
     tasks = [
         (args.config, tuple(lf * rho * direction), horizon, seed, allow_idle, lf)

@@ -13,10 +13,12 @@ First hop wins ties (A >= B).  Within a weight, ties break to the lowest
 scheme id and then the lexicographically smallest g1, so runs are exactly
 reproducible.  The controller never sees the fading distribution or the
 arrival rates; its only inputs are queue lengths, the realized state and
-the support relation.
+the support relation, as ``NetworkConfig.drain_masks``.
 
-Weights are accumulated k ascending / n ascending so results are
-bit-stable across runs.
+The N relays hold equal queues and the state keeps one relay's Q, so
+S_m(g1) = N * Q at (m, g1).  Queues move in whole multiples of the integer
+T, so on every state a run reaches this equals the sum over n bit for bit.
+Weights are accumulated k ascending so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SupportRelation
 from .queueing import QueueState
 
 FIRST_HOP = "first_hop"
@@ -46,7 +47,7 @@ def first_hop_weight(state: QueueState, f1) -> tuple[float, int]:
     """Max first-hop weight A and its lowest-index maximizer m*."""
     cfg = state.config
     g1i = cfg.g1_index[tuple(f1)]
-    col = state.relay.sum(axis=0)[:, g1i]  # S_m(f1), n ascending
+    col = cfg.shape.num_relays * state.relay[:, g1i]  # S_m(f1)
     rates = cfg.rates
     terms = (state.source[None, :] - rates * col[:, None]) * rates
     scores = terms.sum(axis=1)  # k ascending
@@ -54,16 +55,14 @@ def first_hop_weight(state: QueueState, f1) -> tuple[float, int]:
     return float(scores[m_star]), m_star
 
 
-def second_hop_weight(
-    state: QueueState, f2, support: SupportRelation
-) -> tuple[float, int, tuple] | None:
+def second_hop_weight(state: QueueState, f2) -> tuple[float, int, tuple] | None:
     """Max second-hop weight B with its (m, g1), or None if nothing is
     drainable under second-hop state f2."""
     cfg = state.config
-    mask = support.mask(tuple(f2), cfg)
-    if not mask.any():
+    mask = cfg.drain_masks.get(tuple(f2))
+    if mask is None:
         return None
-    colsums = state.relay.sum(axis=0)
+    colsums = cfg.shape.num_relays * state.relay
     rs = cfg.rate_sums
     scores = np.where(mask, (rs * rs)[:, None] * colsums, -np.inf)
     flat = int(np.argmax(scores))  # row-major: lowest m, then smallest g1
@@ -71,7 +70,7 @@ def second_hop_weight(
     return float(scores[m_hat, g1i]), int(m_hat), cfg.first_hop_space[g1i]
 
 
-def decide(state: QueueState, f, support: SupportRelation, allow_idle: bool = False) -> Decision:
+def decide(state: QueueState, f, allow_idle: bool = False) -> Decision:
     """Pick the block's action from the two weights.
 
     With ``allow_idle`` unset (the default) the controller always transmits,
@@ -80,7 +79,7 @@ def decide(state: QueueState, f, support: SupportRelation, allow_idle: bool = Fa
     """
     f1, f2 = f
     a, m_star = first_hop_weight(state, f1)
-    second = second_hop_weight(state, f2, support)
+    second = second_hop_weight(state, f2)
     b = -np.inf if second is None else second[0]
     if allow_idle and a <= 0.0 and (second is None or b <= 0.0):
         return Decision(IDLE, None, None, a, b)
@@ -90,7 +89,9 @@ def decide(state: QueueState, f, support: SupportRelation, allow_idle: bool = Fa
 
 
 def lyapunov(state: QueueState) -> float:
-    """V(Q) = sum_k Qs_k^2 + sum_{n,m,g1} ((r_m . 1) * Q_n^{m,g1})^2."""
-    rs = state.config.rate_sums
-    weighted = state.relay * rs[None, :, None]
+    """V(Q) = sum_k Qs_k^2 + sum_{n,m,g1} ((r_m . 1) * Q_n^{m,g1})^2, the
+    relay term summed over the queue tiled N times, in numpy's order for
+    the full (n, m, g1) array, as ``sim.run``'s series are."""
+    cfg = state.config
+    weighted = np.tile(state.relay * cfg.rate_sums[:, None], (cfg.shape.num_relays, 1))
     return float((state.source * state.source).sum() + (weighted * weighted).sum())

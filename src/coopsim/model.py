@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -93,37 +93,8 @@ class SupportRelation:
 
     triples: frozenset
 
-    # lazily built lookup structures, keyed per second-hop state; these are
-    # caches, not part of the relation's identity
-    _by_g2: dict = field(default_factory=dict, compare=False, repr=False)
-    _mask_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
     def __contains__(self, triple) -> bool:
         return triple in self.triples
-
-    def pairs_for(self, g2: HopState) -> list:
-        """All (m, g1) drainable under second-hop state g2."""
-        if not self._by_g2:
-            grouped: dict = {}
-            for m, g1, h2 in self.triples:
-                grouped.setdefault(h2, []).append((m, g1))
-            for v in grouped.values():
-                v.sort()
-            self._by_g2.update(grouped)
-            self._by_g2.setdefault(None, [])
-        return self._by_g2.get(g2, [])
-
-    def mask(self, g2: HopState, config: "NetworkConfig") -> np.ndarray:
-        """Boolean (M, |F|^N) feasibility mask for second-hop state g2."""
-        key = (g2, config.fading.alphabet, len(config.schemes), config.shape.num_relays)
-        cached = self._mask_cache.get(key)
-        if cached is None:
-            cached = np.zeros((len(config.schemes), len(config.first_hop_space)), dtype=bool)
-            for m, g1 in self.pairs_for(g2):
-                cached[m, config.g1_index[g1]] = True
-            cached.setflags(write=False)
-            self._mask_cache[key] = cached
-        return cached
 
 
 @dataclass(frozen=True)
@@ -143,6 +114,19 @@ class NetworkConfig:
     @cached_property
     def g1_index(self) -> dict:
         return {g1: i for i, g1 in enumerate(self.first_hop_space)}
+
+    @cached_property
+    def drain_masks(self) -> dict:
+        """Second-hop state g2 -> read-only boolean (M, |F|^N) mask of the
+        (m, g1) queues drainable under it; g2 is absent when none is."""
+        masks: dict = {}
+        for m, g1, g2 in self.support.triples:
+            if g2 not in masks:
+                masks[g2] = np.zeros((len(self.schemes), len(self.first_hop_space)), dtype=bool)
+            masks[g2][m, self.g1_index[g1]] = True
+        for mask in masks.values():
+            mask.setflags(write=False)
+        return masks
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -213,11 +197,20 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError("unknown-field", f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _typed(raw, kind, what: str):
+    """``raw`` if it is a JSON object (``kind=dict``) or array (``kind=list``)."""
+    if kind is dict and not isinstance(raw, dict):
+        raise ConfigError("wrong-type", f"{what} must be an object, got {raw!r}")
+    if kind is list and not isinstance(raw, (list, tuple)):
+        raise ConfigError("wrong-type", f"{what} must be a list, got {raw!r}")
+    return raw
+
+
 def _label_tuple(raw, arity: int, alphabet: set, what: str) -> HopState:
     if not isinstance(raw, (list, tuple)) or len(raw) != arity:
         raise ConfigError("dimension-mismatch", f"{what} must have {arity} label(s), got {raw!r}")
     for lab in raw:
-        if lab not in alphabet:
+        if not isinstance(lab, str) or lab not in alphabet:  # a list or dict label is unhashable
             raise ConfigError("dimension-mismatch", f"{what} uses label {lab!r} not in alphabet")
     return tuple(raw)
 
@@ -244,24 +237,24 @@ def validate_config(raw) -> NetworkConfig:
         if key not in raw:
             raise ConfigError("missing-field", f"config is missing {key!r}")
 
-    sh = raw["shape"]
+    sh = _typed(raw["shape"], dict, "shape")
     _require_keys(sh, {"N", "K", "T"}, "shape")
     n, k, t = (_number(sh.get(v), f"shape {v}", "bad-shape", integral=True) for v in ("N", "K", "T"))
     if n < 1 or k < 1 or t < 1:
         raise ConfigError("bad-shape", "N, K and T must all be >= 1")
     shape = NetworkShape(n, k, t)
 
-    fad = raw["fading"]
+    fad = _typed(raw["fading"], dict, "fading")
     _require_keys(fad, {"alphabet", "states"}, "fading")
-    alphabet = tuple(fad.get("alphabet", ()))
+    alphabet = tuple(_typed(fad.get("alphabet", []), list, "alphabet"))
     strings = all(isinstance(lab, str) for lab in alphabet)
     if not alphabet or not strings or len(set(alphabet)) != len(alphabet):
         raise ConfigError("bad-alphabet", "alphabet must be a non-empty list of distinct string labels")
     alpha_set = set(alphabet)
     table: dict = {}
     total = 0.0
-    for ent in fad.get("states", ()):
-        _require_keys(ent, {"f1", "f2", "p"}, "fading state")
+    for ent in _typed(fad.get("states", []), list, "fading states"):
+        _require_keys(_typed(ent, dict, "fading state"), {"f1", "f2", "p"}, "fading state")
         f1 = _label_tuple(ent.get("f1"), n, alpha_set, "f1")
         f2 = _label_tuple(ent.get("f2"), n * k, alpha_set, "f2")
         p = _number(ent.get("p", 0.0), f"state {(f1, f2)} probability", "non-finite-probability")
@@ -277,15 +270,16 @@ def validate_config(raw) -> NetworkConfig:
         )
     fading = FadingModel(alphabet=alphabet, table=table)
 
-    raw_schemes = raw["schemes"]
+    raw_schemes = _typed(raw["schemes"], list, "schemes")
     if not raw_schemes:
         raise ConfigError("empty-scheme-set", "at least one encoding scheme is required")
     schemes = []
     for pos, ent in enumerate(raw_schemes):
-        _require_keys(ent, {"id", "rates"}, "scheme")
+        _require_keys(_typed(ent, dict, "scheme"), {"id", "rates"}, "scheme")
         if _number(ent.get("id"), "scheme id", "bad-scheme-id", integral=True) != pos:
             raise ConfigError("bad-scheme-id", "scheme ids must be contiguous 0..M-1 in order")
-        rates = tuple(_number(x, f"scheme {pos} rate", "non-finite-rate") for x in ent.get("rates", ()))
+        raw_rates = _typed(ent.get("rates", []), list, f"scheme {pos} rates")
+        rates = tuple(_number(x, f"scheme {pos} rate", "non-finite-rate") for x in raw_rates)
         if len(rates) != k:
             raise ConfigError("dimension-mismatch", f"scheme {pos} needs {k} rates, got {len(rates)}")
         if any(r < 0 for r in rates):
@@ -295,8 +289,8 @@ def validate_config(raw) -> NetworkConfig:
         schemes.append(EncodingScheme(id=pos, rates=rates))
 
     triples = set()
-    for ent in raw["support"]:
-        _require_keys(ent, {"m", "g1", "g2"}, "support entry")
+    for ent in _typed(raw["support"], list, "support"):
+        _require_keys(_typed(ent, dict, "support entry"), {"m", "g1", "g2"}, "support entry")
         m = _number(ent.get("m"), "support m", "support-references-unknown-scheme", integral=True)
         if not 0 <= m < len(schemes):
             raise ConfigError("support-references-unknown-scheme", f"support references scheme {m}")

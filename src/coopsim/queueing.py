@@ -2,8 +2,9 @@
 
 The source keeps one queue of bits per destination.  Every relay keeps one
 virtual queue of buffered symbols per (encoding scheme, first-hop fading
-state) pair, zero-initialized and dense: ``relay[n, m, i]`` where ``i``
-indexes F^N lexicographically.
+state) pair, zero-initialized and dense.  Every update reaches all N relays
+alike, so the relays always hold equal queues and the state keeps one
+relay's: ``relay[m, i]`` where ``i`` indexes F^N lexicographically.
 
 A first-hop block with scheme m under first-hop state g1 updates
 
@@ -34,16 +35,14 @@ from .model import NetworkConfig
 class QueueState:
     config: NetworkConfig
     source: np.ndarray  # (K,) bits
-    relay: np.ndarray  # (N, M, |F|^N) symbols
+    relay: np.ndarray  # (M, |F|^N) symbols, the same at every relay
 
     @classmethod
     def zeros(cls, config: NetworkConfig) -> "QueueState":
-        sh = config.shape
-        n_g1 = len(config.first_hop_space)
         return cls(
             config=config,
-            source=np.zeros(sh.num_destinations),
-            relay=np.zeros((sh.num_relays, len(config.schemes), n_g1)),
+            source=np.zeros(config.shape.num_destinations),
+            relay=np.zeros((len(config.schemes), len(config.first_hop_space))),
         )
 
     @classmethod
@@ -62,19 +61,6 @@ class QueueState:
 
     def copy(self) -> "QueueState":
         return QueueState(self.config, self.source.copy(), self.relay.copy())
-
-    def relay_column_sums(self) -> np.ndarray:
-        """(M, |F|^N) totals over relays, n ascending."""
-        return self.relay.sum(axis=0)
-
-    def is_relay_symmetric(self) -> bool:
-        return bool(np.all(self.relay == self.relay[0]))
-
-    def total_source_bits(self) -> float:
-        return float(self.source.sum())
-
-    def total_relay_symbols(self) -> float:
-        return float(self.relay.sum())
 
 
 def _check_event(state: QueueState, arrivals, m: int, g1) -> tuple[np.ndarray, int]:
@@ -97,7 +83,7 @@ def apply_first_hop(state: QueueState, arrivals, m: int, g1, T: float | None = N
     rates = state.config.rates[m]
     source = np.maximum(state.source + arr - rates * T, 0.0)
     relay = state.relay.copy()
-    relay[:, m, g1i] += T
+    relay[m, g1i] += T
     return QueueState(state.config, source, relay)
 
 
@@ -109,7 +95,7 @@ def apply_second_hop(state: QueueState, arrivals, m: int, g1, T: float | None = 
         T = state.config.shape.block_length
     source = state.source + arr
     relay = state.relay.copy()
-    relay[:, m, g1i] = np.maximum(relay[:, m, g1i] - T, 0.0)
+    relay[m, g1i] = np.maximum(relay[m, g1i] - T, 0.0)
     return QueueState(state.config, source, relay)
 
 
@@ -123,7 +109,7 @@ def apply_idle(state: QueueState, arrivals) -> QueueState:
 
 # ---------------------------------------------------------------------------
 # snapshot serialization: block, Qs_1..Qs_K, then relay queues in
-# (n, m, g1) lexicographic order
+# (n, m, g1) lexicographic order, the one relay's block repeated N times
 
 
 def snapshot_header(config: NetworkConfig) -> list[str]:
@@ -139,5 +125,5 @@ def snapshot_header(config: NetworkConfig) -> list[str]:
 def snapshot_row(state: QueueState, block: int) -> list:
     vals: list = [block]
     vals += [float(x) for x in state.source]
-    vals += [float(x) for x in state.relay.reshape(-1)]
+    vals += [float(x) for x in state.relay.reshape(-1)] * state.config.shape.num_relays
     return vals

@@ -15,15 +15,14 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
                    is plain uniform {0..2*mu} whenever mu is an integer
   bernoulli-batch  batch_k bits with probability mu / batch_k, else 0
 
-The block loop keeps one flat per-relay queue of length M * |F|^N instead
-of the (N, M, |F|^N) relay array: every update reaches all N relays alike,
-so the relays always hold equal queues.  It runs as a scalar kernel over
-Python floats, with the controller and queue rules of ``controller`` and
+The block loop keeps the state's one relay queue as a flat list of length
+M * |F|^N, index m * |F|^N + g1.  It runs as a scalar kernel over Python
+floats, with the controller and queue rules of ``controller`` and
 ``queueing`` inlined, and reproduces those reference functions bit for bit:
 
-  * a relay column sum is N * q.  Queues start empty and move only in whole
-    multiples of the integer T, so every q and N * q is an exactly
-    represented integer and the sum over relays is exact in any order;
+  * a relay column sum is N * q, as in ``controller``.  Queues start empty
+    and move only in whole multiples of the integer T, so every q and N * q
+    is an exactly represented integer;
   * the first-hop weight A accumulates k ascending from 0.0, the order
     numpy's reduction uses for fewer than 8 destinations (signed zeros
     included).  The controller documents this order for any K;
@@ -31,7 +30,7 @@ Python floats, with the controller and queue rules of ``controller`` and
     first hop winning on A >= B, as in ``controller.decide``;
   * the per-block series are numpy row sums over buffered chunks of the
     relay-tiled queue, which equal the 1-D sums of the reference bit for
-    bit.
+    bit.  The final state is the flat queue reshaped to (M, |F|^N).
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
 draws a run of that many blocks would use.  The controller decides once per
@@ -44,8 +43,8 @@ one decide, update and potential per sample bit for bit.
 
 The stability verdict fits a least-squares slope to the total backlog, in
 bits, over the trailing half of the horizon.  Relay symbols convert to
-bits with each queue's own rate sum r_m . 1 by default (the same weighting
-the quadratic potential uses); a max-rate conversion is available.
+bits with each queue's own rate sum r_m . 1, the same weighting the
+quadratic potential uses.
 """
 
 from __future__ import annotations
@@ -140,7 +139,6 @@ class Metrics:
     weight_second: np.ndarray = None
     fading_state_idx: np.ndarray = None  # index into the config's sorted states
     g1_space: tuple = ()
-    max_scheme_rate: float = 0.0
     seed: int | None = None
     delivered_bits: np.ndarray = None  # per destination, capped at offered
     offered_bits: np.ndarray = None
@@ -158,12 +156,8 @@ class Metrics:
         if self.relay_backlog_bits is None:
             self.relay_backlog_bits = np.zeros(self.horizon)
 
-    def total_backlog_bits(self, relay_conversion: str = "rate-sum") -> np.ndarray:
-        if relay_conversion == "rate-sum":
-            return self.source_backlog + self.relay_backlog_bits
-        if relay_conversion == "max-rate":
-            return self.source_backlog + self.relay_backlog * self.max_scheme_rate
-        raise ValueError(f"unknown relay conversion {relay_conversion!r}")
+    def total_backlog_bits(self) -> np.ndarray:
+        return self.source_backlog + self.relay_backlog_bits
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,6 @@ def stability_verdict(
     metrics: Metrics,
     theta_stable: float | None = None,
     theta_unstable: float | None = None,
-    relay_conversion: str = "rate-sum",
 ) -> StabilityVerdict:
     """Classify the trailing-half backlog slope against two thresholds.
 
@@ -208,7 +201,7 @@ def stability_verdict(
         theta_unstable = 0.1 * metrics.block_length
     if not theta_stable < theta_unstable:
         raise ValueError("theta_stable must be below theta_unstable")
-    series = metrics.total_backlog_bits(relay_conversion)
+    series = metrics.total_backlog_bits()
     start = metrics.horizon // 2
     tail = series[start:]
     if len(tail) < 2:
@@ -255,9 +248,10 @@ def _state_table(config: NetworkConfig) -> list:
         g1i = config.g1_index[f1]
         first = tuple(m * n_g1 + g1i for m in range(len(config.schemes)))
         drains = []
-        for m, g in np.argwhere(config.support.mask(f2, config)).tolist():
-            assert (m, config.first_hop_space[g], f2) in config.support
-            drains.append((m * n_g1 + g, w2[m]))
+        if f2 in config.drain_masks:
+            for m, g in np.argwhere(config.drain_masks[f2]).tolist():
+                assert (m, config.first_hop_space[g], f2) in config.support
+                drains.append((m * n_g1 + g, w2[m]))
         table.append((first, tuple(drains)))
     return table
 
@@ -373,7 +367,6 @@ def run(
     offered = arr.sum(axis=1)
     start = horizon // 2
     counts = np.bincount(variants, minlength=3)
-    final_relay = np.tile(np.array(q).reshape(len(config.schemes), n_g1), (n_relays, 1, 1))
     return Metrics(
         horizon=horizon,
         block_length=T,
@@ -388,7 +381,6 @@ def run(
         weight_second=w_second,
         fading_state_idx=state_idx,
         g1_space=config.first_hop_space,
-        max_scheme_rate=float(config.rates.max()),
         seed=seed,
         delivered_bits=np.minimum(np.array(delivered), offered),
         offered_bits=offered,
@@ -400,7 +392,7 @@ def run(
         trailing_avg_total_bits=float(
             (src_series[start:] + rel_bits_series[start:]).mean()
         ),
-        final_state=QueueState(config, np.array(src), final_relay),
+        final_state=QueueState(config, np.array(src), np.array(q).reshape(-1, n_g1)),
     )
 
 
@@ -436,7 +428,7 @@ def drift_check(
     relay_term = np.zeros(n_states)
     for s in np.flatnonzero(np.bincount(state_idx)).tolist():
         f = config.sorted_states[s]
-        d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+        d = decide(probe_state, f, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
             sub[s] = config.rates[d.m] * config.shape.block_length
             nxt = apply_first_hop(bare, zero, d.m, f[0])

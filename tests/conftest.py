@@ -5,6 +5,11 @@ import pytest
 
 import coopsim as cs
 
+try:
+    from hypothesis import strategies as st
+except ImportError:  # the property tests skip themselves through importorskip
+    st = None
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -46,3 +51,32 @@ def toy_goodbad():
 @pytest.fixture(scope="session")
 def desk():
     return cs.load_config(CONFIG_DIR / "desk.json")
+
+
+if st is not None:
+
+    @st.composite
+    def small_configs(draw):
+        """N <= 3, K <= 2 over {G, B}: a sparse table whose first state has
+        p = 0, halved integer rates and a random support of up to 8 triples."""
+        n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        f1s = list(itertools.product("GB", repeat=n))
+        f2s = list(itertools.product("GB", repeat=n * k))
+        combos = list(itertools.product(f1s, f2s))
+        states = draw(st.lists(st.sampled_from(combos), min_size=2, max_size=6, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(states) - 1, max_size=len(states) - 1))
+        probs = [0.0] + [w / sum(weights) for w in weights]
+        rates = draw(
+            st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any), min_size=1, max_size=3)
+        )
+        triples = list(itertools.product(range(len(rates)), f1s, f2s))
+        support = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
+        doc = make_doc(
+            n=n,
+            k=k,
+            alphabet=("G", "B"),
+            rates=[[r / 2 for r in row] for row in rates],
+            support=[{"m": m, "g1": list(g1), "g2": list(g2)} for m, g1, g2 in support],
+            states=[{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(states, probs)],
+        )
+        return cs.validate_config(doc)

@@ -2,11 +2,12 @@
 
 ``bruteforce_decide`` enumerates every one-hot transmit assignment of a
 block's discrete scheduling program with plain Python loops (k ascending,
-n ascending) and picks the maximum under the documented preference order.
+n ascending over the N equal relays, the support read as its raw triples)
+and picks the maximum under the documented preference order.
 
 ``reference_run`` is the simulator's block loop written against the
-spec-level functions: ``controller.decide`` on the full ``(N, M, |F|^N)``
-relay array, the pure ``queueing.apply_*`` updates and numpy reductions for
+spec-level functions: ``controller.decide``, the pure ``queueing.apply_*``
+updates and numpy reductions over the full ``(N, M, |F|^N)`` relay array for
 every series.  ``sim.run`` must reproduce it bit for bit.
 
 ``reference_drift_check`` is ``drift_check`` with one ``decide`` call, one
@@ -44,17 +45,18 @@ from coopsim.queueing import (
 from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws
 
 
-def bruteforce_decide(state, f, support):
+def bruteforce_decide(state, f):
     """(variant, m, g1, best_first, best_second) by exhaustive enumeration."""
     cfg = state.config
+    triples = cfg.support.triples
     f1, f2 = tuple(f[0]), tuple(f[1])
     g1i_now = cfg.g1_index[f1]
 
     first = []
     for m, scheme in enumerate(cfg.schemes):
         s = 0.0
-        for n in range(cfg.shape.num_relays):
-            s += state.relay[n, m, g1i_now]
+        for _ in range(cfg.shape.num_relays):
+            s += state.relay[m, g1i_now]
         val = 0.0
         for k in range(cfg.shape.num_destinations):
             r = scheme.rates[k]
@@ -67,10 +69,10 @@ def bruteforce_decide(state, f, support):
         for k in range(cfg.shape.num_destinations):
             rsum += scheme.rates[k]
         for g1 in cfg.first_hop_space:
-            if (m, g1, f2) in support:
+            if (m, g1, f2) in triples:
                 s = 0.0
-                for n in range(cfg.shape.num_relays):
-                    s += state.relay[n, m, cfg.g1_index[g1]]
+                for _ in range(cfg.shape.num_relays):
+                    s += state.relay[m, cfg.g1_index[g1]]
                 second.append((rsum * rsum * s, m, g1))
 
     best_first = max(first, key=lambda c: c[0])  # max keeps the earliest maximum
@@ -86,6 +88,7 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
     """``sim.run`` as one ``decide`` and one pure queue update per block."""
     k_dest = config.shape.num_destinations
     T = config.shape.block_length
+    n_relays = config.shape.num_relays
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     states = config.sorted_states
@@ -110,13 +113,13 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
     for t in range(horizon):
         f = states[state_idx[t]]
         a = arr[:, t]
-        d = decide(state, f, config.support, allow_idle=allow_idle)
+        d = decide(state, f, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
             state = apply_first_hop(state, a, d.m, f[0])
             dec_m[t] = d.m
         elif d.variant == SECOND_HOP:
             assert (d.m, d.g1, f[1]) in config.support
-            pre = state.relay[0, d.m, g1_index[d.g1]]
+            pre = state.relay[d.m, g1_index[d.g1]]
             delivered += min(T, pre) * config.rates[d.m]
             state = apply_second_hop(state, a, d.m, d.g1)
             dec_m[t] = d.m
@@ -126,9 +129,10 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         variants[t] = VARIANT_CODES[d.variant]
         w_first[t] = d.weight_first
         w_second[t] = d.weight_second
+        relays = np.tile(state.relay, (n_relays, 1, 1))  # every relay's queues
         src_series[t] = state.source.sum()
-        rel_series[t] = state.relay.sum()
-        rel_bits_series[t] = (state.relay * rate_sums[None, :, None]).sum()
+        rel_series[t] = relays.sum()
+        rel_bits_series[t] = (relays * rate_sums[None, :, None]).sum()
         v_series[t] = lyapunov(state)
         if snapshot_sink is not None:
             snapshot_sink.write(
@@ -153,7 +157,6 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         weight_second=w_second,
         fading_state_idx=state_idx,
         g1_space=config.first_hop_space,
-        max_scheme_rate=float(config.rates.max()),
         seed=seed,
         delivered_bits=np.minimum(delivered, offered),
         offered_bits=offered,
@@ -178,7 +181,7 @@ def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_
     for i in range(samples):
         f = config.sorted_states[state_idx[i]]
         a = arr[:, i]
-        d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+        d = decide(probe_state, f, allow_idle=allow_idle)
         if d.variant == FIRST_HOP:
             nxt = apply_first_hop(probe_state, a, d.m, f[0])
         elif d.variant == SECOND_HOP:
@@ -223,7 +226,7 @@ def expected_drift(config, arrivals, probe_state, allow_idle=False):
     for f in config.sorted_states:
         p = config.probability(f)
         if p > 0.0:
-            d = decide(probe_state, f, config.support, allow_idle=allow_idle)
+            d = decide(probe_state, f, allow_idle=allow_idle)
             key = (d.variant, d.m, f[0] if d.variant == FIRST_HOP else d.g1)
             actions[key] = actions.get(key, 0.0) + p
     v0 = lyapunov(probe_state)

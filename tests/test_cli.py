@@ -31,6 +31,35 @@ def test_region_zero_direction(capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(shape=5),
+        lambda d: d.update(fading=["a"]),
+        lambda d: d["fading"].update(alphabet="a"),
+        lambda d: d["fading"].update(states=5),
+        lambda d: d["fading"]["states"].__setitem__(0, 5),
+        lambda d: d.update(schemes=5),
+        lambda d: d["schemes"].__setitem__(0, [1.0]),
+        lambda d: d["schemes"][0].update(rates=5),
+        lambda d: d.update(support=5),
+        lambda d: d["support"].__setitem__(0, 5),
+    ],
+)
+def test_region_wrong_container_type_exit_2(tmp_path, capsys, mutate):
+    doc = make_doc()
+    mutate(doc)
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(doc)
+    assert exc.value.code == "wrong-type"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["region", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coopsim: config error [wrong-type]: ") and captured.err.count("\n") == 1
+
+
 def test_region_bad_config(tmp_path, capsys):
     doc = make_doc()
     doc["fading"]["states"][0]["p"] = 0.9
@@ -242,6 +271,30 @@ def test_sweep_empty_load_factors(tmp_path, capsys):
     spec_path.write_text(json.dumps({"load_factors": [], "horizon": 10, "seeds": [1]}))
     assert main(["sweep", TOY, str(spec_path)]) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        5,
+        [],
+        {"load_factors": 5, "horizon": 10, "seeds": [1]},
+        {"load_factors": ["0.5"], "horizon": 10, "seeds": [1]},
+        {"load_factors": [0.5], "horizon": 10, "seeds": 3},
+        {"load_factors": [0.5], "horizon": 10, "seeds": [1.5]},
+        {"load_factors": [0.5], "horizon": [10], "seeds": [1]},
+        {"load_factors": [0.5], "horizon": True, "seeds": [1]},
+        {"load_factors": [0.5], "horizon": 10, "seeds": [1], "direction": {"a": 1}},
+        {"load_factors": [0.5], "horizon": 10, "seeds": [1], "allow_idle": "no"},
+    ],
+)
+def test_sweep_wrong_spec_types_exit_2(tmp_path, capsys, spec):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coopsim: error: ") and captured.err.count("\n") == 1
 
 
 def test_queue_count_formats(tmp_path, capsys):

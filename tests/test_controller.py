@@ -9,10 +9,10 @@ from conftest import make_doc
 from oracles import bruteforce_decide
 
 
-def _two_scheme_cfg():
+def _two_scheme_cfg(support="all"):
     # two first-hop states, schemes r=[1] and r=[2]
     return cs.validate_config(
-        make_doc(n=1, k=1, alphabet=("a", "b"), rates=((1.0,), (2.0,)))
+        make_doc(n=1, k=1, alphabet=("a", "b"), rates=((1.0,), (2.0,)), support=support)
     )
 
 
@@ -28,7 +28,7 @@ def test_first_hop_weight_backpressure_flips():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [10.0]
-    st.relay[0, 1, 0] = 6.0  # scheme 1 backlog at f1=('a',)
+    st.relay[1, 0] = 6.0  # scheme 1 backlog at f1=('a',)
     a, m = cs.first_hop_weight(st, ("a",))
     assert (a, m) == (10.0, 0)  # (10-12)*2 = -4 loses to 10
 
@@ -43,21 +43,21 @@ def test_first_hop_weight_tie_breaks_low_index():
 def test_second_hop_weight_examples():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
-    st.relay[0, 0, 0] = 10.0  # (m0, a): weight 1*10
-    st.relay[0, 1, 1] = 4.0  # (m1, b): weight 4*4
+    st.relay[0, 0] = 10.0  # (m0, a): weight 1*10
+    st.relay[1, 1] = 4.0  # (m1, b): weight 4*4
     f2 = ("a",)
-    best = cs.second_hop_weight(st, f2, cfg.support)
+    best = cs.second_hop_weight(st, f2)
     assert best == (16.0, 1, ("b",))
 
     # drop (m1, b) from the support for this f2: next best is (m0, a)
-    trimmed = cs.SupportRelation(
-        frozenset(t for t in cfg.support.triples if not (t[0] == 1 and t[1] == ("b",)))
-    )
-    best = cs.second_hop_weight(st, f2, trimmed)
-    assert best == (10.0, 0, ("a",))
+    trimmed = [
+        {"m": m, "g1": [g1], "g2": [g2]} for m in (0, 1) for g1 in "ab" for g2 in "ab" if (m, g1) != (1, "b")
+    ]
+    st_trimmed = cs.QueueState.from_values(_two_scheme_cfg(trimmed), st.source, st.relay)
+    assert cs.second_hop_weight(st_trimmed, f2) == (10.0, 0, ("a",))
 
-    empty = cs.SupportRelation(frozenset())
-    assert cs.second_hop_weight(st, f2, empty) is None
+    st_empty = cs.QueueState.from_values(_two_scheme_cfg([]), st.source, st.relay)
+    assert cs.second_hop_weight(st_empty, f2) is None
 
 
 def test_second_hop_tie_breaks_lowest_m_then_g1():
@@ -65,15 +65,15 @@ def test_second_hop_tie_breaks_lowest_m_then_g1():
         make_doc(n=1, k=1, alphabet=("a", "b"), rates=((1.0,), (1.0,)))
     )
     st = cs.QueueState.zeros(cfg)
-    st.relay[0, :, :] = 7.0  # every queue equal
-    b, m, g1 = cs.second_hop_weight(st, ("a",), cfg.support)
+    st.relay[:, :] = 7.0  # every queue equal
+    b, m, g1 = cs.second_hop_weight(st, ("a",))
     assert (m, g1) == (0, ("a",))
 
 
 def test_decide_prefers_first_hop_on_ties():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
-    d = cs.decide(st, (("a",), ("a",)), cfg.support)
+    d = cs.decide(st, (("a",), ("a",)))
     assert d.variant == FIRST_HOP and d.m == 0
     assert d.weight_first == 0.0 and d.weight_second == 0.0
 
@@ -82,24 +82,23 @@ def test_decide_weight_comparison():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [10.0]  # A = 20 via scheme 1
-    st.relay[0, 1, 1] = 4.0  # B = 16 at (m1, b)
-    d = cs.decide(st, (("a",), ("a",)), cfg.support)
+    st.relay[1, 1] = 4.0  # B = 16 at (m1, b)
+    d = cs.decide(st, (("a",), ("a",)))
     assert d.variant == FIRST_HOP and d.m == 1 and d.weight_first == 20.0
 
     st2 = cs.QueueState.zeros(cfg)
     st2.source[:] = [5.0]  # A = 10 via scheme 1
-    st2.relay[0, 1, 1] = 4.0
-    d2 = cs.decide(st2, (("a",), ("a",)), cfg.support)
+    st2.relay[1, 1] = 4.0
+    d2 = cs.decide(st2, (("a",), ("a",)))
     assert d2.variant == SECOND_HOP and (d2.m, d2.g1) == (1, ("b",))
     assert d2.weight_second == 16.0
 
 
 def test_decide_infeasible_second_hop_forces_first():
-    cfg = _two_scheme_cfg()
+    cfg = _two_scheme_cfg(support=[])
     st = cs.QueueState.zeros(cfg)
-    st.relay[0, :, :] = 50.0  # A very negative everywhere
-    empty = cs.SupportRelation(frozenset())
-    d = cs.decide(st, (("a",), ("a",)), empty)
+    st.relay[:, :] = 50.0  # A very negative everywhere
+    d = cs.decide(st, (("a",), ("a",)))
     assert d.variant == FIRST_HOP
     assert d.weight_second == -np.inf
 
@@ -107,10 +106,10 @@ def test_decide_infeasible_second_hop_forces_first():
 def test_decide_idle_extension():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
-    d = cs.decide(st, (("a",), ("a",)), cfg.support, allow_idle=True)
+    d = cs.decide(st, (("a",), ("a",)), allow_idle=True)
     assert d.variant == IDLE
     st.source[:] = [1.0]
-    d2 = cs.decide(st, (("a",), ("a",)), cfg.support, allow_idle=True)
+    d2 = cs.decide(st, (("a",), ("a",)), allow_idle=True)
     assert d2.variant == FIRST_HOP  # A > 0 transmits even with the flag on
 
 
@@ -124,7 +123,7 @@ def test_lyapunov_examples():
     cfg2 = cs.validate_config(make_doc(k=1, rates=((2.0,),)))
     st2 = cs.QueueState.zeros(cfg2)
     st2.source[:] = [3.0]
-    st2.relay[0, 0, 0] = 2.0
+    st2.relay[0, 0] = 2.0
     assert cs.lyapunov(st2) == 9.0 + 16.0
 
 
@@ -138,10 +137,10 @@ def test_second_hop_weight_scales_linearly():
         st = cs.QueueState.zeros(cfg)
         st.relay[:] = rng.uniform(0, 40, size=st.relay.shape)
         f2 = second_hop_space[int(rng.integers(0, len(second_hop_space)))]
-        base = cs.second_hop_weight(st, f2, cfg.support)
+        base = cs.second_hop_weight(st, f2)
         c = float(rng.uniform(0.1, 9.0))
         scaled = cs.QueueState.from_values(cfg, st.source * c, st.relay * c)
-        out = cs.second_hop_weight(scaled, f2, cfg.support)
+        out = cs.second_hop_weight(scaled, f2)
         assert out[1:] == base[1:]  # same maximizer
         assert out[0] == pytest.approx(c * base[0], rel=1e-12)
 
@@ -161,8 +160,8 @@ def test_controller_ignores_fading_distribution(desk):
         st.relay[:] = rng.uniform(0, 100, size=st.relay.shape)
         st2 = cs.QueueState.from_values(other, st.source, st.relay)
         f = desk.sorted_states[int(rng.integers(0, len(desk.sorted_states)))]
-        d1 = cs.decide(st, f, desk.support)
-        d2 = cs.decide(st2, f, other.support)
+        d1 = cs.decide(st, f)
+        d2 = cs.decide(st2, f)
         assert (d1.variant, d1.m, d1.g1) == (d2.variant, d2.m, d2.g1)
 
 
@@ -174,8 +173,8 @@ def test_decide_matches_bruteforce_randomized(desk):
         st.source[:] = rng.uniform(0, 500, size=2)
         st.relay[:] = rng.uniform(0, 300, size=st.relay.shape)
         f = states[int(rng.integers(0, len(states)))]
-        d = cs.decide(st, f, desk.support)
-        variant, m, g1, bf_a, bf_b = bruteforce_decide(st, f, desk.support)
+        d = cs.decide(st, f)
+        variant, m, g1, bf_a, bf_b = bruteforce_decide(st, f)
         assert (d.variant, d.m, d.g1) == (variant, m, g1)
         assert d.weight_first == bf_a
         assert d.weight_second == bf_b

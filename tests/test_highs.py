@@ -7,8 +7,6 @@ random loads up to 1.2 rho* (slack LP), and on small random configs with
 sparse fading tables, zero-probability states and random support.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
+from conftest import small_configs  # noqa: E402
 from oracles import highs_value  # noqa: E402
 
 TOL = 1e-7
@@ -53,35 +52,16 @@ def test_desk_slack_matches_highs(desk):
 
 
 @st.composite
-def small_configs(draw):
-    """N, K <= 2 over {G, B}: a sparse table whose first state has p = 0."""
-    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    f1s = list(itertools.product("GB", repeat=n))
-    f2s = list(itertools.product("GB", repeat=n * k))
-    states = draw(st.lists(st.sampled_from(list(itertools.product(f1s, f2s))), min_size=2, max_size=6, unique=True))
-    weights = draw(st.lists(st.integers(1, 9), min_size=len(states) - 1, max_size=len(states) - 1))
-    probs = [0.0] + [w / sum(weights) for w in weights]
-    rates = draw(
-        st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any), min_size=1, max_size=3)
-    )
-    triples = list(itertools.product(range(len(rates)), f1s, f2s))
-    support = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
-    doc = {
-        "shape": {"N": n, "K": k, "T": 10},
-        "fading": {
-            "alphabet": ["G", "B"],
-            "states": [{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(states, probs)],
-        },
-        "schemes": [{"id": i, "rates": [r / 2 for r in row]} for i, row in enumerate(rates)],
-        "support": [{"m": m, "g1": list(g1), "g2": list(g2)} for m, g1, g2 in support],
-    }
-    config = cs.validate_config(doc)
+def lp_cases(draw):
+    """A small config with a direction and a load fraction up to 1.2 rho*."""
+    config = draw(small_configs())
+    k = config.shape.num_destinations
     direction = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
     return config, direction, draw(st.floats(0.0, 1.2))
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(small_configs())
+@hypothesis.given(lp_cases())
 def test_small_configs_match_highs(case):
     config, direction, fraction = case
     _scale_and_slack(config, direction, fraction)

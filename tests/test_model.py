@@ -43,6 +43,8 @@ def test_minimal_config_valid():
         (lambda d: d["schemes"][0].update(id=0.7), "non-integral-value"),
         (lambda d: d["support"][0].update(m=0.5), "non-integral-value"),
         (lambda d: d["fading"].update(alphabet=[["a"]]), "bad-alphabet"),
+        (lambda d: d["fading"]["states"][0].update(f1=[["a"]]), "dimension-mismatch"),
+        (lambda d: d["support"][0].update(g2=[{"a": 1}]), "dimension-mismatch"),
     ],
 )
 def test_validation_errors(mutate, code):
@@ -176,7 +178,7 @@ def test_encoding_count_examples():
 
 def test_encoding_count_matches_dense_state(desk):
     state = cs.QueueState.zeros(desk)
-    assert state.relay[0].size == cs.queue_count_encoding_based(desk)
+    assert state.relay.size == cs.queue_count_encoding_based(desk)
 
 
 def test_encoding_count_independent_of_destinations():

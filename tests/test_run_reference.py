@@ -132,8 +132,8 @@ def _drift_cases(desk, toy_goodbad):
     warm = cs.run(synthetic, cs.ArrivalConfig(rates=(0.9,) * 3), 2000, 3).final_state
     hand = cs.QueueState.zeros(synthetic)
     hand.source[:] = [400.0, 0.0, 35.5]
-    hand.relay[0, :, 0] = [70.0, 0.0, 14.0]
-    hand.relay[0, :, 1] = [0.0, 21.0, 7.0]
+    hand.relay[:, 0] = [70.0, 0.0, 14.0]
+    hand.relay[:, 1] = [0.0, 21.0, 7.0]
     cases += [(synthetic, warm, 0.9), (synthetic, hand, 0.5)]
     return cases
 
