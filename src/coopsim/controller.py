@@ -89,9 +89,9 @@ def decide(state: QueueState, f, allow_idle: bool = False) -> Decision:
 
 
 def lyapunov(state: QueueState) -> float:
-    """V(Q) = sum_k Qs_k^2 + sum_{n,m,g1} ((r_m . 1) * Q_n^{m,g1})^2, the
-    relay term summed over the queue tiled N times, in numpy's order for
-    the full (n, m, g1) array, as ``sim.run``'s series are."""
+    """V(Q) = sum_k Qs_k^2 + N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, the
+    relay term of one relay counted once per relay, as ``sim.run``'s
+    series are."""
     cfg = state.config
-    weighted = np.tile(state.relay * cfg.rate_sums[:, None], (cfg.shape.num_relays, 1))
-    return float((state.source * state.source).sum() + (weighted * weighted).sum())
+    weighted = state.relay * cfg.rate_sums[:, None]
+    return float((state.source * state.source).sum() + cfg.shape.num_relays * (weighted * weighted).sum())

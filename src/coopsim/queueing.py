@@ -4,17 +4,19 @@ The source keeps one queue of bits per destination.  Every relay keeps one
 virtual queue of buffered symbols per (encoding scheme, first-hop fading
 state) pair, zero-initialized and dense.  Every update reaches all N relays
 alike, so the relays always hold equal queues and the state keeps one
-relay's: ``relay[m, i]`` where ``i`` indexes F^N lexicographically.
+relay's: ``relay[m, i]`` where ``i`` indexes F^N lexicographically.  N
+enters only as a scalar factor, where the controller and the potential
+sum over the relays.
 
 A first-hop block with scheme m under first-hop state g1 updates
 
     Qs_k   <- (Qs_k + A_k - r_m^k * T)+        for every destination k
-    Q_n    <- Q_n + T  at key (m, g1)          for every relay n
+    Q      <- Q + T  at key (m, g1)
 
 and a second-hop block draining (m, g1) updates
 
     Qs_k   <- Qs_k + A_k
-    Q_n    <- (Q_n - T)+  at key (m, g1)       for every relay n.
+    Q      <- (Q - T)+  at key (m, g1).
 
 The first hop always loads T symbols per relay even if the source queue
 held fewer than r_m^k * T bits (the missing bits are padding); the clamp on
@@ -75,11 +77,10 @@ def _check_event(state: QueueState, arrivals, m: int, g1) -> tuple[np.ndarray, i
     return arr, g1i
 
 
-def apply_first_hop(state: QueueState, arrivals, m: int, g1, T: float | None = None) -> QueueState:
+def apply_first_hop(state: QueueState, arrivals, m: int, g1) -> QueueState:
     """Source transmits one block with scheme m under first-hop state g1."""
     arr, g1i = _check_event(state, arrivals, m, g1)
-    if T is None:
-        T = state.config.shape.block_length
+    T = state.config.shape.block_length
     rates = state.config.rates[m]
     source = np.maximum(state.source + arr - rates * T, 0.0)
     relay = state.relay.copy()
@@ -87,12 +88,11 @@ def apply_first_hop(state: QueueState, arrivals, m: int, g1, T: float | None = N
     return QueueState(state.config, source, relay)
 
 
-def apply_second_hop(state: QueueState, arrivals, m: int, g1, T: float | None = None) -> QueueState:
+def apply_second_hop(state: QueueState, arrivals, m: int, g1) -> QueueState:
     """Relays drain virtual queue (m, g1); the caller must have checked
     that (m, g1, f2) is supported for the block's second-hop state f2."""
     arr, g1i = _check_event(state, arrivals, m, g1)
-    if T is None:
-        T = state.config.shape.block_length
+    T = state.config.shape.block_length
     source = state.source + arr
     relay = state.relay.copy()
     relay[m, g1i] = np.maximum(relay[m, g1i] - T, 0.0)
@@ -108,22 +108,12 @@ def apply_idle(state: QueueState, arrivals) -> QueueState:
 
 
 # ---------------------------------------------------------------------------
-# snapshot serialization: block, Qs_1..Qs_K, then relay queues in
-# (n, m, g1) lexicographic order, the one relay's block repeated N times
+# snapshot serialization: block, Qs_1..Qs_K, then one relay's queues in
+# (m, g1) lexicographic order (every relay holds the same)
 
 
 def snapshot_header(config: NetworkConfig) -> list[str]:
     cols = ["block"]
     cols += [f"Qs_{k + 1}" for k in range(config.shape.num_destinations)]
-    for n in range(config.shape.num_relays):
-        for m in range(len(config.schemes)):
-            for g1 in config.first_hop_space:
-                cols.append(f"Q_n{n}_m{m}_{'|'.join(g1)}")
+    cols += [f"Q_m{m}_{'|'.join(g1)}" for m in range(len(config.schemes)) for g1 in config.first_hop_space]
     return cols
-
-
-def snapshot_row(state: QueueState, block: int) -> list:
-    vals: list = [block]
-    vals += [float(x) for x in state.source]
-    vals += [float(x) for x in state.relay.reshape(-1)] * state.config.shape.num_relays
-    return vals

@@ -183,12 +183,10 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
     An optimum that does not replay against every row raises DegeneracyError.
     """
     a_in = np.asarray(lp.matrix, dtype=float)
-    if a_in.ndim != 2:
-        a_in = a_in.reshape(len(lp.rhs), -1)
     b_in = np.asarray(lp.rhs, dtype=float).copy()
-    n_rows, n_cols = a_in.shape
-    if len(lp.objective) != n_cols or len(lp.senses) != n_rows or len(b_in) != n_rows:
+    if a_in.ndim != 2 or a_in.shape != (len(lp.senses), len(lp.objective)) or len(b_in) != len(lp.senses):
         raise ValueError("inconsistent LP dimensions")
+    n_rows, n_cols = a_in.shape
 
     rows = a_in.copy()
     senses = list(lp.senses)

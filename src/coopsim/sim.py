@@ -13,7 +13,7 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
   uniform-integer  U + B with U uniform on {0..2*floor(mu)} and B a
                    Bernoulli(mu - floor(mu)) top-up, mu = rate_k * T; this
                    is plain uniform {0..2*mu} whenever mu is an integer
-  bernoulli-batch  batch_k bits with probability mu / batch_k, else 0
+  bernoulli-batch  2 * mu bits with probability 1/2, else 0
 
 The block loop keeps the state's one relay queue as a flat list of length
 M * |F|^N, index m * |F|^N + g1.  It runs as a scalar kernel over Python
@@ -29,7 +29,7 @@ floats, with the controller and queue rules of ``controller`` and
   * ties go to the lowest scheme and then the smallest g1 (strict >), with
     first hop winning on A >= B, as in ``controller.decide``;
   * the per-block series are numpy row sums over buffered chunks of the
-    relay-tiled queue, which equal the 1-D sums of the reference bit for
+    one relay's queue, which equal the 1-D sums of the reference bit for
     bit.  The final state is the flat queue reshaped to (M, |F|^N).
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
@@ -40,6 +40,10 @@ source term max(Qs + a - sub, 0)^2 is one array pass, summed along
 contiguous rows (the order of a 1-D sum).  The clamp is a no-op unless bits
 are taken, as probe and arrivals are non-negative, so the estimate equals
 one decide, update and potential per sample bit for bit.
+
+The relay series sum one relay's queue: every relay holds a copy of each
+buffered packet, so a packet counts once in the backlog.  Only the
+potential V weights the relay term by N, as ``controller.lyapunov`` does.
 
 The stability verdict fits a least-squares slope to the total backlog, in
 bits, over the trailing half of the horizon.  Relay symbols convert to
@@ -85,7 +89,6 @@ METRICS_COLUMNS = (
 class ArrivalConfig:
     rates: tuple  # bits/symbol per destination
     distribution: str = "uniform-integer"
-    batch: tuple | None = None  # bernoulli-batch sizes; default 2 * rate_k * T
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
@@ -93,12 +96,6 @@ class ArrivalConfig:
             raise ValueError("arrival rates must be finite and non-negative")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown arrival distribution {self.distribution!r}")
-        if self.batch is not None:
-            object.__setattr__(self, "batch", tuple(float(b) for b in self.batch))
-            if len(self.batch) != len(self.rates):
-                raise ValueError("batch needs one entry per destination")
-            if not all(0.0 < b < math.inf for b in self.batch):
-                raise ValueError("batch sizes must be finite and positive")
 
 
 def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: float, size: int):
@@ -110,14 +107,7 @@ def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: f
         base = math.floor(mu)
         u = rng.integers(0, 2 * base + 1, size=size)
         return u.astype(float) + (rng.random(size) < mu - base)
-    # bernoulli-batch
-    if mu == 0.0:
-        return np.zeros(size)
-    batch = cfg.batch[k] if cfg.batch is not None else 2.0 * mu
-    p = mu / batch
-    if p > 1.0:
-        raise ValueError(f"batch size {batch} below mean {mu} for destination {k}")
-    return batch * (rng.random(size) < p)
+    return 2.0 * mu * (rng.random(size) < 0.5)  # bernoulli-batch
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +119,8 @@ class Metrics:
     horizon: int
     block_length: int
     source_backlog: np.ndarray  # bits after each block's update
-    relay_backlog: np.ndarray = None  # symbols
-    relay_backlog_bits: np.ndarray = None  # symbols weighted by each queue's r_m . 1
+    relay_backlog: np.ndarray = None  # one relay's symbols: a packet counts once, not N times
+    relay_backlog_bits: np.ndarray = None  # the same symbols weighted by each queue's r_m . 1
     lyapunov: np.ndarray = None
     variants: np.ndarray = None  # codes into VARIANT_NAMES
     decision_m: np.ndarray = None  # -1 when the action has no scheme
@@ -281,8 +271,7 @@ def run(
     table = _state_table(config)
     rates = config.rates.tolist()
     rates_T = (config.rates * T).tolist()
-    # relay-tiled (n, m, g1) weights r_m . 1 of the bits and potential series
-    tiled_rate_sums = np.tile(np.repeat(config.rate_sums, n_g1), n_relays)
+    cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
 
     src_series = np.empty(horizon)
     rel_series = np.empty(horizon)
@@ -351,18 +340,17 @@ def run(
         w_first[lo:hi] = ch_a
         w_second[lo:hi] = ch_b
         source = np.array(ch_src)
-        relay = np.tile(np.array(ch_q).reshape(hi - lo, n_cells), (1, n_relays))
-        weighted = relay * tiled_rate_sums
+        relay = np.array(ch_q).reshape(hi - lo, n_cells)
+        weighted = relay * cell_rate_sums
         src_series[lo:hi] = source.sum(axis=1)
         rel_series[lo:hi] = relay.sum(axis=1)
         rel_bits_series[lo:hi] = weighted.sum(axis=1)
-        v_series[lo:hi] = (source * source).sum(axis=1) + (weighted * weighted).sum(axis=1)
+        v_series[lo:hi] = (source * source).sum(axis=1) + n_relays * (weighted * weighted).sum(axis=1)
         if snapshot_sink is not None:
-            lines = []
-            for t, row_src, j in zip(range(lo, hi), ch_src, range(0, len(ch_q), n_cells)):
-                relay_text = ",".join(map(repr, ch_q[j:j + n_cells]))
-                lines.append(f"{t},{','.join(map(repr, row_src))},{','.join([relay_text] * n_relays)}\n")
-            snapshot_sink.writelines(lines)
+            snapshot_sink.writelines(
+                f"{t},{','.join(map(repr, row_src))},{','.join(map(repr, ch_q[j:j + n_cells]))}\n"
+                for t, row_src, j in zip(range(lo, hi), ch_src, range(0, len(ch_q), n_cells))
+            )
 
     offered = arr.sum(axis=1)
     start = horizon // 2

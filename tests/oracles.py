@@ -7,8 +7,9 @@ and picks the maximum under the documented preference order.
 
 ``reference_run`` is the simulator's block loop written against the
 spec-level functions: ``controller.decide``, the pure ``queueing.apply_*``
-updates and numpy reductions over the full ``(N, M, |F|^N)`` relay array for
-every series.  ``sim.run`` must reproduce it bit for bit.
+updates, ``controller.lyapunov`` and numpy reductions over the state's one
+``(M, |F|^N)`` relay array for every other series.  ``sim.run`` must
+reproduce it bit for bit.
 
 ``reference_drift_check`` is ``drift_check`` with one ``decide`` call, one
 pure queue update and one full potential per sample.
@@ -40,7 +41,6 @@ from coopsim.queueing import (
     apply_idle,
     apply_second_hop,
     snapshot_header,
-    snapshot_row,
 )
 from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws
 
@@ -88,7 +88,6 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
     """``sim.run`` as one ``decide`` and one pure queue update per block."""
     k_dest = config.shape.num_destinations
     T = config.shape.block_length
-    n_relays = config.shape.num_relays
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     states = config.sorted_states
@@ -129,16 +128,13 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         variants[t] = VARIANT_CODES[d.variant]
         w_first[t] = d.weight_first
         w_second[t] = d.weight_second
-        relays = np.tile(state.relay, (n_relays, 1, 1))  # every relay's queues
         src_series[t] = state.source.sum()
-        rel_series[t] = relays.sum()
-        rel_bits_series[t] = (relays * rate_sums[None, :, None]).sum()
+        rel_series[t] = state.relay.sum()
+        rel_bits_series[t] = (state.relay * rate_sums[:, None]).sum()
         v_series[t] = lyapunov(state)
         if snapshot_sink is not None:
-            snapshot_sink.write(
-                ",".join(str(v) if isinstance(v, int) else repr(v) for v in snapshot_row(state, t))
-                + "\n"
-            )
+            values = [*state.source.tolist(), *state.relay.reshape(-1).tolist()]
+            snapshot_sink.write(f"{t}," + ",".join(map(repr, values)) + "\n")
 
     offered = arr.sum(axis=1)
     start = horizon // 2
@@ -204,10 +200,7 @@ def _arrival_support(arrivals, k, T):
         frac = mu - base
         top_up = [(1.0 - frac, 0), (frac, 1)]
         return [(pb / (2 * base + 1), float(u + b)) for u in range(2 * base + 1) for pb, b in top_up if pb > 0]
-    if mu == 0.0:
-        return [(1.0, 0.0)]
-    batch = arrivals.batch[k] if arrivals.batch is not None else 2.0 * mu
-    return [(1.0 - mu / batch, 0.0), (mu / batch, batch)]
+    return [(0.5, 0.0), (0.5, 2.0 * mu)]
 
 
 def expected_drift(config, arrivals, probe_state, allow_idle=False):

@@ -42,27 +42,27 @@ def test_queue_dynamics_exact(toy_single):
     # first hop: drain, clamp, componentwise
     c = cfg_with(n=2, rates=((0.5,),))
     st = cs.QueueState.from_values(c, [8.0], np.zeros((1, 1)))
-    out = cs.apply_first_hop(st, [3.0], 0, ("a", "a"), T=10)
+    out = cs.apply_first_hop(st, [3.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [6.0] and out.relay.tolist() == [[10.0]]
 
     c = cfg_with(rates=((0.5,),))
-    out = cs.apply_first_hop(cs.QueueState.from_values(c, [2.0], [[0.0]]), [0.0], 0, ("a",), T=10)
+    out = cs.apply_first_hop(cs.QueueState.from_values(c, [2.0], [[0.0]]), [0.0], 0, ("a",))
     ok &= out.source.tolist() == [0.0]
 
     c = cfg_with(k=2, T=4, rates=((1.0, 0.5),))
     out = cs.apply_first_hop(
-        cs.QueueState.from_values(c, [10.0, 10.0], [[0.0]]), [1.0, 1.0], 0, ("a",), T=4
+        cs.QueueState.from_values(c, [10.0, 10.0], [[0.0]]), [1.0, 1.0], 0, ("a",)
     )
     ok &= out.source.tolist() == [7.0, 9.0]
 
     # second hop: drain, clamp, fixed point
     c = cfg_with(n=2)
     st = cs.QueueState.from_values(c, [1.0], np.full((1, 1), 10.0))
-    out = cs.apply_second_hop(st, [2.0], 0, ("a", "a"), T=10)
+    out = cs.apply_second_hop(st, [2.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [3.0] and out.relay.sum() == 0.0
 
     c = cfg_with()
-    out = cs.apply_second_hop(cs.QueueState.from_values(c, [0.0], [[4.0]]), [0.0], 0, ("a",), T=10)
+    out = cs.apply_second_hop(cs.QueueState.from_values(c, [0.0], [[4.0]]), [0.0], 0, ("a",))
     ok &= out.relay[0, 0] == 0.0
 
     c = cfg_with(k=2, rates=((1.0, 1.0),))

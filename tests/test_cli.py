@@ -161,7 +161,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert metrics[0].startswith("block,variant,m,g1,A,B")
     assert len(metrics) == 5001
     queues = (tmp_path / "queues.csv").read_text().splitlines()
-    assert queues[0] == "block,Qs_1,Q_n0_m0_a"
+    assert queues[0] == "block,Qs_1,Q_m0_a"
     assert len(queues) == 5001
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.queueing import snapshot_header, snapshot_row
+from coopsim.queueing import snapshot_header
 from conftest import make_doc
 
 
@@ -14,7 +14,7 @@ def test_first_hop_basic():
     cfg = _cfg(n=2, rates=((0.5,),))
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [8.0]
-    out = cs.apply_first_hop(st, [3.0], 0, ("a", "a"), T=10)
+    out = cs.apply_first_hop(st, [3.0], 0, ("a", "a"))
     assert out.source.tolist() == [6.0]
     assert out.relay.tolist() == [[10.0]]  # queue (m0, a|a), the same at both relays
     assert st.source.tolist() == [8.0] and not st.relay.any()  # input untouched
@@ -24,7 +24,7 @@ def test_first_hop_clamps_at_zero():
     cfg = _cfg(rates=((0.5,),))
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [2.0]
-    out = cs.apply_first_hop(st, [0.0], 0, ("a",), T=10)
+    out = cs.apply_first_hop(st, [0.0], 0, ("a",))
     assert out.source.tolist() == [0.0]
     assert out.relay[0, 0] == 10.0
 
@@ -33,7 +33,7 @@ def test_first_hop_componentwise():
     cfg = _cfg(k=2, rates=((1.0, 0.5),), T=4)
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [10.0, 10.0]
-    out = cs.apply_first_hop(st, [1.0, 1.0], 0, ("a",), T=4)
+    out = cs.apply_first_hop(st, [1.0, 1.0], 0, ("a",))
     assert out.source.tolist() == [7.0, 9.0]
 
 
@@ -42,7 +42,7 @@ def test_second_hop_basic():
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [1.0]
     st.relay[0, 0] = 10.0
-    out = cs.apply_second_hop(st, [2.0], 0, ("a", "a"), T=10)
+    out = cs.apply_second_hop(st, [2.0], 0, ("a", "a"))
     assert out.source.tolist() == [3.0]
     assert np.all(out.relay == 0.0)
 
@@ -51,7 +51,7 @@ def test_second_hop_clamps_at_zero():
     cfg = _cfg()
     st = cs.QueueState.zeros(cfg)
     st.relay[0, 0] = 4.0
-    out = cs.apply_second_hop(st, [0.0], 0, ("a",), T=10)
+    out = cs.apply_second_hop(st, [0.0], 0, ("a",))
     assert out.relay[0, 0] == 0.0
 
 
@@ -90,7 +90,7 @@ def test_bit_conservation_without_clamp():
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [100.0, 100.0]
     arrivals = [3.0, 7.0]
-    out = cs.apply_first_hop(st, arrivals, 0, ("a",), T=4)
+    out = cs.apply_first_hop(st, arrivals, 0, ("a",))
     drained = st.source.sum() + sum(arrivals) - out.source.sum()
     assert drained == (1.0 + 0.5) * 4
 
@@ -128,14 +128,8 @@ def test_first_then_second_round_trip():
 def test_snapshot_layout():
     cfg = _cfg(n=2, k=2, alphabet=("a", "b"), rates=((1.0, 1.0), (2.0, 2.0)))
     header = snapshot_header(cfg)
+    # block, Qs_1..Qs_K, then one relay's queues in (m, g1) lexicographic order
+    assert len(header) == 1 + 2 + 2 * 4
     assert header[:3] == ["block", "Qs_1", "Qs_2"]
-    # (n, m, g1) lexicographic: n outermost, then scheme, then g1
-    assert header[3] == "Q_n0_m0_a|a"
-    assert header[4] == "Q_n0_m0_a|b"
-    assert header[3 + 8] == "Q_n1_m0_a|a"
-    st = cs.QueueState.zeros(cfg)
-    st.relay[0, 1] = 30.0  # queue (m0, a|b), held by both relays
-    row = snapshot_row(st, 17)
-    assert row[0] == 17
-    assert len(row) == len(header)
-    assert row[3:] == [0.0, 30.0] + [0.0] * 6 + [0.0, 30.0] + [0.0] * 6
+    assert header[3:7] == ["Q_m0_a|a", "Q_m0_a|b", "Q_m0_b|a", "Q_m0_b|b"]
+    assert header[7] == "Q_m1_a|a"

@@ -38,6 +38,12 @@ def test_solver_unbounded():
     assert wit.status == "unbounded"
 
 
+def test_solver_rejects_non_2d_matrix():
+    # a flat matrix is not reshaped into a guessed row count
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        cs.solve_lp(_lp([1.0], [1.0], ["<="], [3.0]))
+
+
 def test_solver_reports_tiny_pivots():
     # the only ratio-eligible entry is far below the pivot tolerance
     with pytest.raises(cs.DegeneracyError):

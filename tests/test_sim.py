@@ -15,13 +15,9 @@ def test_arrival_validation():
         cs.ArrivalConfig(rates=(-0.1,))
     with pytest.raises(ValueError):
         cs.ArrivalConfig(rates=(0.5,), distribution="poisson")
-    with pytest.raises(ValueError):
-        cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(0.0,))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             cs.ArrivalConfig(rates=(0.5, bad))
-        with pytest.raises(ValueError):
-            cs.ArrivalConfig(rates=(0.5,), distribution="bernoulli-batch", batch=(bad,))
 
 
 def _arrivals(config, rates, horizon, seed, **kwargs):
@@ -55,8 +51,6 @@ def test_bernoulli_batch(toy_single):
     draws = _arrivals(toy_single, (0.5,), 200_000, 5, distribution="bernoulli-batch")[0]
     assert set(np.unique(draws)) == {0.0, 10.0}
     assert abs(draws.mean() - 5.0) <= 0.1
-    with pytest.raises(ValueError):
-        _arrivals(toy_single, (0.5,), 10, 0, distribution="bernoulli-batch", batch=(2.0,))
 
 
 def test_draws_order_destinations():
@@ -131,14 +125,15 @@ def test_final_state_matches_series(toy_goodbad, desk):
     for cfg, rates in ((toy_goodbad, (0.3,)), (desk, (0.5, 0.5))):
         m = cs.run(cfg, cs.ArrivalConfig(rates=rates), horizon=500, seed=6)
         assert m.final_state.source.sum() == m.source_backlog[-1]
-        assert cfg.shape.num_relays * m.final_state.relay.sum() == m.relay_backlog[-1]
+        assert m.relay_backlog[-1] == m.final_state.relay.sum()
+        assert m.relay_backlog_bits[-1] == (m.final_state.relay * cfg.rate_sums[:, None]).sum()
 
 
 def test_snapshot_sink(toy_single):
     buf = io.StringIO()
     cs.run(toy_single, cs.ArrivalConfig(rates=(0.2,)), horizon=5, seed=1, snapshot_sink=buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "block,Qs_1,Q_n0_m0_a"
+    assert lines[0] == "block,Qs_1,Q_m0_a"
     assert len(lines) == 6
     assert lines[1].startswith("0,")
 
