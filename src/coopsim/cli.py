@@ -82,7 +82,8 @@ def _witness_records(config, wit) -> dict:
     """The a and b records of a witness, one per (f, m, g1, g2): a b fraction
     drains under g2 = f2, and an a fraction is split across g2 in proportion
     to its class's drain flow under each (evenly over the supported g2 if
-    nothing drains it), so per-triple flows balance as class flows do."""
+    nothing drains it), so each triple is filled no more than it drains,
+    with equality where its class's flow row is tight."""
     drain: dict = {}  # (m, g1) -> {g2: sum of pi_f * b_f over f with f2 = g2}
     for (f, m, g1), val in wit.b.items():
         per_g2 = drain.setdefault((m, g1), {})

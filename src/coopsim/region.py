@@ -10,13 +10,17 @@ Columns exist only where they can be nonzero: ``a`` needs f1 = g1, ``b``
 needs (m, g1, f2) supported.  The constraint system is
 
     rate    sum_{f,m,g1} pi_f r_m^k a_f^{m,g1} >= (target rate)_k   per k
-    flow    sum_f pi_f a_f^{m,g1}  =  sum_f pi_f b_f^{m,g1}         per (m,g1)
+    flow    sum_f pi_f a_f^{m,g1}  <=  sum_f pi_f b_f^{m,g1}        per (m,g1)
     time    sum_{m,g1} (a_f^{m,g1} + b_f^{m,g1}) <= 1                per f
 
 This region is exact.  A first-hop packet enters queue (m, g1) whichever
 second-hop state later drains it, so a per-(m, g1, g2) solution sums to a
 per-class one, and a per-class one splits back across g2 in proportion to
-its drain flow under each.  A p = 0 state carries no rate and no flow.
+its drain flow under each.  A p = 0 state carries no rate and no flow.  The
+flow row may be an inequality because fill = drain admits the same rate
+vectors: in a class drained more than it is filled, scale every b down by
+the factor fill/drain.  Its drain then equals its fill, no rate row reads
+a b, and every time row only loosens.
 
 Two queries are exposed.  ``boundary_scale`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
@@ -28,13 +32,18 @@ delta may legitimately be negative, the slack LP optimizes the shifted
 variable d = delta + shift (shift = max(lambda) + 1, a lower bound
 certified by the all-zero assignment) and the reported value is d - shift.
 
-The solver is a deterministic dense two-phase simplex.  Pricing is
-Dantzig's (most negative reduced cost, ties to the lowest index) while the
-objective improves; if it stalls on degenerate pivots the solver switches
-to Bland's anti-cycling rule (lowest eligible index, leaving ties broken
-by lowest basic-variable index), which guarantees termination.  Both rules
-are deterministic, so a fixed LP always produces the same solution.  An
-optimum is replayed against the rows before it is returned.  Desk-scale
+Both LPs are written as ``<=`` rows with a non-negative rhs, so x = 0 is
+feasible and the solver is a deterministic dense one-phase simplex that
+starts from the slack basis.  Pricing is Dantzig's (most negative reduced
+cost, ties to the lowest index) while the objective improves; if it stalls
+on degenerate pivots the solver switches to Bland's anti-cycling rule
+(lowest eligible index, leaving ties broken by lowest basic-variable
+index), which guarantees termination.  Both rules are deterministic, so a
+fixed LP always produces the same solution.  An optimum is checked from
+both sides before it is returned: x is replayed against the rows
+(achievable), and the row prices y, the slack columns' final reduced
+costs, must satisfy y >= 0, A^T y >= c and b.y = c.x, which by weak
+duality bounds every feasible objective by c.x (maximal).  Desk-scale
 problems stay below a few hundred columns, where determinism and zero
 dependencies matter more than speed.
 """
@@ -48,10 +57,9 @@ import numpy as np
 
 from .model import NetworkConfig
 
-PIVOT_TOL = 1e-12
+PIVOT_TOL = 1e-12  # relative to the entering column's largest magnitude (at least 1)
 ENTER_TOL = 1e-9
-FEAS_TOL = 1e-8
-RESIDUAL_TOL = 1e-9  # post-solve check, relative to each row's magnitude
+RESIDUAL_TOL = 1e-9  # post-solve checks, relative to each row's magnitude
 MAX_PIVOTS = 200_000
 
 
@@ -60,7 +68,7 @@ class SolverError(RuntimeError):
 
 
 class DegeneracyError(SolverError):
-    """A pivot fell below 1e-12, or the returned point broke a constraint."""
+    """A pivot fell below tolerance, or an optimum failed a post-solve check."""
 
 
 @dataclass
@@ -69,7 +77,7 @@ class LinearProgram:
 
     objective: np.ndarray
     matrix: np.ndarray
-    senses: tuple  # "<=", "=" or ">=" per row
+    senses: tuple  # "<=" per row, the only sense solve_lp takes
     rhs: np.ndarray
     columns: tuple  # per-column tags: ("a", m, g1, f), ("b", m, g1, f), ("delta",), ("rho",)
     kind: str = "generic"  # "slack" | "scale" | "generic"
@@ -85,7 +93,7 @@ class RegionWitness:
     nonzero fractions keyed (f, m, g1).
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     kind: str
     value: float
     a: dict = field(default_factory=dict)
@@ -112,11 +120,12 @@ def _pivot(tab: np.ndarray, cost: np.ndarray, basis: np.ndarray, row: int, col: 
 def _ratio_row(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     """Leaving row by minimum ratio, Bland tie-break.  None means unbounded."""
     column = tab[:, col]
-    eligible = column > PIVOT_TOL
+    threshold = PIVOT_TOL * max(1.0, np.abs(column).max())
+    eligible = column > threshold
     if not eligible.any():
         if (column > 1e-25).any():
             raise DegeneracyError(
-                f"all candidate pivots in column {col} are below {PIVOT_TOL}"
+                f"all candidate pivots in column {col} are below {threshold:.3g}"
             )
         return None
     ratios = np.full(len(column), np.inf)
@@ -129,21 +138,20 @@ def _ratio_row(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
 STALL_LIMIT = 32  # degenerate pivots tolerated before Bland's rule kicks in
 
 
-def _iterate(tab, cost, basis, allowed: np.ndarray) -> str:
+def _iterate(tab, cost, basis) -> str:
     bland = False
     stall = 0
     best = cost[-1]
     for _ in range(MAX_PIVOTS):
         reduced = cost[:-1]
         if bland:
-            candidates = np.nonzero(allowed & (reduced < -ENTER_TOL))[0]
+            candidates = np.nonzero(reduced < -ENTER_TOL)[0]
             if candidates.size == 0:
                 return "optimal"
             col = int(candidates[0])  # lowest eligible index
         else:
-            masked = np.where(allowed, reduced, 0.0)
-            col = int(np.argmin(masked))
-            if masked[col] >= -ENTER_TOL:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -ENTER_TOL:
                 return "optimal"
         row = _ratio_row(tab, basis, col)
         if row is None:
@@ -160,89 +168,60 @@ def _iterate(tab, cost, basis, allowed: np.ndarray) -> str:
     raise SolverError("simplex failed to converge within the pivot limit")
 
 
-def _cost_row(cvec: np.ndarray, tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    cost = cvec[basis] @ tab
-    cost[:-1] -= cvec
-    return cost
-
-
-def _check_primal(matrix: np.ndarray, senses, rhs: np.ndarray, x: np.ndarray) -> None:
+def _check_primal(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> None:
     """Raise DegeneracyError unless x >= 0 and every row holds, each to
     RESIDUAL_TOL relative to 1 + |rhs_i| + sum_j |A_ij x_j|."""
     gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + np.abs(matrix) @ np.abs(x))
-    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
-    excess = np.where(sign == 0.0, np.abs(gap), sign * gap)
-    worst = max(excess.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
+    worst = max(gap.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
     if worst > RESIDUAL_TOL:
         raise DegeneracyError(f"post-solve residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
 
 
+def _check_dual(matrix, rhs, objective, x, y) -> None:
+    """Raise DegeneracyError unless the row prices y prove x maximal: y >= 0,
+    A^T y >= c and b.y = c.x, each to RESIDUAL_TOL relative to the
+    magnitudes of its terms."""
+    abs_y = np.abs(y)
+    short = (objective - matrix.T @ y) / (1.0 + np.abs(objective) + np.abs(matrix).T @ abs_y)
+    gap = abs(rhs @ y - objective @ x) / (1.0 + np.abs(rhs) @ abs_y + np.abs(objective) @ np.abs(x))
+    worst = max(-y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
+    if worst > RESIDUAL_TOL:
+        raise DegeneracyError(f"dual residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
+
+
 def solve_lp(lp: LinearProgram) -> RegionWitness:
-    """Solve with a two-phase dense simplex; deterministic for a fixed LP.
+    """Solve with a one-phase dense simplex from the slack basis;
+    deterministic for a fixed LP.
 
-    An optimum that does not replay against every row raises DegeneracyError.
+    Every row must be "<=" with a non-negative rhs, so that x = 0 is
+    feasible; anything else raises ValueError.  An optimum that does not
+    replay against every row, or whose prices do not prove it maximal,
+    raises DegeneracyError.
     """
-    a_in = np.asarray(lp.matrix, dtype=float)
-    b_in = np.asarray(lp.rhs, dtype=float).copy()
-    if a_in.ndim != 2 or a_in.shape != (len(lp.senses), len(lp.objective)) or len(b_in) != len(lp.senses):
+    matrix = np.asarray(lp.matrix, dtype=float)
+    rhs = np.asarray(lp.rhs, dtype=float)
+    objective = np.asarray(lp.objective, dtype=float)
+    if matrix.ndim != 2 or matrix.shape != (len(lp.senses), len(objective)) or len(rhs) != len(lp.senses):
         raise ValueError("inconsistent LP dimensions")
-    n_rows, n_cols = a_in.shape
+    if any(s != "<=" for s in lp.senses):
+        raise ValueError(f"solve_lp takes '<=' rows only, got {sorted(set(lp.senses) - {'<='})}")
+    if not (rhs >= 0.0).all():
+        raise ValueError("solve_lp needs a non-negative rhs")
+    n_rows, n_cols = matrix.shape
 
-    rows = a_in.copy()
-    senses = list(lp.senses)
-    for i in range(n_rows):
-        if b_in[i] < 0.0:
-            rows[i] = -rows[i]
-            b_in[i] = -b_in[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_rows = [i for i, s in enumerate(senses) if s == "<="]
-    surplus_rows = [i for i, s in enumerate(senses) if s == ">="]
-    artif_rows = [i for i, s in enumerate(senses) if s in (">=", "=")]
-    n_extra = len(slack_rows) + len(surplus_rows)
-    total = n_cols + n_extra + len(artif_rows)
-
-    tab = np.zeros((n_rows, total + 1))
-    tab[:, :n_cols] = rows
-    tab[:, -1] = b_in
-    basis = np.empty(n_rows, dtype=int)
-    for j, i in enumerate(slack_rows):
-        tab[i, n_cols + j] = 1.0
-        basis[i] = n_cols + j
-    for j, i in enumerate(surplus_rows):
-        tab[i, n_cols + len(slack_rows) + j] = -1.0
-    first_artif = n_cols + n_extra
-    for j, i in enumerate(artif_rows):
-        tab[i, first_artif + j] = 1.0
-        basis[i] = first_artif + j
-    artificial = np.zeros(total, dtype=bool)
-    artificial[first_artif:] = True
-
-    if artif_rows:
-        cvec1 = np.where(artificial, -1.0, 0.0)
-        cost = _cost_row(cvec1, tab, basis)
-        status = _iterate(tab, cost, basis, np.ones(total, dtype=bool))
-        if status != "optimal" or cost[-1] < -FEAS_TOL * (1.0 + abs(b_in).max()):
-            return RegionWitness(status="infeasible", kind=lp.kind, value=float("nan"))
-        # drive leftover artificials out of the basis (their value is 0)
-        for i in range(n_rows):
-            if artificial[basis[i]]:
-                usable = np.nonzero(~artificial & (np.abs(tab[i, :-1]) > PIVOT_TOL))[0]
-                if usable.size:
-                    _pivot(tab, cost, basis, i, int(usable[0]))
-
-    cvec2 = np.zeros(total)
-    cvec2[:n_cols] = lp.objective
-    cost = _cost_row(cvec2, tab, basis)
-    status = _iterate(tab, cost, basis, ~artificial)
-    if status == "unbounded":
+    tab = np.hstack([matrix, np.eye(n_rows), rhs[:, None]])
+    cost = np.zeros(n_cols + n_rows + 1)
+    cost[:n_cols] = -objective
+    basis = np.arange(n_cols, n_cols + n_rows)
+    if _iterate(tab, cost, basis) == "unbounded":
         return RegionWitness(status="unbounded", kind=lp.kind, value=float("nan"))
 
-    x_full = np.zeros(total)
+    x_full = np.zeros(n_cols + n_rows)
     x_full[basis] = tab[:, -1]
     x = x_full[:n_cols]
-    _check_primal(a_in, lp.senses, np.asarray(lp.rhs, dtype=float), x)
-    raw = float(np.dot(lp.objective, x))
+    _check_primal(matrix, rhs, x)
+    _check_dual(matrix, rhs, objective, x, cost[n_cols:-1])
+    raw = float(np.dot(objective, x))
     wit = RegionWitness(
         status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x
     )
@@ -341,16 +320,14 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
 
     rhs = np.ones(len(matrix))
     rhs[:k_dest] = 0.0
-    rhs[flows] = 0.0
-    senses = ["<="] * len(matrix)
-    senses[flows] = ["="] * (flows.stop - flows.start)
+    rhs[flows] = 0.0  # fill - drain <= 0
 
     objective = np.zeros(len(columns))
     objective[-1] = 1.0
     return LinearProgram(
         objective=objective,
         matrix=matrix,
-        senses=tuple(senses),
+        senses=("<=",) * len(matrix),
         rhs=rhs,
         columns=columns,
         kind="scale",
@@ -394,13 +371,14 @@ def witness_max_violation(
     """Replay a witness against the region constraints; max violation.
 
     Checked from first principles (the witness dicts), independent of the
-    LP matrix that produced it: flows are balanced per relay queue (m, g1),
-    and an entry outside its family's states counts as an infinite breach.
+    LP matrix that produced it: every relay queue (m, g1) is filled no more
+    than it drains, less the margin (delta for slack, 0 for scale), and an
+    entry outside its family's states counts as an infinite breach.
     """
     if witness.status != "optimal":
         raise ValueError("can only replay an optimal witness")
     rate = np.zeros(config.shape.num_destinations)
-    flow = dict.fromkeys(_classes(config), 0.0)  # net inflow per relay queue
+    flow = dict.fromkeys(_classes(config), 0.0)  # fill - drain per relay queue
     time_used: dict = {}
     worst = 0.0
     for (f, m, g1), val in witness.a.items():
@@ -415,12 +393,12 @@ def witness_max_violation(
     worst = max(worst, max(time_used.values(), default=1.0) - 1.0)
 
     if witness.kind == "slack":
-        delta = witness.value
-        worst = max(worst, float((np.asarray(lam, dtype=float) + delta - rate).max()))
-        worst = max(worst, max(flow.values(), default=-delta) + delta)
+        margin = witness.value
+        target = np.asarray(lam, dtype=float) + margin
     elif witness.kind == "scale":
-        worst = max(worst, float((witness.value * np.asarray(direction, dtype=float) - rate).max()))
-        worst = max(worst, max(map(abs, flow.values()), default=0.0))
+        margin = 0.0
+        target = witness.value * np.asarray(direction, dtype=float)
     else:
         raise ValueError(f"cannot replay witness of kind {witness.kind!r}")
-    return worst
+    worst = max(worst, float((target - rate).max()))
+    return max(worst, max(flow.values(), default=-margin) + margin)

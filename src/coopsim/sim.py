@@ -219,6 +219,8 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     if len(arrivals.rates) != k_dest:
         raise ValueError(f"arrival rates must have {k_dest} entries")
     T = config.shape.block_length
+    if not all(math.isfinite(r * T) for r in arrivals.rates):
+        raise ValueError(f"arrival rates times the block length T={T} must be finite")
     children = np.random.SeedSequence(seed).spawn(1 + k_dest)
     state_idx = fading_indices(config, np.random.default_rng(children[0]).random(horizon))
     arr = np.empty((k_dest, horizon))

@@ -1,6 +1,7 @@
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coopsim as cs
@@ -36,6 +37,42 @@ def make_doc(n=1, k=1, T=10, alphabet=("a",), rates=((1.0,),), support="all", st
         "schemes": [{"id": i, "rates": list(r)} for i, r in enumerate(rates)],
         "support": support,
     }
+
+
+def sparse_config(n, k, m, states, seed):
+    """A deterministic sparse random config over {G, B}: ``states`` distinct
+    (f1, f2) states with normalized random weights, integer rates in 0..3
+    plus 1 toward destination m mod K, and each (m, g1, g2) triple over the
+    drawn f2 set supported with probability 0.15."""
+    rng = np.random.default_rng(seed)
+    f1s = list(itertools.product("GB", repeat=n))
+    f2s = list(itertools.product("GB", repeat=n * k))
+    picks = sorted(rng.choice(len(f1s) * len(f2s), size=states, replace=False))
+    drawn = [(f1s[i // len(f2s)], f2s[i % len(f2s)]) for i in picks]
+    w = rng.random(states)
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    rates = rng.integers(0, 4, (m, k)).astype(float)
+    for i in range(m):
+        rates[i, i % k] += 1.0
+    g2s = sorted({f2 for _, f2 in drawn})
+    support = [
+        {"m": i, "g1": list(g1), "g2": list(g2)}
+        for i in range(m)
+        for g1 in f1s
+        for g2 in g2s
+        if rng.random() < 0.15
+    ]
+    doc = make_doc(
+        n=n,
+        k=k,
+        T=10,
+        alphabet=("G", "B"),
+        rates=rates.tolist(),
+        support=support,
+        states=[{"f1": list(f1), "f2": list(f2), "p": float(p)} for (f1, f2), p in zip(drawn, w)],
+    )
+    return cs.validate_config(doc)
 
 
 @pytest.fixture(scope="session")

@@ -333,12 +333,8 @@ def slack_oracle(config, lam, start_step=None):
 
 
 def scale_oracle(config, direction, start_step=None):
-    """max over fractions of min_k rate_k/direction_k with net flow <= 0.
-
-    Any solution with slack in a flow class can scale its b values down to
-    equality without touching the rest, so the relaxed program has the same
-    optimum as the flow-balanced one.
-    """
+    """max over fractions of min_k rate_k/direction_k with fill <= drain
+    per class, the relation the package's scale LP uses."""
     direction = np.asarray(direction, dtype=float)
     cols = _oracle_columns(config)
     dim = len(cols)
@@ -369,16 +365,11 @@ def highs_value(lp):
     """Optimum of ``lp`` by HiGHS, reported as the package does (raw - shift)."""
     from scipy.optimize import linprog
 
-    senses = np.asarray(lp.senses)
-    le, ge, eq = senses == "<=", senses == ">=", senses == "="
-    a_ub = np.vstack([lp.matrix[le], -lp.matrix[ge]])
-    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    assert all(s == "<=" for s in lp.senses), lp.senses
     res = linprog(
         -np.asarray(lp.objective),
-        A_ub=a_ub if len(b_ub) else None,
-        b_ub=b_ub if len(b_ub) else None,
-        A_eq=lp.matrix[eq] if eq.any() else None,
-        b_eq=lp.rhs[eq] if eq.any() else None,
+        A_ub=lp.matrix,
+        b_ub=lp.rhs,
         bounds=(0, None),
         method="highs",
     )

@@ -5,6 +5,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.cli import _witness_records, main
+from coopsim.sim import DISTRIBUTIONS
 from conftest import CONFIG_DIR, make_doc
 
 TOY = str(CONFIG_DIR / "toy_single.json")
@@ -226,6 +227,16 @@ def test_simulate_non_finite_lambda(tmp_path, capsys):
         assert main(["simulate", TOY, "--lambda", lam, "--arrival", "constant", "--horizon", "10",
                      "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("arrival", DISTRIBUTIONS)
+def test_simulate_overflowing_arrivals_exit_2(tmp_path, capsys, arrival):
+    # 1e308 bits/symbol is finite, but 1e308 * T is not
+    assert main(["simulate", TOY, "--lambda", "1e308", "--arrival", arrival, "--horizon", "10",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coopsim: error: ") and err.count("\n") == 1
     assert not (tmp_path / "metrics.csv").exists()
 
 

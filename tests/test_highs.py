@@ -3,8 +3,15 @@
 Every optimum the package reports must match HiGHS on the very same
 LinearProgram to 1e-7 relative, and its witness must replay against the
 region constraints to 1e-7: on desk over random directions (scale LP) and
-random loads up to 1.2 rho* (slack LP), and on small random configs with
-sparse fading tables, zero-probability states and random support.
+random loads up to 1.2 rho* (slack LP), on small random configs with
+sparse fading tables, zero-probability states and random support, and on
+two generated N = 3 configs (335-row scale LPs).
+
+Hypothesis 6.155 also draws literal constants found in the imported
+non-test modules (``src/coopsim/*``, ``bench/spans.py``, ``bench/stats.py``),
+so editing a literal there changes the drawn examples, and a file run alone
+draws different examples from the full tier-1 run.  Reproduce a failure
+with the full tier-1 command, not with ``pytest tests/test_highs.py``.
 """
 
 import numpy as np
@@ -15,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
-from conftest import small_configs  # noqa: E402
+from conftest import small_configs, sparse_config  # noqa: E402
 from oracles import highs_value  # noqa: E402
 
 TOL = 1e-7
@@ -65,3 +72,12 @@ def lp_cases(draw):
 def test_small_configs_match_highs(case):
     config, direction, fraction = case
     _scale_and_slack(config, direction, fraction)
+
+
+@pytest.mark.parametrize("seed,rho", [(6, 0.8846153846153847), (19, 0.9600000000000001)])
+def test_generated_n3_scale_matches_highs(seed, rho):
+    # N=3, K=3, M=4, 300 states; seed 6 once failed the post-solve replay
+    config = sparse_config(3, 3, 4, 300, seed)
+    lp = cs.build_scale_lp(config, np.ones(3))
+    assert lp.matrix.shape[0] == 335
+    assert _agrees(config, cs.solve_lp(lp), lp, direction=np.ones(3)) == pytest.approx(rho, abs=1e-12)

@@ -28,13 +28,15 @@ def test_solver_simple_bounded():
     assert wit.value == pytest.approx(3.0, abs=1e-9)
 
 
-def test_solver_infeasible():
-    wit = cs.solve_lp(_lp([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0]))
-    assert wit.status == "infeasible"
+def test_solver_rejects_rows_that_exclude_the_origin():
+    # x = 0 must be feasible: only "<=" rows with a non-negative rhs
+    for senses, rhs in (([">="], [2.0]), (["="], [2.0]), (["<="], [-2.0]), (["<="], [np.nan])):
+        with pytest.raises(ValueError):
+            cs.solve_lp(_lp([1.0], [[1.0]], senses, rhs))
 
 
 def test_solver_unbounded():
-    wit = cs.solve_lp(_lp([1.0], [[1.0]], [">="], [2.0]))
+    wit = cs.solve_lp(_lp([1.0], [[-1.0]], ["<="], [2.0]))
     assert wit.status == "unbounded"
 
 
@@ -50,10 +52,10 @@ def test_solver_reports_tiny_pivots():
         cs.solve_lp(_lp([1.0], [[1e-13]], ["<="], [1.0]))
 
 
-def test_solver_mixed_senses():
-    # max x + y s.t. x + y <= 4, x = 1  ->  5? no: objective x+2y, x=1, y<=3 -> 7
+def test_solver_two_rows():
+    # max x + 2y s.t. x + y <= 4, y <= 3  ->  (1, 3), value 7
     wit = cs.solve_lp(
-        _lp([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "="], [4.0, 1.0])
+        _lp([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], ["<=", "<="], [4.0, 3.0])
     )
     assert wit.status == "optimal"
     assert wit.value == pytest.approx(7.0, abs=1e-9)
@@ -245,7 +247,7 @@ def test_solver_never_returns_a_broken_optimum(desk):
     rate, flow, time = _constraint_matrices(desk, _oracle_columns(desk))
     zero = np.zeros((len(flow) + len(time), 1))
     matrix = np.vstack([np.hstack([-rate, np.asarray(PINNED_DIRECTION)[:, None]]), np.hstack([np.vstack([flow, time]), zero])])
-    senses = ("<=",) * len(rate) + ("=",) * len(flow) + ("<=",) * len(time)
+    senses = ("<=",) * matrix.shape[0]  # fill - drain <= 0 per triple
     rhs = np.concatenate([np.zeros(len(rate) + len(flow)), np.ones(len(time))])
     objective = np.zeros(matrix.shape[1])
     objective[-1] = 1.0
@@ -266,10 +268,65 @@ def test_post_solve_check_rejects_a_broken_point(monkeypatch):
     import coopsim.region as region
 
     real = region._check_primal
-    monkeypatch.setattr(region, "_check_primal", lambda m, s, r, x: real(m, s, r, x + 1.0))
+    monkeypatch.setattr(region, "_check_primal", lambda m, r, x: real(m, r, x + 1.0))
     with pytest.raises(cs.DegeneracyError, match="post-solve residual"):
+        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+
+
+def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
+    # force the check to see prices of half the true ones: b.y < c.x
+    import coopsim.region as region
+
+    real = region._check_dual
+    monkeypatch.setattr(region, "_check_dual", lambda m, r, c, x, y: real(m, r, c, x, 0.5 * y))
+    with pytest.raises(cs.DegeneracyError, match="dual residual"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
 
 
 def test_pinned_direction_matches_highs(desk):
     assert cs.boundary_scale(desk, PINNED_DIRECTION) == pytest.approx(PINNED_RHO, abs=1e-9)
+
+
+def _replay_config():
+    # N=1, K=2 over {G, B}; the p = 0 state (G, GG) stays in the table
+    states = [
+        (("G",), ("G", "G"), 0.0),
+        (("B",), ("B", "G"), 1 / 6),
+        (("G",), ("G", "B"), 5 / 12),
+        (("B",), ("G", "G"), 5 / 12),
+    ]
+    return cs.validate_config(make_doc(
+        n=1,
+        k=2,
+        alphabet=("G", "B"),
+        rates=((1.0, 0.0), (0.5, 0.5)),
+        support=[{"m": 0, "g1": ["G"], "g2": ["B", "G"]}, {"m": 1, "g1": ["G"], "g2": ["G", "G"]}],
+        states=[{"f1": list(f1), "f2": list(f2), "p": p} for f1, f2, p in states],
+    ))
+
+
+def _replay_witness(drain_1):
+    # rho* = 5/18: a = 1/3 into class (0, G) and 2/3 into (1, G) under (G, GB);
+    # (0, G) drains 5/6 under (B, BG), (1, G) drains drain_1 under (B, GG)
+    fill = (("G",), ("G", "B"))
+    return cs.RegionWitness(
+        "optimal",
+        "scale",
+        5 / 18,
+        a={(fill, 0, ("G",)): 1 / 3, (fill, 1, ("G",)): 2 / 3},
+        b={((("B",), ("B", "G")), 0, ("G",)): 5 / 6, ((("B",), ("G", "G")), 1, ("G",)): drain_1},
+    )
+
+
+def test_replay_accepts_an_over_drained_class():
+    # fill 5/18 <= drain 5/12 in class (1, G): as good as balanced
+    cfg = _replay_config()
+    assert cs.boundary_scale(cfg, [1.0, 0.5]) == pytest.approx(5 / 18, abs=1e-12)
+    assert cs.witness_max_violation(cfg, _replay_witness(1.0), direction=[1.0, 0.5]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_replay_rejects_an_under_drained_class():
+    # fill 5/18 > drain 5/24 in class (1, G): breached by 5/72
+    cfg = _replay_config()
+    worst = cs.witness_max_violation(cfg, _replay_witness(0.5), direction=[1.0, 0.5])
+    assert worst == pytest.approx(5 / 72, abs=1e-12)
