@@ -11,6 +11,7 @@ commands.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -122,6 +123,7 @@ def cmd_region(args) -> int:
             "rho_star": rho,
             "delta_star_at_rho(0.9)": delta,
             "status": wit.status,
+            "solver": dataclasses.asdict(wit.stats),
             **_witness_records(config, wit),
         }
         print(json.dumps(doc, sort_keys=True, indent=2))

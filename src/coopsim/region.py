@@ -1,4 +1,4 @@
-"""Throughput-region linear programs and a small dense simplex solver.
+"""Throughput-region linear programs and a revised simplex solver.
 
 The throughput region of the network is the set of arrival-rate vectors
 (bits/symbol per destination) for which time-sharing fractions exist.  The
@@ -33,19 +33,32 @@ variable d = delta + shift (shift = max(lambda) + 1, a lower bound
 certified by the all-zero assignment) and the reported value is d - shift.
 
 Both LPs are written as ``<=`` rows with a non-negative rhs, so x = 0 is
-feasible and the solver is a deterministic dense one-phase simplex that
-starts from the slack basis.  Pricing is Dantzig's (most negative reduced
-cost, ties to the lowest index) while the objective improves; if it stalls
-on degenerate pivots the solver switches to Bland's anti-cycling rule
-(lowest eligible index, leaving ties broken by lowest basic-variable
-index), which guarantees termination.  Both rules are deterministic, so a
-fixed LP always produces the same solution.  An optimum is checked from
-both sides before it is returned: x is replayed against the rows
-(achievable), and the row prices y, the slack columns' final reduced
-costs, must satisfy y >= 0, A^T y >= c and b.y = c.x, which by weak
-duality bounds every feasible objective by c.x (maximal).  Desk-scale
-problems stay below a few hundred columns, where determinism and zero
-dependencies matter more than speed.
+feasible and the solver is a deterministic one-phase revised simplex that
+starts from the slack basis of [A | I].  It keeps the basis inverse B^-1
+explicitly and updates it with one rank-1 step per pivot, together with
+the basic values x_B = B^-1 b and the reduced costs, which move by a
+multiple of the pivot row (row r of B^-1 [A | I]).  Every REFACTOR_EVERY
+pivots, and again before an optimum is accepted if pivots came after the
+last one, B^-1 is recomputed from the basis columns with numpy.linalg and
+x_B and the reduced costs are recomputed from it.  So rounding from the
+updates does not pile up, optimality is judged on fresh reduced costs,
+and the reported x_B = B^-1 b and prices y = c_B B^-1 come from a fresh
+inverse.  The entering column is picked by Devex pricing: the largest
+d_j^2 / w_j over the improving reduced costs d_j, with reference weights
+w_j updated from the pivot row and ties going to the lowest index.  If the
+objective stalls on degenerate pivots the solver switches to Bland's
+anti-cycling rule (lowest eligible index; leaving ties always go to the
+lowest basic-variable index), which guarantees termination.  Every rule
+is deterministic, so a fixed LP always produces the same solution under a
+fixed BLAS build and thread count (threaded products on large LPs may round
+differently under another thread count).
+
+An optimum is certified from both sides before it is returned: x is
+replayed against the rows (achievable), and the prices y must satisfy
+y >= 0, A^T y >= c and b.y = c.x, which by weak duality bounds every
+feasible objective by c.x (maximal).  ``SolveStats`` records what the
+solver did: pivots, refactorizations, when Bland's rule took over, the
+smallest pivot and the worst residual of each check.
 """
 
 from __future__ import annotations
@@ -85,6 +98,21 @@ class LinearProgram:
 
 
 @dataclass
+class SolveStats:
+    """What the simplex did on one LP.  ``bland_from`` is the pivot count at
+    which Bland's rule took over, ``min_pivot`` the smallest accepted
+    |pivot|, and the residuals are the worst relative ones of the two
+    post-solve checks; each is None when it never happened."""
+
+    pivots: int = 0
+    refactorizations: int = 0
+    bland_from: int | None = None
+    min_pivot: float | None = None
+    primal_residual: float | None = None
+    dual_residual: float | None = None
+
+
+@dataclass
 class RegionWitness:
     """Feasibility certificate: time-sharing fractions plus the margin.
 
@@ -99,98 +127,158 @@ class RegionWitness:
     a: dict = field(default_factory=dict)
     b: dict = field(default_factory=dict)
     x: np.ndarray | None = None
+    stats: SolveStats | None = None
 
 
 # ---------------------------------------------------------------------------
 # simplex core
 
 
-def _pivot(tab: np.ndarray, cost: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    cost -= cost[col] * tab[row]
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    cost[col] = 0.0
-    basis[row] = col
-
-
-def _ratio_row(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
+def _ratio_row(column: np.ndarray, x_b: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     """Leaving row by minimum ratio, Bland tie-break.  None means unbounded."""
-    column = tab[:, col]
-    threshold = PIVOT_TOL * max(1.0, np.abs(column).max())
-    eligible = column > threshold
-    if not eligible.any():
+    threshold = PIVOT_TOL * max(1.0, np.abs(column).max(initial=0.0))
+    eligible = np.flatnonzero(column > threshold)
+    if eligible.size == 0:
         if (column > 1e-25).any():
             raise DegeneracyError(
                 f"all candidate pivots in column {col} are below {threshold:.3g}"
             )
         return None
-    ratios = np.full(len(column), np.inf)
-    ratios[eligible] = tab[eligible, -1] / column[eligible]
-    best = ratios.min()
-    ties = np.nonzero(ratios == best)[0]
+    ratios = x_b[eligible] / column[eligible]
+    ties = eligible[ratios == ratios.min()]
     return int(ties[np.argmin(basis[ties])])
 
 
 STALL_LIMIT = 32  # degenerate pivots tolerated before Bland's rule kicks in
+REFACTOR_EVERY = 50  # pivots between refactorizations of the basis inverse
 
 
-def _iterate(tab, cost, basis) -> str:
-    bland = False
+class _Basis:
+    """A basis of [A | I] with its explicit inverse, the basic values
+    x_B = B^-1 b and the reduced costs d = c_B B^-1 [A | I] - [c | 0]."""
+
+    def __init__(self, matrix, rhs, objective, stats):
+        n_rows, n_cols = matrix.shape
+        self.full = np.hstack([matrix, np.eye(n_rows)])
+        # A region LP column has at most K + 2 nonzeros, so the pivot row is
+        # summed over the nonzeros of [A | I], listed column by column.
+        self.nz_cols, self.nz_rows = np.nonzero(self.full.T)
+        self.nz_vals = self.full[self.nz_rows, self.nz_cols]
+        self.rhs, self.stats = rhs, stats
+        self.cost = np.concatenate((objective, np.zeros(n_rows)))
+        self.cols = np.arange(n_cols, n_cols + n_rows)  # the slack basis: B = I
+        self.inverse = np.eye(n_rows)
+        self.recompute()
+
+    def refactor(self) -> None:
+        """Invert B from its columns, then recompute x_B and d."""
+        try:
+            self.inverse = np.linalg.inv(self.full[:, self.cols])
+        except np.linalg.LinAlgError:
+            raise DegeneracyError("the basis became singular") from None
+        self.stats.refactorizations += 1
+        self.recompute()
+
+    def recompute(self) -> None:
+        """x_B and d straight from the current inverse."""
+        self.fresh = True
+        self.x_b = self.inverse @ self.rhs
+        self.reduced = self.prices() @ self.full - self.cost
+        self.reduced[self.cols] = 0.0
+
+    def prices(self) -> np.ndarray:
+        """Row prices y = c_B B^-1."""
+        return self.cost[self.cols] @ self.inverse
+
+    def pivot(self, row: int, col: int, column: np.ndarray, weights: np.ndarray) -> None:
+        """Bring ``col`` in at ``row``, where ``column`` = B^-1 [A | I]_col:
+        rank-1 updates of B^-1, x_B and d from the pivot row r of
+        B^-1 [A | I], and of the Devex weights."""
+        pivot = float(column[row])
+        self.inverse[row] /= pivot
+        pivot_row = np.bincount(
+            self.nz_cols, weights=self.inverse[row][self.nz_rows] * self.nz_vals, minlength=len(self.cost)
+        )
+        weights[self.cols[row]] = max(weights[col] / pivot**2, 1.0)
+        np.maximum(weights, pivot_row * pivot_row * weights[col], out=weights)
+        self.reduced -= self.reduced[col] * pivot_row
+        self.reduced[col] = 0.0
+        step = self.x_b[row] / pivot
+        self.x_b -= step * column
+        self.x_b[row] = step
+        column[row] = 0.0
+        self.inverse -= column[:, None] * self.inverse[row]
+        self.cols[row] = col
+        self.fresh = False
+        self.stats.pivots += 1
+        self.stats.min_pivot = min(self.stats.min_pivot or math.inf, abs(pivot))
+        if self.stats.pivots % REFACTOR_EVERY == 0:
+            self.refactor()
+
+
+def _iterate(basis: _Basis) -> str:
+    """Devex pricing while the objective improves, Bland's rule once it
+    stalls; optimality is only declared on freshly computed values."""
+    stats = basis.stats
+    weights = np.ones(len(basis.cost))
     stall = 0
-    best = cost[-1]
-    for _ in range(MAX_PIVOTS):
-        reduced = cost[:-1]
-        if bland:
-            candidates = np.nonzero(reduced < -ENTER_TOL)[0]
-            if candidates.size == 0:
+    best = value = 0.0  # the slack basis has x = 0
+    while True:
+        eligible = basis.reduced < -ENTER_TOL
+        if stats.bland_from is None:  # Devex: largest d_j^2 / w_j, ties to the lowest index
+            col = int(np.argmax(np.where(eligible, basis.reduced * basis.reduced / weights, -1.0)))
+        else:  # Bland: lowest eligible index
+            col = int(np.argmax(eligible))
+        if not eligible[col]:
+            if basis.fresh:
                 return "optimal"
-            col = int(candidates[0])  # lowest eligible index
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -ENTER_TOL:
-                return "optimal"
-        row = _ratio_row(tab, basis, col)
+            basis.refactor()
+            continue
+        if stats.pivots >= MAX_PIVOTS:
+            raise SolverError("simplex failed to converge within the pivot limit")
+        column = basis.inverse @ basis.full[:, col]
+        row = _ratio_row(column, basis.x_b, basis.cols, col)
         if row is None:
             return "unbounded"
-        _pivot(tab, cost, basis, row, col)
-        if not bland:
-            if cost[-1] > best + 1e-12 * (1.0 + abs(best)):
-                best = cost[-1]
+        value -= basis.reduced[col] * basis.x_b[row] / column[row]
+        basis.pivot(row, col, column, weights)
+        if stats.bland_from is None:
+            if value > best + 1e-12 * (1.0 + abs(best)):
+                best = value
                 stall = 0
             else:
                 stall += 1
                 if stall > STALL_LIMIT:
-                    bland = True
-    raise SolverError("simplex failed to converge within the pivot limit")
+                    stats.bland_from = stats.pivots
 
 
-def _check_primal(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> None:
-    """Raise DegeneracyError unless x >= 0 and every row holds, each to
-    RESIDUAL_TOL relative to 1 + |rhs_i| + sum_j |A_ij x_j|."""
+def _check_primal(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
+    """Worst relative residual of x: x >= 0 and every row holds, each
+    relative to 1 + |rhs_i| + sum_j |A_ij x_j|.  Raise DegeneracyError if it
+    exceeds RESIDUAL_TOL."""
     gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + np.abs(matrix) @ np.abs(x))
     worst = max(gap.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
     if worst > RESIDUAL_TOL:
         raise DegeneracyError(f"post-solve residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
+    return float(worst)
 
 
-def _check_dual(matrix, rhs, objective, x, y) -> None:
-    """Raise DegeneracyError unless the row prices y prove x maximal: y >= 0,
-    A^T y >= c and b.y = c.x, each to RESIDUAL_TOL relative to the
-    magnitudes of its terms."""
+def _check_dual(matrix, rhs, objective, x, y) -> float:
+    """Worst relative residual of the row prices y as a proof that x is
+    maximal: y >= 0, A^T y >= c and b.y = c.x, each relative to the
+    magnitudes of its terms.  Raise DegeneracyError if it exceeds
+    RESIDUAL_TOL."""
     abs_y = np.abs(y)
     short = (objective - matrix.T @ y) / (1.0 + np.abs(objective) + np.abs(matrix).T @ abs_y)
     gap = abs(rhs @ y - objective @ x) / (1.0 + np.abs(rhs) @ abs_y + np.abs(objective) @ np.abs(x))
-    worst = max(-y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
+    worst = max(0.0, -y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
     if worst > RESIDUAL_TOL:
         raise DegeneracyError(f"dual residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
+    return float(worst)
 
 
 def solve_lp(lp: LinearProgram) -> RegionWitness:
-    """Solve with a one-phase dense simplex from the slack basis;
+    """Solve with a one-phase revised simplex from the slack basis;
     deterministic for a fixed LP.
 
     Every row must be "<=" with a non-negative rhs, so that x = 0 is
@@ -207,23 +295,21 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
         raise ValueError(f"solve_lp takes '<=' rows only, got {sorted(set(lp.senses) - {'<='})}")
     if not (rhs >= 0.0).all():
         raise ValueError("solve_lp needs a non-negative rhs")
-    n_rows, n_cols = matrix.shape
+    n_cols = matrix.shape[1]
 
-    tab = np.hstack([matrix, np.eye(n_rows), rhs[:, None]])
-    cost = np.zeros(n_cols + n_rows + 1)
-    cost[:n_cols] = -objective
-    basis = np.arange(n_cols, n_cols + n_rows)
-    if _iterate(tab, cost, basis) == "unbounded":
-        return RegionWitness(status="unbounded", kind=lp.kind, value=float("nan"))
+    stats = SolveStats()
+    basis = _Basis(matrix, rhs, objective, stats)
+    if _iterate(basis) == "unbounded":
+        return RegionWitness(status="unbounded", kind=lp.kind, value=float("nan"), stats=stats)
 
-    x_full = np.zeros(n_cols + n_rows)
-    x_full[basis] = tab[:, -1]
+    x_full = np.zeros(len(basis.cost))
+    x_full[basis.cols] = basis.x_b
     x = x_full[:n_cols]
-    _check_primal(matrix, rhs, x)
-    _check_dual(matrix, rhs, objective, x, cost[n_cols:-1])
+    stats.primal_residual = _check_primal(matrix, rhs, x)
+    stats.dual_residual = _check_dual(matrix, rhs, objective, x, basis.prices())
     raw = float(np.dot(objective, x))
     wit = RegionWitness(
-        status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x
+        status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x, stats=stats
     )
     for j, col in enumerate(lp.columns):
         if col and col[0] in ("a", "b") and x[j] > PIVOT_TOL:
@@ -252,22 +338,24 @@ def _assemble(config: NetworkConfig, extra_tag: tuple):
     k_dest = config.shape.num_destinations
     classes = _classes(config)
     states = [f for f in config.sorted_states if config.fading.table[f] > 0.0]
-    flow_row = {c: k_dest + i for i, c in enumerate(classes)}
-    time_row = {f: k_dest + len(classes) + i for i, f in enumerate(states)}
-    columns = []
-    for m, g1 in classes:
-        columns += [("a", m, g1, f) for f in states if f[0] == g1]
-        columns += [("b", m, g1, f) for f in states if (m, g1, f[1]) in config.support]
+    supported = config.support.triples
+    columns, class_of, state_of = [], [], []
+    for c, (m, g1) in enumerate(classes):
+        fill = [s for s, f in enumerate(states) if f[0] == g1]
+        drain = [s for s, f in enumerate(states) if (m, g1, f[1]) in supported]
+        columns += [("a", m, g1, states[s]) for s in fill] + [("b", m, g1, states[s]) for s in drain]
+        class_of += [c] * (len(fill) + len(drain))
+        state_of += fill + drain
+    fills = np.array([col[0] == "a" for col in columns], dtype=bool)
+    class_of, state_of = np.array(class_of, dtype=int), np.array(state_of, dtype=int)
+    pi = np.array([config.fading.table[f] for f in states])[state_of]
+    scheme = np.array([m for m, _ in classes], dtype=int)[class_of]
 
+    j = np.arange(len(columns))
     matrix = np.zeros((k_dest + len(classes) + len(states), len(columns) + 1))
-    for j, (fam, m, g1, f) in enumerate(columns):
-        pi = config.fading.table[f]
-        if fam == "a":
-            matrix[:k_dest, j] = -pi * config.rates[m]
-            matrix[flow_row[(m, g1)], j] = pi
-        else:
-            matrix[flow_row[(m, g1)], j] = -pi
-        matrix[time_row[f], j] = 1.0
+    matrix[:k_dest, j[fills]] = (-pi[fills, None] * config.rates[scheme[fills]]).T
+    matrix[k_dest + class_of, j] = np.where(fills, pi, -pi)
+    matrix[k_dest + len(classes) + state_of, j] = 1.0
     return tuple(columns) + (extra_tag,), matrix, slice(k_dest, k_dest + len(classes))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -76,6 +77,19 @@ def test_region_witness_json(capsys):
     assert doc["rho_star"] == pytest.approx(0.5, abs=1e-9)
     assert doc["a"] and doc["b"]
     assert doc["a"][0]["m"] == 0
+
+
+def test_region_witness_reports_solver_stats(capsys):
+    # --witness adds the scale LP's solver statistics; plain output has none
+    assert main(["region", DESK, "--direction", "1,1", "--witness"]) == 0
+    solver = json.loads(capsys.readouterr().out)["solver"]
+    assert solver == dataclasses.asdict(cs.scale_witness(cs.load_config(DESK), [1.0, 1.0]).stats)
+    assert solver["pivots"] > 0 and solver["refactorizations"] >= 1 and solver["min_pivot"] > 0.0
+    assert 0.0 <= solver["primal_residual"] <= 1e-9 and 0.0 <= solver["dual_residual"] <= 1e-9
+    assert main(["region", DESK, "--direction", "1,1"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "direction_1", "direction_2", "rho_star", "delta_star_at_rho(0.9)", "status"
+    ]
 
 
 def test_region_witness_records_balance_per_triple(capsys):

@@ -4,8 +4,9 @@ Every optimum the package reports must match HiGHS on the very same
 LinearProgram to 1e-7 relative, and its witness must replay against the
 region constraints to 1e-7: on desk over random directions (scale LP) and
 random loads up to 1.2 rho* (slack LP), on small random configs with
-sparse fading tables, zero-probability states and random support, and on
-two generated N = 3 configs (335-row scale LPs).
+sparse fading tables, zero-probability states and random support, on
+seven generated N = 3 configs (335-row scale LPs) and on one generated
+N = 4 config (an 899 x 16412 scale LP).
 
 Hypothesis 6.155 also draws literal constants found in the imported
 non-test modules (``src/coopsim/*``, ``bench/spans.py``, ``bench/stats.py``),
@@ -74,10 +75,29 @@ def test_small_configs_match_highs(case):
     _scale_and_slack(config, direction, fraction)
 
 
-@pytest.mark.parametrize("seed,rho", [(6, 0.8846153846153847), (19, 0.9600000000000001)])
+@pytest.mark.parametrize(
+    "seed,rho",
+    [
+        (1, 0.4999999999999999),
+        (2, 0.9999999999999998),
+        (3, 1.0000000000000004),
+        (4, 1.0000000000000002),
+        (5, 1.2000000000000006),
+        (6, 0.8846153846153847),
+        (19, 0.9600000000000001),
+    ],
+)
 def test_generated_n3_scale_matches_highs(seed, rho):
     # N=3, K=3, M=4, 300 states; seed 6 once failed the post-solve replay
     config = sparse_config(3, 3, 4, 300, seed)
     lp = cs.build_scale_lp(config, np.ones(3))
     assert lp.matrix.shape[0] == 335
     assert _agrees(config, cs.solve_lp(lp), lp, direction=np.ones(3)) == pytest.approx(rho, abs=1e-12)
+
+
+def test_generated_n4_scale_matches_highs():
+    # N=4, K=3, M=6, 800 states; the dense tableau ran for minutes without an answer
+    config = sparse_config(4, 3, 6, 800, 1)
+    lp = cs.build_scale_lp(config, np.ones(3))
+    assert lp.matrix.shape == (899, 16412)
+    assert _agrees(config, cs.solve_lp(lp), lp, direction=np.ones(3)) == pytest.approx(1.147058823529411, abs=1e-12)

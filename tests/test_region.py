@@ -38,6 +38,7 @@ def test_solver_rejects_rows_that_exclude_the_origin():
 def test_solver_unbounded():
     wit = cs.solve_lp(_lp([1.0], [[-1.0]], ["<="], [2.0]))
     assert wit.status == "unbounded"
+    assert cs.solve_lp(_lp([1.0], np.zeros((0, 1)), [], [])).status == "unbounded"  # no rows at all
 
 
 def test_solver_rejects_non_2d_matrix():
@@ -60,6 +61,28 @@ def test_solver_two_rows():
     assert wit.status == "optimal"
     assert wit.value == pytest.approx(7.0, abs=1e-9)
     assert wit.x == pytest.approx([1.0, 3.0], abs=1e-9)
+
+
+def test_solver_terminates_on_beales_cycling_lp(monkeypatch):
+    # Beale's LP cycles under Dantzig's rule with lowest-index ties.  Solve it
+    # under Devex, then with Bland's rule taking over at the first pivot
+    # that does not improve the objective.
+    import coopsim.region as region
+
+    lp = _lp(
+        [0.75, -20.0, 0.5, -6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        ["<="] * 3,
+        [0.0, 0.0, 1.0],
+    )
+    for stall_limit, bland_from in ((region.STALL_LIMIT, None), (0, 1)):
+        monkeypatch.setattr(region, "STALL_LIMIT", stall_limit)
+        wit = cs.solve_lp(lp)
+        assert wit.status == "optimal"
+        assert wit.value == pytest.approx(1.25, abs=1e-12)
+        assert wit.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+        assert wit.stats.bland_from == bland_from
+        assert wit.stats.pivots <= 10
 
 
 # -- LP structure -----------------------------------------------------------
@@ -280,6 +303,18 @@ def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
     real = region._check_dual
     monkeypatch.setattr(region, "_check_dual", lambda m, r, c, x, y: real(m, r, c, x, 0.5 * y))
     with pytest.raises(cs.DegeneracyError, match="dual residual"):
+        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+
+
+def test_singular_basis_at_refactorization_raises(monkeypatch):
+    import coopsim.region as region
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(region, "REFACTOR_EVERY", 1)
+    monkeypatch.setattr(region.np.linalg, "inv", singular)
+    with pytest.raises(cs.DegeneracyError, match="singular"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
 
 
