@@ -7,9 +7,7 @@ from .controller import (
     SECOND_HOP,
     Decision,
     decide,
-    first_hop_weight,
     lyapunov,
-    second_hop_weight,
 )
 from .model import (
     ConfigError,

@@ -137,8 +137,11 @@ class NetworkConfig:
 
     @cached_property
     def rate_sums(self) -> np.ndarray:
-        """(M,) vector of r_m . 1, summed k ascending."""
-        out = self.rates.sum(axis=1)
+        """(M,) vector of r_m . 1, summed k ascending from 0.0 (numpy's row
+        sum is pairwise from 8 terms on)."""
+        out = np.zeros(len(self.schemes))
+        for column in self.rates.T:
+            out += column
         out.setflags(write=False)
         return out
 

@@ -16,21 +16,13 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
   bernoulli-batch  2 * mu bits with probability 1/2, else 0
 
 The block loop keeps the state's one relay queue as a flat list of length
-M * |F|^N, index m * |F|^N + g1.  It runs as a scalar kernel over Python
-floats, with the controller and queue rules of ``controller`` and
-``queueing`` inlined, and reproduces those reference functions bit for bit:
-
-  * a relay column sum is N * q, as in ``controller``.  Queues start empty
-    and move only in whole multiples of the integer T, so every q and N * q
-    is an exactly represented integer;
-  * the first-hop weight A accumulates k ascending from 0.0, the order
-    numpy's reduction uses for fewer than 8 destinations (signed zeros
-    included).  The controller documents this order for any K;
-  * ties go to the lowest scheme and then the smallest g1 (strict >), with
-    first hop winning on A >= B, as in ``controller.decide``;
-  * the per-block series are numpy row sums over buffered chunks of the
-    one relay's queue, which equal the 1-D sums of the reference bit for
-    bit.  The final state is the flat queue reshaped to (M, |F|^N).
+M * |F|^N, index m * |F|^N + g1, and runs over Python floats: once per
+block it calls ``controller.choose`` on the state's precomputed
+``controller.state_entry`` and applies the exact updates of ``queueing``
+inline.  Queues start empty and move only in whole multiples of the integer
+T.  The per-block series are numpy row sums over buffered chunks of the one
+relay's queue, and the final state is the flat queue reshaped to
+(M, |F|^N).
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
 draws a run of that many blocks would use.  The controller decides once per
@@ -58,13 +50,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import FIRST_HOP, IDLE, SECOND_HOP, decide, lyapunov
+from .controller import FIRST_HOP, SECOND_HOP, VARIANT_NAMES, choose, decide, lyapunov, state_entry
 from .model import NetworkConfig, fading_indices
 from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop, snapshot_header
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
-VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)
-VARIANT_CODES = {name: i for i, name in enumerate(VARIANT_NAMES)}
 
 # Blocks per chunk: draws are converted to Python lists, and the series and
 # snapshot rows computed, one chunk at a time, so memory stays flat in the
@@ -229,25 +219,6 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     return state_idx, arr
 
 
-def _state_table(config: NetworkConfig) -> list:
-    """Per sorted fading state: the flat queue index of each scheme's
-    (m, f1) cell, and the drainable cells under f2 as (index, (r_m . 1)^2)
-    in row-major (m, then g1) order."""
-    n_g1 = len(config.first_hop_space)
-    w2 = (config.rate_sums * config.rate_sums).tolist()
-    table = []
-    for f1, f2 in config.sorted_states:
-        g1i = config.g1_index[f1]
-        first = tuple(m * n_g1 + g1i for m in range(len(config.schemes)))
-        drains = []
-        if f2 in config.drain_masks:
-            for m, g in np.argwhere(config.drain_masks[f2]).tolist():
-                assert (m, config.first_hop_space[g], f2) in config.support
-                drains.append((m * n_g1 + g, w2[m]))
-        table.append((first, tuple(drains)))
-    return table
-
-
 def run(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -270,7 +241,7 @@ def run(
     n_cells = len(config.schemes) * n_g1
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
-    table = _state_table(config)
+    table = [state_entry(config, f) for f in config.sorted_states]
     rates = config.rates.tolist()
     rates_T = (config.rates * T).tolist()
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
@@ -296,41 +267,28 @@ def run(
         ch_var, ch_m, ch_g1, ch_a, ch_b = [], [], [], [], []
         ch_src, ch_q = [], []
         for s, a in zip(state_idx[lo:hi].tolist(), arr[:, lo:hi].T.tolist()):
-            first, drains = table[s]
-            for m, c in enumerate(first):
-                col = n_relays * q[c]
-                w = 0.0
-                for x, r in zip(src, rates[m]):
-                    w += (x - r * col) * r
-                if m == 0 or w > wa:
-                    wa, m_star = w, m
-            wb = -math.inf
-            for c, w2 in drains:
-                w = w2 * (n_relays * q[c])
-                if w > wb:
-                    wb, c_hat = w, c
-            if allow_idle and wa <= 0.0 and wb <= 0.0:
+            code, c, wa, wb = choose(src, q, table[s], n_relays, allow_idle)
+            if code == 0:  # first hop into queue c
+                m = c // n_g1
+                # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
+                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, rates_T[m])]
+                q[c] += T
+                ch_m.append(m)
+                ch_g1.append(-1)
+            elif code == 1:  # second hop draining queue c
+                pre = q[c]
+                m, g1 = divmod(c, n_g1)
+                sent = min(T, pre)
+                delivered = [d + sent * r for d, r in zip(delivered, rates[m])]
                 src = [x + y for x, y in zip(src, a)]
-                ch_var.append(VARIANT_CODES[IDLE])
+                q[c] = v if (v := pre - T) > 0.0 else 0.0
+                ch_m.append(m)
+                ch_g1.append(g1)
+            else:  # idle
+                src = [x + y for x, y in zip(src, a)]
                 ch_m.append(-1)
                 ch_g1.append(-1)
-            elif wa >= wb:
-                # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
-                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, rates_T[m_star])]
-                q[first[m_star]] += T
-                ch_var.append(VARIANT_CODES[FIRST_HOP])
-                ch_m.append(m_star)
-                ch_g1.append(-1)
-            else:
-                pre = q[c_hat]
-                m_hat, g1_hat = divmod(c_hat, n_g1)
-                sent = min(T, pre)
-                delivered = [d + sent * r for d, r in zip(delivered, rates[m_hat])]
-                src = [x + y for x, y in zip(src, a)]
-                q[c_hat] = v if (v := pre - T) > 0.0 else 0.0
-                ch_var.append(VARIANT_CODES[SECOND_HOP])
-                ch_m.append(m_hat)
-                ch_g1.append(g1_hat)
+            ch_var.append(code)
             ch_a.append(wa)
             ch_b.append(wb)
             ch_src.append(src)

@@ -5,14 +5,15 @@ block's discrete scheduling program with plain Python loops (k ascending,
 n ascending over the N equal relays, the support read as its raw triples)
 and picks the maximum under the documented preference order.
 
-``reference_run`` is the simulator's block loop written against the
-spec-level functions: ``controller.decide``, the pure ``queueing.apply_*``
-updates, ``controller.lyapunov`` and numpy reductions over the state's one
-``(M, |F|^N)`` relay array for every other series.  ``sim.run`` must
-reproduce it bit for bit.
+``reference_run`` is the simulator's block loop written with
+``bruteforce_decide`` (``sim.run`` and ``controller.decide`` share one rule,
+so ``decide`` would check that rule against itself), the pure
+``queueing.apply_*`` updates, ``controller.lyapunov`` and numpy reductions
+over the state's one ``(M, |F|^N)`` relay array for every other series.
+``sim.run`` must reproduce it bit for bit.
 
-``reference_drift_check`` is ``drift_check`` with one ``decide`` call, one
-pure queue update and one full potential per sample.
+``reference_drift_check`` is ``drift_check`` with one ``bruteforce_decide``
+call, one pure queue update and one full potential per sample.
 
 ``expected_drift`` is the exact one-block drift at a probe: the sum over
 every fading state and every point of the finite arrival support, weighted
@@ -34,7 +35,7 @@ import math
 
 import numpy as np
 
-from coopsim.controller import FIRST_HOP, SECOND_HOP, decide, lyapunov
+from coopsim.controller import FIRST_HOP, SECOND_HOP, VARIANT_NAMES, decide, lyapunov
 from coopsim.queueing import (
     QueueState,
     apply_first_hop,
@@ -42,11 +43,12 @@ from coopsim.queueing import (
     apply_second_hop,
     snapshot_header,
 )
-from coopsim.sim import VARIANT_CODES, DriftEstimate, Metrics, _draws
+from coopsim.sim import DriftEstimate, Metrics, _draws
 
 
-def bruteforce_decide(state, f):
-    """(variant, m, g1, best_first, best_second) by exhaustive enumeration."""
+def bruteforce_decide(state, f, allow_idle=False):
+    """(variant, m, g1, best_first, best_second) by exhaustive enumeration;
+    with ``allow_idle``, idle when neither weight is positive."""
     cfg = state.config
     triples = cfg.support.triples
     f1, f2 = tuple(f[0]), tuple(f[1])
@@ -76,16 +78,17 @@ def bruteforce_decide(state, f):
                 second.append((rsum * rsum * s, m, g1))
 
     best_first = max(first, key=lambda c: c[0])  # max keeps the earliest maximum
-    if not second:
-        return ("first_hop", best_first[1], None, best_first[0], float("-inf"))
-    best_second = max(second, key=lambda c: c[0])
+    best_second = max(second, key=lambda c: c[0], default=(float("-inf"), None, None))
+    if allow_idle and best_first[0] <= 0.0 and best_second[0] <= 0.0:
+        return ("idle", None, None, best_first[0], best_second[0])
     if best_first[0] >= best_second[0]:
         return ("first_hop", best_first[1], None, best_first[0], best_second[0])
     return ("second_hop", best_second[1], best_second[2], best_first[0], best_second[0])
 
 
 def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_sink=None):
-    """``sim.run`` as one ``decide`` and one pure queue update per block."""
+    """``sim.run`` as one ``bruteforce_decide`` and one pure queue update per
+    block."""
     k_dest = config.shape.num_destinations
     T = config.shape.block_length
     state_idx, arr = _draws(config, arrivals, horizon, seed)
@@ -112,22 +115,20 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
     for t in range(horizon):
         f = states[state_idx[t]]
         a = arr[:, t]
-        d = decide(state, f, allow_idle=allow_idle)
-        if d.variant == FIRST_HOP:
-            state = apply_first_hop(state, a, d.m, f[0])
-            dec_m[t] = d.m
-        elif d.variant == SECOND_HOP:
-            assert (d.m, d.g1, f[1]) in config.support
-            pre = state.relay[d.m, g1_index[d.g1]]
-            delivered += min(T, pre) * config.rates[d.m]
-            state = apply_second_hop(state, a, d.m, d.g1)
-            dec_m[t] = d.m
-            dec_g1[t] = g1_index[d.g1]
+        variant, m, g1, w_first[t], w_second[t] = bruteforce_decide(state, f, allow_idle)
+        if variant == FIRST_HOP:
+            state = apply_first_hop(state, a, m, f[0])
+            dec_m[t] = m
+        elif variant == SECOND_HOP:
+            assert (m, g1, f[1]) in config.support
+            pre = state.relay[m, g1_index[g1]]
+            delivered += min(T, pre) * config.rates[m]
+            state = apply_second_hop(state, a, m, g1)
+            dec_m[t] = m
+            dec_g1[t] = g1_index[g1]
         else:
             state = apply_idle(state, a)
-        variants[t] = VARIANT_CODES[d.variant]
-        w_first[t] = d.weight_first
-        w_second[t] = d.weight_second
+        variants[t] = VARIANT_NAMES.index(variant)
         src_series[t] = state.source.sum()
         rel_series[t] = state.relay.sum()
         rel_bits_series[t] = (state.relay * rate_sums[:, None]).sum()
@@ -169,7 +170,7 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
 
 
 def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_idle=False):
-    """``drift_check`` with a fresh controller decision, a pure queue update
+    """``drift_check`` with a fresh ``bruteforce_decide``, a pure queue update
     and a full potential for every sample, on the draws of ``sim._draws``."""
     state_idx, arr = _draws(config, arrivals, samples, seed)
     v0 = lyapunov(probe_state)
@@ -177,11 +178,11 @@ def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_
     for i in range(samples):
         f = config.sorted_states[state_idx[i]]
         a = arr[:, i]
-        d = decide(probe_state, f, allow_idle=allow_idle)
-        if d.variant == FIRST_HOP:
-            nxt = apply_first_hop(probe_state, a, d.m, f[0])
-        elif d.variant == SECOND_HOP:
-            nxt = apply_second_hop(probe_state, a, d.m, d.g1)
+        variant, m, g1, _, _ = bruteforce_decide(probe_state, f, allow_idle)
+        if variant == FIRST_HOP:
+            nxt = apply_first_hop(probe_state, a, m, f[0])
+        elif variant == SECOND_HOP:
+            nxt = apply_second_hop(probe_state, a, m, g1)
         else:
             nxt = apply_idle(probe_state, a)
         dv[i] = lyapunov(nxt) - v0

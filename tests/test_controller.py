@@ -5,7 +5,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP
-from conftest import make_doc
+from conftest import make_doc, sparse_config
 from oracles import bruteforce_decide
 
 
@@ -16,28 +16,31 @@ def _two_scheme_cfg(support="all"):
     )
 
 
+F_A = (("a",), ("a",))  # f1 = f2 = ("a",)
+
+
 def test_first_hop_weight_picks_higher_rate():
     cfg = _two_scheme_cfg()
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [10.0]
-    a, m = cs.first_hop_weight(st, ("a",))
-    assert (a, m) == (20.0, 1)
+    d = cs.decide(st, F_A)
+    assert (d.variant, d.weight_first, d.m) == (FIRST_HOP, 20.0, 1)
 
 
 def test_first_hop_weight_backpressure_flips():
-    cfg = _two_scheme_cfg()
+    cfg = _two_scheme_cfg(support=[])  # B = -inf, so the first hop shows m*
     st = cs.QueueState.zeros(cfg)
     st.source[:] = [10.0]
     st.relay[1, 0] = 6.0  # scheme 1 backlog at f1=('a',)
-    a, m = cs.first_hop_weight(st, ("a",))
-    assert (a, m) == (10.0, 0)  # (10-12)*2 = -4 loses to 10
+    d = cs.decide(st, F_A)
+    assert (d.variant, d.weight_first, d.m) == (FIRST_HOP, 10.0, 0)  # (10-12)*2 = -4 loses to 10
 
 
 def test_first_hop_weight_tie_breaks_low_index():
-    cfg = _two_scheme_cfg()
+    cfg = _two_scheme_cfg(support=[])
     st = cs.QueueState.zeros(cfg)
-    a, m = cs.first_hop_weight(st, ("a",))
-    assert (a, m) == (0.0, 0)
+    d = cs.decide(st, F_A)
+    assert (d.variant, d.weight_first, d.m) == (FIRST_HOP, 0.0, 0)
 
 
 def test_second_hop_weight_examples():
@@ -45,19 +48,20 @@ def test_second_hop_weight_examples():
     st = cs.QueueState.zeros(cfg)
     st.relay[0, 0] = 10.0  # (m0, a): weight 1*10
     st.relay[1, 1] = 4.0  # (m1, b): weight 4*4
-    f2 = ("a",)
-    best = cs.second_hop_weight(st, f2)
-    assert best == (16.0, 1, ("b",))
+    d = cs.decide(st, F_A)  # A = 0 via scheme 1
+    assert (d.variant, d.weight_second, d.m, d.g1) == (SECOND_HOP, 16.0, 1, ("b",))
 
     # drop (m1, b) from the support for this f2: next best is (m0, a)
     trimmed = [
         {"m": m, "g1": [g1], "g2": [g2]} for m in (0, 1) for g1 in "ab" for g2 in "ab" if (m, g1) != (1, "b")
     ]
     st_trimmed = cs.QueueState.from_values(_two_scheme_cfg(trimmed), st.source, st.relay)
-    assert cs.second_hop_weight(st_trimmed, f2) == (10.0, 0, ("a",))
+    d = cs.decide(st_trimmed, F_A)
+    assert (d.variant, d.weight_second, d.m, d.g1) == (SECOND_HOP, 10.0, 0, ("a",))
 
     st_empty = cs.QueueState.from_values(_two_scheme_cfg([]), st.source, st.relay)
-    assert cs.second_hop_weight(st_empty, f2) is None
+    d = cs.decide(st_empty, F_A)
+    assert (d.variant, d.weight_second) == (FIRST_HOP, -np.inf)
 
 
 def test_second_hop_tie_breaks_lowest_m_then_g1():
@@ -65,9 +69,9 @@ def test_second_hop_tie_breaks_lowest_m_then_g1():
         make_doc(n=1, k=1, alphabet=("a", "b"), rates=((1.0,), (1.0,)))
     )
     st = cs.QueueState.zeros(cfg)
-    st.relay[:, :] = 7.0  # every queue equal
-    b, m, g1 = cs.second_hop_weight(st, ("a",))
-    assert (m, g1) == (0, ("a",))
+    st.relay[:, :] = 7.0  # every queue equal: B = 7, A = -7
+    d = cs.decide(st, F_A)
+    assert (d.variant, d.m, d.g1) == (SECOND_HOP, 0, ("a",))
 
 
 def test_decide_prefers_first_hop_on_ties():
@@ -132,17 +136,19 @@ def test_second_hop_weight_scales_linearly():
         make_doc(n=2, k=2, alphabet=("a", "b"), rates=((1.0, 0.5), (0.25, 2.0)))
     )
     second_hop_space = list(itertools.product(cfg.fading.alphabet, repeat=4))
+    f1 = cfg.first_hop_space[0]
     rng = np.random.default_rng(11)
     for _ in range(50):
         st = cs.QueueState.zeros(cfg)
         st.relay[:] = rng.uniform(0, 40, size=st.relay.shape)
-        f2 = second_hop_space[int(rng.integers(0, len(second_hop_space)))]
-        base = cs.second_hop_weight(st, f2)
+        f = (f1, second_hop_space[int(rng.integers(0, len(second_hop_space)))])
+        base = cs.decide(st, f)  # empty sources: A <= 0 < B
         c = float(rng.uniform(0.1, 9.0))
         scaled = cs.QueueState.from_values(cfg, st.source * c, st.relay * c)
-        out = cs.second_hop_weight(scaled, f2)
-        assert out[1:] == base[1:]  # same maximizer
-        assert out[0] == pytest.approx(c * base[0], rel=1e-12)
+        out = cs.decide(scaled, f)
+        assert base.variant == out.variant == SECOND_HOP
+        assert (out.m, out.g1) == (base.m, base.g1)  # same maximizer
+        assert out.weight_second == pytest.approx(c * base.weight_second, rel=1e-12)
 
 
 def test_controller_ignores_fading_distribution(desk):
@@ -166,11 +172,21 @@ def test_controller_ignores_fading_distribution(desk):
 
 
 def test_decide_matches_bruteforce_randomized(desk):
+    _check_decide_against_bruteforce(desk)
+
+
+def test_decide_matches_bruteforce_randomized_k9():
+    # from 8 terms on numpy's pairwise row sums would round A and r_m . 1
+    # differently from the k-ascending sums
+    _check_decide_against_bruteforce(sparse_config(1, 9, 3, 40, 5))
+
+
+def _check_decide_against_bruteforce(config):
     rng = np.random.default_rng(99)
-    states = desk.sorted_states
+    states = config.sorted_states
     for _ in range(300):
-        st = cs.QueueState.zeros(desk)
-        st.source[:] = rng.uniform(0, 500, size=2)
+        st = cs.QueueState.zeros(config)
+        st.source[:] = rng.uniform(0, 500, size=config.shape.num_destinations)
         st.relay[:] = rng.uniform(0, 300, size=st.relay.shape)
         f = states[int(rng.integers(0, len(states)))]
         d = cs.decide(st, f)

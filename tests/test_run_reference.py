@@ -1,11 +1,12 @@
 """``sim.run`` against ``oracles.reference_run``, the block loop written with
-``controller.decide`` and the pure ``queueing.apply_*`` updates.
+``oracles.bruteforce_decide`` and the pure ``queueing.apply_*`` updates.
 
 Every ``Metrics`` field must match bit for bit: arrays by dtype, shape and
 raw bytes (so the sign of every zero and every -inf counts), scalars the
 same way, and ``final_state`` through both of its arrays.  ``drift_check``
-is held to its one-decision-per-sample reference the same way, and its
-mean to the exactly enumerated ``oracles.expected_drift``.
+is held the same way to ``oracles.reference_drift_check``, one
+``bruteforce_decide`` per sample, and its mean to the exactly enumerated
+``oracles.expected_drift``.
 """
 
 import dataclasses
@@ -86,7 +87,7 @@ def test_run_matches_reference(request, name, allow_idle, distribution, seed):
     assert_bit_identical(got, want)
 
 
-@pytest.mark.parametrize("n,k,seed", [(3, 1, 11), (1, 3, 12), (2, 3, 13)])
+@pytest.mark.parametrize("n,k,seed", [(3, 1, 11), (1, 3, 12), (2, 3, 13), (1, 9, 14)])
 @pytest.mark.parametrize("allow_idle", [False, True])
 def test_run_matches_reference_synthetic(n, k, seed, allow_idle):
     config = _synthetic_config(n, k, seed)
