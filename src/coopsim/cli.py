@@ -180,6 +180,8 @@ def _sweep_task(config_path, rates, horizon, seed, allow_idle, load_factor):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = load_config(args.config)
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -211,10 +213,13 @@ def cmd_sweep(args) -> int:
         for lf in load_factors
         for seed in seeds
     ]
-    if args.jobs == 1:
+    # The pool starts all its workers at the first submit, so it gets no
+    # more than there are tasks.
+    workers = min(args.jobs, len(tasks))
+    if workers == 1:
         rows = [_sweep_task(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_task, *zip(*tasks)))
     rows.sort(key=lambda r: (r[0], r[1]))
     print("load_factor,seed,growth_rate,verdict")

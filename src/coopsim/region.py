@@ -431,7 +431,21 @@ def slack_witness(config: NetworkConfig, lam) -> RegionWitness:
 
 
 def scale_witness(config: NetworkConfig, direction) -> RegionWitness:
-    return solve_lp(build_scale_lp(config, direction))
+    """The scale LP's witness along ``direction``, solved on the direction
+    times the power of two 2^-e that puts its largest entry in (0.5, 1], as
+    the solver's tolerances are not scale-free.  rho(c * d) = rho(d) / c, so
+    ``value`` and the rho entry of ``x`` are scaled back by 2^-e exactly;
+    ``stats`` describe the scaled solve."""
+    direction = np.asarray(direction, dtype=float)
+    mantissa, e = math.frexp(float(direction.max(initial=0.0)))
+    e -= mantissa == 0.5  # a power of two scales to 1, not 0.5
+    wit = solve_lp(build_scale_lp(config, np.ldexp(direction, -e)))
+    if wit.status == "optimal":
+        try:
+            wit.value = wit.x[-1] = math.ldexp(wit.value, -e)
+        except OverflowError:
+            raise ValueError("rho* along this direction exceeds the float range") from None
+    return wit
 
 
 def interior_slack(config: NetworkConfig, lam) -> float:

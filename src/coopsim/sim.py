@@ -16,13 +16,17 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
   bernoulli-batch  2 * mu bits with probability 1/2, else 0
 
 The block loop keeps the state's one relay queue as a flat list of length
-M * |F|^N, index m * |F|^N + g1, and runs over Python floats: once per
+M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
 block it calls ``controller.choose`` on the state's precomputed
 ``controller.state_entry`` and applies the exact updates of ``queueing``
-inline.  Queues start empty and move only in whole multiples of the integer
-T.  The per-block series are numpy row sums over buffered chunks of the one
-relay's queue, and the final state is the flat queue reshaped to
-(M, |F|^N).
+inline, reading scheme m's rates per flat index.  Queues start empty and
+move only in whole multiples of the integer T.  The loop records only what
+it alone knows: each block's (variant code, c, A, B), the source queues and
+the relay queue.  The decision columns m and g1 are split from c with numpy
+after the loop, the per-block series are numpy row sums over buffered
+chunks of the one relay's queue, and the final state is the flat queue
+reshaped to (M, |F|^N).  The action shares and trailing means of the
+summary are derived where they are printed, in ``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
 draws a run of that many blocks would use.  The controller decides once per
@@ -46,7 +50,7 @@ quadratic potential uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,15 +110,19 @@ def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: f
 
 @dataclass
 class Metrics:
+    """A run's per-block record and its final queues.  The shares of
+    each action and the trailing-half means are not stored: ``summary_dict``
+    derives them from ``variants`` and the series."""
+
     horizon: int
     block_length: int
     source_backlog: np.ndarray  # bits after each block's update
     relay_backlog: np.ndarray = None  # one relay's symbols: a packet counts once, not N times
     relay_backlog_bits: np.ndarray = None  # the same symbols weighted by each queue's r_m . 1
     lyapunov: np.ndarray = None
-    variants: np.ndarray = None  # codes into VARIANT_NAMES
-    decision_m: np.ndarray = None  # -1 when the action has no scheme
-    decision_g1: np.ndarray = None  # index into g1_space, -1 when absent
+    variants: np.ndarray = None  # choose()'s codes into VARIANT_NAMES
+    decision_m: np.ndarray = None  # c // |F|^N of choose()'s queue index c, -1 when idle
+    decision_g1: np.ndarray = None  # c % |F|^N, an index into g1_space, on a second hop only; else -1
     weight_first: np.ndarray = None
     weight_second: np.ndarray = None
     fading_state_idx: np.ndarray = None  # index into the config's sorted states
@@ -122,19 +130,7 @@ class Metrics:
     seed: int | None = None
     delivered_bits: np.ndarray = None  # per destination, capped at offered
     offered_bits: np.ndarray = None
-    fraction_first: float = 0.0
-    fraction_second: float = 0.0
-    fraction_idle: float = 0.0
-    trailing_avg_source_bits: float = 0.0
-    trailing_avg_relay_symbols: float = 0.0
-    trailing_avg_total_bits: float = 0.0
     final_state: QueueState | None = None
-
-    def __post_init__(self):
-        if self.relay_backlog is None:
-            self.relay_backlog = np.zeros(self.horizon)
-        if self.relay_backlog_bits is None:
-            self.relay_backlog_bits = np.zeros(self.horizon)
 
     def total_backlog_bits(self) -> np.ndarray:
         return self.source_backlog + self.relay_backlog_bits
@@ -242,8 +238,8 @@ def run(
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     table = [state_entry(config, f) for f in config.sorted_states]
-    rates = config.rates.tolist()
-    rates_T = (config.rates * T).tolist()
+    cell_rates = np.repeat(config.rates, n_g1, axis=0).tolist()  # r_m per flat index
+    cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
 
     src_series = np.empty(horizon)
@@ -251,8 +247,7 @@ def run(
     rel_bits_series = np.empty(horizon)
     v_series = np.empty(horizon)
     variants = np.empty(horizon, dtype=np.int8)
-    dec_m = np.empty(horizon, dtype=np.int32)
-    dec_g1 = np.empty(horizon, dtype=np.int32)
+    cells = np.empty(horizon, dtype=np.int32)  # the queue filled or drained, -1 when idle
     w_first = np.empty(horizon)
     w_second = np.empty(horizon)
     delivered = [0.0] * k_dest
@@ -264,41 +259,26 @@ def run(
 
     for lo in range(0, horizon, CHUNK):
         hi = min(lo + CHUNK, horizon)
-        ch_var, ch_m, ch_g1, ch_a, ch_b = [], [], [], [], []
-        ch_src, ch_q = [], []
+        ch_act, ch_src, ch_q = [], [], []
         for s, a in zip(state_idx[lo:hi].tolist(), arr[:, lo:hi].T.tolist()):
-            code, c, wa, wb = choose(src, q, table[s], n_relays, allow_idle)
+            act = choose(src, q, table[s], n_relays, allow_idle)
+            code, c = act[0], act[1]
             if code == 0:  # first hop into queue c
-                m = c // n_g1
                 # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
-                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, rates_T[m])]
+                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, cell_sends[c])]
                 q[c] += T
-                ch_m.append(m)
-                ch_g1.append(-1)
-            elif code == 1:  # second hop draining queue c
-                pre = q[c]
-                m, g1 = divmod(c, n_g1)
-                sent = min(T, pre)
-                delivered = [d + sent * r for d, r in zip(delivered, rates[m])]
+            else:
                 src = [x + y for x, y in zip(src, a)]
-                q[c] = v if (v := pre - T) > 0.0 else 0.0
-                ch_m.append(m)
-                ch_g1.append(g1)
-            else:  # idle
-                src = [x + y for x, y in zip(src, a)]
-                ch_m.append(-1)
-                ch_g1.append(-1)
-            ch_var.append(code)
-            ch_a.append(wa)
-            ch_b.append(wb)
+                if code == 1:  # second hop draining queue c
+                    pre = q[c]
+                    sent = min(T, pre)
+                    delivered = [d + sent * r for d, r in zip(delivered, cell_rates[c])]
+                    q[c] = v if (v := pre - T) > 0.0 else 0.0
+            ch_act.append(act)
             ch_src.append(src)
             ch_q.extend(q)
 
-        variants[lo:hi] = ch_var
-        dec_m[lo:hi] = ch_m
-        dec_g1[lo:hi] = ch_g1
-        w_first[lo:hi] = ch_a
-        w_second[lo:hi] = ch_b
+        variants[lo:hi], cells[lo:hi], w_first[lo:hi], w_second[lo:hi] = zip(*ch_act)
         source = np.array(ch_src)
         relay = np.array(ch_q).reshape(hi - lo, n_cells)
         weighted = relay * cell_rate_sums
@@ -313,8 +293,6 @@ def run(
             )
 
     offered = arr.sum(axis=1)
-    start = horizon // 2
-    counts = np.bincount(variants, minlength=3)
     return Metrics(
         horizon=horizon,
         block_length=T,
@@ -323,8 +301,8 @@ def run(
         relay_backlog_bits=rel_bits_series,
         lyapunov=v_series,
         variants=variants,
-        decision_m=dec_m,
-        decision_g1=dec_g1,
+        decision_m=np.where(variants == 2, np.int32(-1), cells // n_g1),
+        decision_g1=np.where(variants == 1, cells % n_g1, np.int32(-1)),
         weight_first=w_first,
         weight_second=w_second,
         fading_state_idx=state_idx,
@@ -332,14 +310,6 @@ def run(
         seed=seed,
         delivered_bits=np.minimum(np.array(delivered), offered),
         offered_bits=offered,
-        fraction_first=counts[0] / horizon,
-        fraction_second=counts[1] / horizon,
-        fraction_idle=counts[2] / horizon,
-        trailing_avg_source_bits=float(src_series[start:].mean()),
-        trailing_avg_relay_symbols=float(rel_series[start:].mean()),
-        trailing_avg_total_bits=float(
-            (src_series[start:] + rel_bits_series[start:]).mean()
-        ),
         final_state=QueueState(config, np.array(src), np.array(q).reshape(-1, n_g1)),
     )
 
@@ -429,18 +399,23 @@ def write_metrics_csv(metrics: Metrics, fh) -> None:
 
 
 def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:
+    """The run's summary: the share of blocks per action and the mean
+    backlogs over the trailing half of the horizon, derived from the
+    series, next to the verdict."""
+    counts = np.bincount(metrics.variants, minlength=3)
+    start = metrics.horizon // 2
     return {
         "horizon": metrics.horizon,
         "seed": metrics.seed,
         "block_length": metrics.block_length,
         "delivered_bits": [float(x) for x in metrics.delivered_bits],
         "offered_bits": [float(x) for x in metrics.offered_bits],
-        "fraction_first_hop": metrics.fraction_first,
-        "fraction_second_hop": metrics.fraction_second,
-        "fraction_idle": metrics.fraction_idle,
-        "trailing_avg_source_bits": metrics.trailing_avg_source_bits,
-        "trailing_avg_relay_symbols": metrics.trailing_avg_relay_symbols,
-        "trailing_avg_total_bits": metrics.trailing_avg_total_bits,
+        "fraction_first_hop": counts[0] / metrics.horizon,
+        "fraction_second_hop": counts[1] / metrics.horizon,
+        "fraction_idle": counts[2] / metrics.horizon,
+        "trailing_avg_source_bits": float(metrics.source_backlog[start:].mean()),
+        "trailing_avg_relay_symbols": float(metrics.relay_backlog[start:].mean()),
+        "trailing_avg_total_bits": float(metrics.total_backlog_bits()[start:].mean()),
         "final_total_bits": float(metrics.total_backlog_bits()[-1]),
         "verdict": verdict.verdict,
         "growth_rate": verdict.growth_rate,

@@ -10,7 +10,10 @@ and picks the maximum under the documented preference order.
 so ``decide`` would check that rule against itself), the pure
 ``queueing.apply_*`` updates, ``controller.lyapunov`` and numpy reductions
 over the state's one ``(M, |F|^N)`` relay array for every other series.
-``sim.run`` must reproduce it bit for bit.
+It records each block's scheme m and first-hop state g1 as it decides
+them, so it checks the decision columns ``sim.run`` splits from its flat
+queue indices after the loop.  ``sim.run`` must reproduce every field bit
+for bit, so the summary ``sim.summary_dict`` derives from them matches too.
 
 ``reference_drift_check`` is ``drift_check`` with one ``bruteforce_decide``
 call, one pure queue update and one full potential per sample.
@@ -138,8 +141,6 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
             snapshot_sink.write(f"{t}," + ",".join(map(repr, values)) + "\n")
 
     offered = arr.sum(axis=1)
-    start = horizon // 2
-    counts = np.bincount(variants, minlength=3)
     return Metrics(
         horizon=horizon,
         block_length=T,
@@ -157,14 +158,6 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         seed=seed,
         delivered_bits=np.minimum(delivered, offered),
         offered_bits=offered,
-        fraction_first=counts[0] / horizon,
-        fraction_second=counts[1] / horizon,
-        fraction_idle=counts[2] / horizon,
-        trailing_avg_source_bits=float(src_series[start:].mean()),
-        trailing_avg_relay_symbols=float(rel_series[start:].mean()),
-        trailing_avg_total_bits=float(
-            (src_series[start:] + rel_bits_series[start:]).mean()
-        ),
         final_state=state,
     )
 

@@ -212,6 +212,18 @@ def test_region_direction_broadcast(capsys):
     assert float(out["direction_2"]) == 1.0
 
 
+def test_region_extreme_direction_scales(capsys):
+    assert main(["region", DESK, "--direction", "1e155,1"]) == 0
+    out = dict(line.rsplit(",", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert float(out["rho_star"]) == pytest.approx(1.5e-155, rel=1e-12)
+    assert out["status"] == "optimal"
+    # rho* = 1.213... * 2^1074 along the least subnormal does not fit a float
+    assert main(["region", DESK, "--direction", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coopsim: error: rho* along this direction exceeds the float range\n"
+
+
 def test_simulate_byte_identical(tmp_path, capsys):
     args = ["simulate", GOODBAD, "--lambda", "0.3", "--horizon", "2000", "--seed", "3"]
     assert main(args + ["--out", str(tmp_path / "one")]) == 0
@@ -289,6 +301,42 @@ def test_sweep_jobs_identical_output(tmp_path, capsys):
     assert main(["sweep", GOODBAD, str(spec_path), "--jobs", "2"]) == 0
     two = capsys.readouterr().out
     assert one == two
+
+
+def test_sweep_pool_no_larger_than_task_count(tmp_path, capsys, monkeypatch):
+    import coopsim.cli as cli
+
+    sizes = []
+
+    class RecordingPool:  # records its size and maps inline: no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    spec_path = tmp_path / "sweep.json"
+    outputs = []
+    for seeds in ([5, 6], [5]):
+        spec_path.write_text(json.dumps({"load_factors": [0.4], "horizon": 200, "seeds": seeds}))
+        assert main(["sweep", GOODBAD, str(spec_path), "--jobs", "64"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert sizes == [2]  # two tasks get two workers, one task runs inline
+    assert outputs[0].splitlines()[1] == outputs[1].splitlines()[1]
+
+    for jobs in ("0", "-3"):
+        assert main(["sweep", GOODBAD, str(spec_path), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"coopsim: error: --jobs must be at least 1, got {jobs}\n"
+    assert sizes == [2]
 
 
 def test_sweep_empty_load_factors(tmp_path, capsys):

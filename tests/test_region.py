@@ -213,6 +213,14 @@ def test_scale_inverse_in_direction_norm(desk):
         assert got == pytest.approx(base / c, rel=1e-7)
 
 
+def test_scale_exact_at_extreme_direction_scales(desk):
+    # the solver's tolerances are not scale-free: unless the direction is
+    # rescaled, these read 0, overflow or fail a pivot
+    base = cs.boundary_scale(desk, [1.0, 1.0])
+    for c in (1e-13, 1e10, 1e155, 1e300):
+        assert cs.boundary_scale(desk, [c, c]) * c == pytest.approx(base, rel=1e-12)
+
+
 def test_support_monotonicity_of_scale(toy_goodbad, desk):
     # removing supported triples never enlarges the region
     doc = desk.to_document()

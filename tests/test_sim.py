@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.sim import METRICS_COLUMNS, _draws, write_metrics_csv
+from coopsim.sim import METRICS_COLUMNS, _draws, summary_dict, write_metrics_csv
 from conftest import make_doc
 
 
@@ -76,14 +76,15 @@ def test_toy_trace_alternates(toy_single):
     m = cs.run(toy_single, cs.ArrivalConfig(rates=(0.0,)), horizon=4, seed=1)
     assert m.variants.tolist() == [0, 1, 0, 1]
     assert m.relay_backlog.tolist() == [10.0, 0.0, 10.0, 0.0]
-    assert m.fraction_first == 0.5 and m.fraction_second == 0.5
+    summary = summary_dict(m, cs.stability_verdict(m))
+    assert summary["fraction_first_hop"] == 0.5 and summary["fraction_second_hop"] == 0.5
 
 
 def test_idle_fixed_point(toy_single):
     m = cs.run(toy_single, cs.ArrivalConfig(rates=(0.0,)), horizon=50, seed=1, allow_idle=True)
     assert np.all(m.variants == 2)
     assert m.source_backlog.sum() == 0.0 and m.relay_backlog.sum() == 0.0
-    assert m.fraction_idle == 1.0
+    assert summary_dict(m, cs.stability_verdict(m))["fraction_idle"] == 1.0
 
 
 def test_run_determinism(toy_goodbad):
@@ -99,7 +100,8 @@ def test_run_determinism(toy_goodbad):
 def test_exactly_one_action_per_block(desk):
     m = cs.run(desk, cs.ArrivalConfig(rates=(0.4, 0.4)), horizon=3000, seed=2)
     assert set(np.unique(m.variants)) <= {0, 1}  # idle off never idles
-    assert m.fraction_first + m.fraction_second + m.fraction_idle == pytest.approx(1.0)
+    summary = summary_dict(m, cs.stability_verdict(m))
+    assert summary["fraction_first_hop"] + summary["fraction_second_hop"] + summary["fraction_idle"] == pytest.approx(1.0)
 
 
 def test_second_hop_decisions_respect_support(toy_goodbad, desk):
@@ -142,7 +144,8 @@ def test_snapshot_sink(toy_single):
 
 
 def _synthetic(series, T=10):
-    return cs.Metrics(horizon=len(series), block_length=T, source_backlog=np.asarray(series, dtype=float))
+    series = np.asarray(series, dtype=float)
+    return cs.Metrics(horizon=len(series), block_length=T, source_backlog=series, relay_backlog_bits=np.zeros_like(series))
 
 
 def test_verdict_flat_noisy_series_stable():
