@@ -1,14 +1,7 @@
 """Simulator and throughput-region toolkit for two-hop cooperative relay
 networks with encoding-based virtual queues and a back-pressure controller."""
 
-from .controller import (
-    FIRST_HOP,
-    IDLE,
-    SECOND_HOP,
-    Decision,
-    decide,
-    lyapunov,
-)
+from .controller import FIRST_HOP, IDLE, SECOND_HOP
 from .model import (
     ConfigError,
     CountOverflowError,
@@ -22,7 +15,7 @@ from .model import (
     queue_count_state_based,
     validate_config,
 )
-from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop
+from .queueing import QueueState
 from .region import (
     DegeneracyError,
     LinearProgram,

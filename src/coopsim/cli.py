@@ -2,8 +2,9 @@
 
 Subcommands: region, simulate, sweep, queue-count, drift-check.  Standard
 output carries machine-readable CSV or JSON only; diagnostics go to
-standard error.  Exit codes: 0 ok, 2 bad config or arguments, 3 LP solver
-failure, 4 queue-count overflow.  The environment variable
+standard error.  Exit codes: 0 ok, 2 bad config or arguments (a horizon
+or sample count too large to allocate included), 3 LP solver failure,
+4 queue-count overflow.  The environment variable
 COOPSIM_OUTPUT_DIR overrides the output directory for file-writing
 commands.
 """
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"coopsim: solver failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:
         print(f"coopsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,33 +22,23 @@ floats: the K source queues and one relay's queues as a flat list, index
 m * |F|^N + g1.  The N relays hold equal queues, so S_m(g1) = N * Q at
 (m, g1).  A accumulates k ascending from 0.0 and r_m . 1 is
 ``NetworkConfig.rate_sums``, summed the same way, for any K.  ``sim.run``
-calls ``choose`` once per block; ``decide`` is its adapter for a
-``QueueState``.
+calls ``choose`` once per block and ``sim.drift_check`` once per drawn
+fading state, each on the state's ``state_entry``; there is no adapter for
+a ``QueueState``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import NetworkConfig
-from .queueing import QueueState
 
 FIRST_HOP = "first_hop"
 SECOND_HOP = "second_hop"
 IDLE = "idle"
 VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)  # indexed by choose()'s variant code
-
-
-@dataclass(frozen=True)
-class Decision:
-    variant: str  # FIRST_HOP | SECOND_HOP | IDLE
-    m: int | None
-    g1: tuple | None
-    weight_first: float  # A
-    weight_second: float  # B, -inf when no drainable queue exists
 
 
 def state_entry(config: NetworkConfig, f) -> tuple:
@@ -91,24 +81,3 @@ def choose(src, q, entry, n_relays, allow_idle) -> tuple:
     if a >= b:
         return 0, fill, a, b
     return 1, drain, a, b
-
-
-def decide(state: QueueState, f, allow_idle: bool = False) -> Decision:
-    """``choose`` on a queue state and fading state f = (f1, f2)."""
-    cfg = state.config
-    q = state.relay.ravel().tolist()
-    code, c, a, b = choose(state.source.tolist(), q, state_entry(cfg, f), cfg.shape.num_relays, allow_idle)
-    variant = VARIANT_NAMES[code]
-    if variant == IDLE:
-        return Decision(IDLE, None, None, a, b)
-    m, g1i = divmod(c, len(cfg.first_hop_space))
-    return Decision(variant, m, None if variant == FIRST_HOP else cfg.first_hop_space[g1i], a, b)
-
-
-def lyapunov(state: QueueState) -> float:
-    """V(Q) = sum_k Qs_k^2 + N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, the
-    relay term of one relay counted once per relay, as ``sim.run``'s
-    series are."""
-    cfg = state.config
-    weighted = state.relay * cfg.rate_sums[:, None]
-    return float((state.source * state.source).sum() + cfg.shape.num_relays * (weighted * weighted).sum())

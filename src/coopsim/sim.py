@@ -18,28 +18,36 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
 The block loop keeps the state's one relay queue as a flat list of length
 M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
 block it calls ``controller.choose`` on the state's precomputed
-``controller.state_entry`` and applies the exact updates of ``queueing``
-inline, reading scheme m's rates per flat index.  Queues start empty and
-move only in whole multiples of the integer T.  The loop records only what
-it alone knows: each block's (variant code, c, A, B), the source queues and
-the relay queue.  The decision columns m and g1 are split from c with numpy
-after the loop, the per-block series are numpy row sums over buffered
-chunks of the one relay's queue, and the final state is the flat queue
-reshaped to (M, |F|^N).  The action shares and trailing means of the
-summary are derived where they are printed, in ``summary_dict``.
+``controller.state_entry`` and applies the exact queue updates (given in
+``queueing``) inline, reading scheme m's rates per flat index.  Queues
+start empty and move only in whole multiples of the integer T.  The loop
+records only what it alone knows: each block's (variant code, c, A, B),
+the source queues and the relay queue.  The decision columns m and g1 are
+split from c with numpy after the loop, the per-block series are numpy row
+sums over buffered chunks of the one relay's queue, and the final state is
+the flat queue reshaped to (M, |F|^N).  The action shares and trailing
+means of the summary are derived where they are printed, in
+``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
-draws a run of that many blocks would use.  The controller decides once per
-drawn fading state, which fixes the bits taken from the source and the
-relay term of V (``apply_*`` and ``lyapunov`` on the probe's relays).  The
-source term max(Qs + a - sub, 0)^2 is one array pass, summed along
-contiguous rows (the order of a 1-D sum).  The clamp is a no-op unless bits
-are taken, as probe and arrivals are non-negative, so the estimate equals
-one decide, update and potential per sample bit for bit.
+draws a run of that many blocks would use.  It calls ``choose`` once per
+distinct drawn fading state, on the probe's source queues as a list and its
+relay queue as one flat list, which fixes the bits taken from the source:
+r_m * T for a first hop into queue c, m = c // |F|^N, else none.  The relay
+term of V after the action, N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, depends
+only on (variant code, c), so it is computed once per distinct action, on a
+copy of the probe's relay with queue c moved to Q + T (first hop) or
+(Q - T)+ (second hop).  The source term max(Qs + a - sub, 0)^2 is one array
+pass, summed along contiguous rows (the order of a 1-D sum), and V(next)
+is that sum plus the relay term, the one addition a full potential makes.
+The clamp is a no-op unless bits are taken, as probe and arrivals are
+non-negative, so the estimate equals one decision, update and potential
+per sample bit for bit.
 
 The relay series sum one relay's queue: every relay holds a copy of each
 buffered packet, so a packet counts once in the backlog.  Only the
-potential V weights the relay term by N, as ``controller.lyapunov`` does.
+potential V = sum_k Qs_k^2 + N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2
+weights the relay term by N.
 
 The stability verdict fits a least-squares slope to the total backlog, in
 bits, over the trailing half of the horizon.  Relay symbols convert to
@@ -54,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import FIRST_HOP, SECOND_HOP, VARIANT_NAMES, choose, decide, lyapunov, state_entry
+from .controller import VARIANT_NAMES, choose, state_entry
 from .model import NetworkConfig, fading_indices
-from .queueing import QueueState, apply_first_hop, apply_idle, apply_second_hop, snapshot_header
+from .queueing import QueueState, snapshot_header
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
 
@@ -327,41 +335,58 @@ def drift_check(
 
     Each sample independently draws (fading, arrivals), applies the
     controller's action to the probe state, and measures V(next) - V(probe).
-    The probe's queues must be finite and non-negative, and V(probe) and the
-    estimate must be finite floats; anything else raises ValueError.
+    The probe must have ``config``'s queue shapes, its queues must be finite
+    and non-negative, and V(probe) and the estimate must be finite floats;
+    anything else raises ValueError.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    k_dest = config.shape.num_destinations
+    n_g1 = len(config.first_hop_space)
+    relay_shape = (len(config.schemes), n_g1)
+    if probe_state.source.shape != (k_dest,) or probe_state.relay.shape != relay_shape:
+        raise ValueError(
+            f"the probe's queues must have shapes {(k_dest,)} and {relay_shape}, "
+            f"got {probe_state.source.shape} and {probe_state.relay.shape}"
+        )
     for queue in (probe_state.source, probe_state.relay):
         if not (np.isfinite(queue).all() and (queue >= 0.0).all()):
             raise ValueError("probe queues must be finite and non-negative")
-    v0 = lyapunov(probe_state)
+    T = config.shape.block_length
+    n_relays = config.shape.num_relays
+    rate_sums = config.rate_sums[:, None]
+
+    def relay_term(relay):  # N * sum ((r_m . 1) * Q^{m,g1})^2
+        weighted = relay * rate_sums
+        return n_relays * (weighted * weighted).sum()
+
+    source = probe_state.source
+    v0 = float((source * source).sum() + relay_term(probe_state.relay))
     if not math.isfinite(v0):
         raise ValueError("the probe's potential V overflows the float range")
     state_idx, arr = _draws(config, arrivals, samples, seed)
-    n_states = len(config.sorted_states)
-    zero = np.zeros(config.shape.num_destinations)
-    bare = QueueState(config, zero, probe_state.relay)  # V(bare) is the relay term
-    sub = np.zeros((n_states, len(zero)))  # bits the action takes from the source
-    relay_term = np.zeros(n_states)
+    qs, q = source.tolist(), probe_state.relay.ravel().tolist()
+    sends = config.rates * T  # bits a first hop with scheme m takes
+    sub = np.zeros((len(config.sorted_states), k_dest))  # bits the action takes from the source
+    relay_terms = np.zeros(len(sub))
+    by_action = {}  # (variant code, c) -> the relay term of V after that action
     for s in np.flatnonzero(np.bincount(state_idx)).tolist():
-        f = config.sorted_states[s]
-        d = decide(probe_state, f, allow_idle=allow_idle)
-        if d.variant == FIRST_HOP:
-            sub[s] = config.rates[d.m] * config.shape.block_length
-            nxt = apply_first_hop(bare, zero, d.m, f[0])
-        elif d.variant == SECOND_HOP:
-            nxt = apply_second_hop(bare, zero, d.m, d.g1)
-        else:
-            nxt = apply_idle(bare, zero)
-        relay_term[s] = lyapunov(nxt)
+        code, c = choose(qs, q, state_entry(config, config.sorted_states[s]), n_relays, allow_idle)[:2]
+        if code == 0:
+            sub[s] = sends[c // n_g1]
+        if (code, c) not in by_action:
+            relay = probe_state.relay.copy()
+            if code != 2:
+                relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
+            by_action[code, c] = relay_term(relay)
+        relay_terms[s] = by_action[code, c]
     src = np.ascontiguousarray(arr.T)  # next source queues, one row per sample
-    src += probe_state.source
+    src += source
     src -= sub[state_idx]
     np.maximum(src, 0.0, out=src)
     src *= src
     dv = src.sum(axis=1)
-    dv += relay_term[state_idx]
+    dv += relay_terms[state_idx]
     dv -= v0
     mean = float(dv.mean())
     stderr = float(dv.std(ddof=1) / math.sqrt(samples))

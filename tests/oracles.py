@@ -1,4 +1,13 @@
-"""Independent oracles used by the tests.
+"""The spec-level model and the independent oracles used by the tests.
+
+The spec-level model is the package's behaviour written on a
+``QueueState``, one pure step at a time: ``apply_first_hop``,
+``apply_second_hop`` and ``apply_idle`` return the next state under the
+exact per-block updates (``queueing``'s docstring gives the equations)
+and never mutate their input; ``decide`` is ``controller.choose`` on a
+``QueueState``, returning a ``Decision``; ``lyapunov`` is the quadratic
+potential V.  The package applies the same updates inline in ``sim.run``
+and ``sim.drift_check``, and these are what it is checked against.
 
 ``bruteforce_decide`` enumerates every one-hot transmit assignment of a
 block's discrete scheduling program with plain Python loops (k ascending,
@@ -6,9 +15,9 @@ n ascending over the N equal relays, the support read as its raw triples)
 and picks the maximum under the documented preference order.
 
 ``reference_run`` is the simulator's block loop written with
-``bruteforce_decide`` (``sim.run`` and ``controller.decide`` share one rule,
-so ``decide`` would check that rule against itself), the pure
-``queueing.apply_*`` updates, ``controller.lyapunov`` and numpy reductions
+``bruteforce_decide`` (``sim.run`` and ``decide`` share one rule,
+``controller.choose``, so ``decide`` would check that rule against
+itself), the pure ``apply_*`` updates, ``lyapunov`` and numpy reductions
 over the state's one ``(M, |F|^N)`` relay array for every other series.
 It records each block's scheme m and first-hop state g1 as it decides
 them, so it checks the decision columns ``sim.run`` splits from its flat
@@ -35,18 +44,93 @@ local refinement converges to the global optimum.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from coopsim.controller import FIRST_HOP, SECOND_HOP, VARIANT_NAMES, decide, lyapunov
-from coopsim.queueing import (
-    QueueState,
-    apply_first_hop,
-    apply_idle,
-    apply_second_hop,
-    snapshot_header,
-)
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose, state_entry
+from coopsim.queueing import QueueState, snapshot_header
 from coopsim.sim import DriftEstimate, Metrics, _draws
+
+# ---------------------------------------------------------------------------
+# the spec-level model: pure queue updates on a QueueState, the controller's
+# rule as a Decision, and the quadratic potential
+
+
+def _check_event(state: QueueState, arrivals, m: int, g1) -> tuple[np.ndarray, int]:
+    arr = np.asarray(arrivals, dtype=float)
+    if arr.shape != state.source.shape:
+        raise ValueError(f"arrivals must have shape {state.source.shape}, got {arr.shape}")
+    if not 0 <= m < len(state.config.schemes):
+        raise ValueError(f"unknown scheme id {m}")
+    g1i = state.config.g1_index.get(tuple(g1))
+    if g1i is None:
+        raise ValueError(f"unknown first-hop state {g1!r}")
+    return arr, g1i
+
+
+def apply_first_hop(state: QueueState, arrivals, m: int, g1) -> QueueState:
+    """Source transmits one block with scheme m under first-hop state g1."""
+    arr, g1i = _check_event(state, arrivals, m, g1)
+    T = state.config.shape.block_length
+    rates = state.config.rates[m]
+    source = np.maximum(state.source + arr - rates * T, 0.0)
+    relay = state.relay.copy()
+    relay[m, g1i] += T
+    return QueueState(state.config, source, relay)
+
+
+def apply_second_hop(state: QueueState, arrivals, m: int, g1) -> QueueState:
+    """Relays drain virtual queue (m, g1); the caller must have checked
+    that (m, g1, f2) is supported for the block's second-hop state f2."""
+    arr, g1i = _check_event(state, arrivals, m, g1)
+    T = state.config.shape.block_length
+    source = state.source + arr
+    relay = state.relay.copy()
+    relay[m, g1i] = np.maximum(relay[m, g1i] - T, 0.0)
+    return QueueState(state.config, source, relay)
+
+
+def apply_idle(state: QueueState, arrivals) -> QueueState:
+    """No transmission; arrivals still accumulate."""
+    arr = np.asarray(arrivals, dtype=float)
+    if arr.shape != state.source.shape:
+        raise ValueError(f"arrivals must have shape {state.source.shape}, got {arr.shape}")
+    return QueueState(state.config, state.source + arr, state.relay.copy())
+
+
+@dataclass(frozen=True)
+class Decision:
+    variant: str  # FIRST_HOP | SECOND_HOP | IDLE
+    m: int | None
+    g1: tuple | None
+    weight_first: float  # A
+    weight_second: float  # B, -inf when no drainable queue exists
+
+
+def decide(state: QueueState, f, allow_idle: bool = False) -> Decision:
+    """``controller.choose`` on a queue state and fading state f = (f1, f2)."""
+    cfg = state.config
+    q = state.relay.ravel().tolist()
+    code, c, a, b = choose(state.source.tolist(), q, state_entry(cfg, f), cfg.shape.num_relays, allow_idle)
+    variant = VARIANT_NAMES[code]
+    if variant == IDLE:
+        return Decision(IDLE, None, None, a, b)
+    m, g1i = divmod(c, len(cfg.first_hop_space))
+    return Decision(variant, m, None if variant == FIRST_HOP else cfg.first_hop_space[g1i], a, b)
+
+
+def lyapunov(state: QueueState) -> float:
+    """V(Q) = sum_k Qs_k^2 + N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, the
+    relay term of one relay counted once per relay, as ``sim.run``'s
+    series are."""
+    cfg = state.config
+    weighted = state.relay * cfg.rate_sums[:, None]
+    return float((state.source * state.source).sum() + cfg.shape.num_relays * (weighted * weighted).sum())
+
+
+# ---------------------------------------------------------------------------
+# the controller and the simulator, written independently
 
 
 def bruteforce_decide(state, f, allow_idle=False):

