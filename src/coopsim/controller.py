@@ -15,23 +15,21 @@ scheme id and then the lexicographically smallest g1, so runs are exactly
 reproducible.  With ``allow_idle`` set the controller idles when A <= 0 and
 B <= 0.  It never sees the fading distribution or the arrival rates; its
 only inputs are queue lengths, the realized state and the support relation,
-as ``NetworkConfig.drain_masks``.
+read as its raw (m, g1, g2) triples.
 
 The rule has one implementation, ``choose``, a scalar step over Python
 floats: the K source queues and one relay's queues as a flat list, index
 m * |F|^N + g1.  The N relays hold equal queues, so S_m(g1) = N * Q at
 (m, g1).  A accumulates k ascending from 0.0 and r_m . 1 is
 ``NetworkConfig.rate_sums``, summed the same way, for any K.  ``sim.run``
-calls ``choose`` once per block and ``sim.drift_check`` once per drawn
-fading state, each on the state's ``state_entry``; there is no adapter for
-a ``QueueState``.
+and ``sim.drift_check`` each build the table of ``state_entries`` once and
+call ``choose`` once per block and once per drawn fading state
+respectively; there is no adapter for a ``QueueState``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .model import NetworkConfig
 
@@ -41,19 +39,21 @@ IDLE = "idle"
 VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)  # indexed by choose()'s variant code
 
 
-def state_entry(config: NetworkConfig, f) -> tuple:
-    """What ``choose`` reads of fading state f = (f1, f2): per scheme m, the
-    flat index of its (m, f1) queue and its rates r_m; and the queues
-    drainable under f2 as (flat index, (r_m . 1)^2), lowest m and then
-    smallest g1 first."""
-    f1, f2 = f
+def state_entries(config: NetworkConfig, states) -> list:
+    """What ``choose`` reads of each fading state f = (f1, f2) in ``states``:
+    per scheme m, the flat index of its (m, f1) queue and its rates r_m; and
+    the queues drainable under f2 as (flat index, (r_m . 1)^2), lowest m and
+    then smallest g1 first.  States that share f1 (f2) share one first-hop
+    (drain) tuple."""
     n_g1 = len(config.first_hop_space)
-    g1i = config.g1_index[tuple(f1)]
+    rates = config.rates.tolist()
     w2 = (config.rate_sums * config.rate_sums).tolist()
-    first = tuple((m * n_g1 + g1i, r) for m, r in enumerate(config.rates.tolist()))
-    mask = config.drain_masks.get(tuple(f2))
-    drains = () if mask is None else tuple((m * n_g1 + g, w2[m]) for m, g in np.argwhere(mask).tolist())
-    return first, drains
+    firsts = [tuple((m * n_g1 + g1i, r) for m, r in enumerate(rates)) for g1i in range(n_g1)]
+    drained: dict = {}  # g2 -> the flat indices of the queues it drains
+    for m, g1, g2 in config.support.triples:
+        drained.setdefault(g2, []).append(m * n_g1 + config.g1_index[g1])
+    drains = {g2: tuple((c, w2[c // n_g1]) for c in sorted(cells)) for g2, cells in drained.items()}
+    return [(firsts[config.g1_index[f1]], drains.get(f2, ())) for f1, f2 in states]
 
 
 def choose(src, q, entry, n_relays, allow_idle) -> tuple:

@@ -116,19 +116,6 @@ class NetworkConfig:
         return {g1: i for i, g1 in enumerate(self.first_hop_space)}
 
     @cached_property
-    def drain_masks(self) -> dict:
-        """Second-hop state g2 -> read-only boolean (M, |F|^N) mask of the
-        (m, g1) queues drainable under it; g2 is absent when none is."""
-        masks: dict = {}
-        for m, g1, g2 in self.support.triples:
-            if g2 not in masks:
-                masks[g2] = np.zeros((len(self.schemes), len(self.first_hop_space)), dtype=bool)
-            masks[g2][m, self.g1_index[g1]] = True
-        for mask in masks.values():
-            mask.setflags(write=False)
-        return masks
-
-    @cached_property
     def rates(self) -> np.ndarray:
         """(M, K) rate matrix, row m = scheme m."""
         out = np.array([s.rates for s in self.schemes], dtype=float)

@@ -17,32 +17,30 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
 
 The block loop keeps the state's one relay queue as a flat list of length
 M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
-block it calls ``controller.choose`` on the state's precomputed
-``controller.state_entry`` and applies the exact queue updates (given in
-``queueing``) inline, reading scheme m's rates per flat index.  Queues
-start empty and move only in whole multiples of the integer T.  The loop
-records only what it alone knows: each block's (variant code, c, A, B),
-the source queues and the relay queue.  The decision columns m and g1 are
-split from c with numpy after the loop, the per-block series are numpy row
-sums over buffered chunks of the one relay's queue, and the final state is
-the flat queue reshaped to (M, |F|^N).  The action shares and trailing
-means of the summary are derived where they are printed, in
-``summary_dict``.
+block it calls ``controller.choose`` on the state's entry of the table
+``controller.state_entries`` builds once per run, and applies the exact
+queue updates (given in ``queueing``) inline.  Queues start empty and move
+only in whole multiples of the integer T.  The loop records only what it
+alone knows: each block's (variant code, c, A, B), the source queues and
+the relay queue.  The decision columns m and g1 are split from c after the
+loop, the per-block series are numpy row sums over buffered chunks of the
+one relay's queue, and the final state is the flat queue reshaped to
+(M, |F|^N).  The summary is derived where it is printed, in ``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
-draws a run of that many blocks would use.  It calls ``choose`` once per
-distinct drawn fading state, on the probe's source queues as a list and its
-relay queue as one flat list, which fixes the bits taken from the source:
-r_m * T for a first hop into queue c, m = c // |F|^N, else none.  The relay
-term of V after the action, N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, depends
-only on (variant code, c), so it is computed once per distinct action, on a
-copy of the probe's relay with queue c moved to Q + T (first hop) or
-(Q - T)+ (second hop).  The source term max(Qs + a - sub, 0)^2 is one array
-pass, summed along contiguous rows (the order of a 1-D sum), and V(next)
-is that sum plus the relay term, the one addition a full potential makes.
-The clamp is a no-op unless bits are taken, as probe and arrivals are
-non-negative, so the estimate equals one decision, update and potential
-per sample bit for bit.
+draws a run of that many blocks would use.  It builds the same table once
+and calls ``choose`` once per distinct drawn fading state, on the probe's
+source queues as a list and its relay queue as one flat list, which fixes
+the bits taken from the source: r_m * T for a first hop into queue c,
+m = c // |F|^N, else none.  The relay term of V after the action,
+N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, depends only on (variant code, c),
+so it is computed once per distinct action, on a copy of the probe's relay
+with queue c moved to Q + T (first hop) or (Q - T)+ (second hop).  The
+source term max(Qs + a - sub, 0)^2 is one array pass, summed along
+contiguous rows (the order of a 1-D sum), and V(next) is that sum plus the
+relay term, the one addition a full potential makes.  The clamp is a no-op
+unless bits are taken, as probe and arrivals are non-negative, so the
+estimate equals one decision, update and potential per sample bit for bit.
 
 The relay series sum one relay's queue: every relay holds a copy of each
 buffered packet, so a packet counts once in the backlog.  Only the
@@ -62,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import VARIANT_NAMES, choose, state_entry
+from .controller import VARIANT_NAMES, choose, state_entries
 from .model import NetworkConfig, fading_indices
 from .queueing import QueueState, snapshot_header
 
@@ -215,6 +213,8 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     T = config.shape.block_length
     if not all(math.isfinite(r * T) for r in arrivals.rates):
         raise ValueError(f"arrival rates times the block length T={T} must be finite")
+    if seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(1 + k_dest)
     state_idx = fading_indices(config, np.random.default_rng(children[0]).random(horizon))
     arr = np.empty((k_dest, horizon))
@@ -245,7 +245,7 @@ def run(
     n_cells = len(config.schemes) * n_g1
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
-    table = [state_entry(config, f) for f in config.sorted_states]
+    table = state_entries(config, config.sorted_states)
     cell_rates = np.repeat(config.rates, n_g1, axis=0).tolist()  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
@@ -264,6 +264,7 @@ def run(
     q = [0.0] * n_cells  # one relay's queues, index m * |F|^N + g1
     if snapshot_sink is not None:
         snapshot_sink.write(",".join(snapshot_header(config)) + "\n")
+        reprs = {}  # float64 bits -> repr: a run's queues take few distinct values
 
     for lo in range(0, horizon, CHUNK):
         hi = min(lo + CHUNK, horizon)
@@ -295,9 +296,17 @@ def run(
         rel_bits_series[lo:hi] = weighted.sum(axis=1)
         v_series[lo:hi] = (source * source).sum(axis=1) + n_relays * (weighted * weighted).sum(axis=1)
         if snapshot_sink is not None:
+            # Keyed by bit pattern, -0.0 could never take 0.0's text, though
+            # the queues never hold -0.0: they start at +0.0, each update
+            # either clamps to +0.0 or adds a non-negative amount to a queue
+            # at +0.0 or above, and an IEEE sum is -0.0 only when both terms are.
+            row_bits = np.concatenate((source, relay), axis=1).view(np.int64)
+            bits, inverse = np.unique(row_bits, return_inverse=True)
+            pairs = zip(bits.tolist(), bits.view(np.float64).tolist())
+            texts = [reprs.get(b) or reprs.setdefault(b, repr(x)) for b, x in pairs]
+            texts = np.array(texts, dtype=object)[inverse.ravel()]
             snapshot_sink.writelines(
-                f"{t},{','.join(map(repr, row_src))},{','.join(map(repr, ch_q[j:j + n_cells]))}\n"
-                for t, row_src, j in zip(range(lo, hi), ch_src, range(0, len(ch_q), n_cells))
+                f"{t},{','.join(row)}\n" for t, row in zip(range(lo, hi), texts.reshape(row_bits.shape).tolist())
             )
 
     offered = arr.sum(axis=1)
@@ -370,8 +379,9 @@ def drift_check(
     sub = np.zeros((len(config.sorted_states), k_dest))  # bits the action takes from the source
     relay_terms = np.zeros(len(sub))
     by_action = {}  # (variant code, c) -> the relay term of V after that action
+    table = state_entries(config, config.sorted_states)
     for s in np.flatnonzero(np.bincount(state_idx)).tolist():
-        code, c = choose(qs, q, state_entry(config, config.sorted_states[s]), n_relays, allow_idle)[:2]
+        code, c = choose(qs, q, table[s], n_relays, allow_idle)[:2]
         if code == 0:
             sub[s] = sends[c // n_g1]
         if (code, c) not in by_action:

@@ -4,10 +4,13 @@ The spec-level model is the package's behaviour written on a
 ``QueueState``, one pure step at a time: ``apply_first_hop``,
 ``apply_second_hop`` and ``apply_idle`` return the next state under the
 exact per-block updates (``queueing``'s docstring gives the equations)
-and never mutate their input; ``decide`` is ``controller.choose`` on a
-``QueueState``, returning a ``Decision``; ``lyapunov`` is the quadratic
-potential V.  The package applies the same updates inline in ``sim.run``
-and ``sim.drift_check``, and these are what it is checked against.
+and never mutate their input; ``state_entry`` is the entry
+``controller.state_entries`` builds for one fading state, written per
+state from the raw support triples; ``decide`` is ``controller.choose`` on
+a ``QueueState`` and any (f1, f2), on that entry, returning a
+``Decision``; ``lyapunov`` is the quadratic potential V.  The package
+applies the same updates inline in ``sim.run`` and ``sim.drift_check``,
+and these are what it is checked against.
 
 ``bruteforce_decide`` enumerates every one-hot transmit assignment of a
 block's discrete scheduling program with plain Python loops (k ascending,
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose, state_entry
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose
 from coopsim.queueing import QueueState, snapshot_header
 from coopsim.sim import DriftEstimate, Metrics, _draws
 
@@ -97,6 +100,26 @@ def apply_idle(state: QueueState, arrivals) -> QueueState:
     if arr.shape != state.source.shape:
         raise ValueError(f"arrivals must have shape {state.source.shape}, got {arr.shape}")
     return QueueState(state.config, state.source + arr, state.relay.copy())
+
+
+def state_entry(config, f) -> tuple:
+    """``controller.state_entries``' entry for one fading state f = (f1, f2),
+    built on its own: per scheme m, the flat index of its (m, f1) queue and
+    its rates r_m; then every (m, g1), m ascending and g1 in
+    ``first_hop_space`` order, whose (m, g1, f2) is a support triple, as
+    (flat index, (r_m . 1)^2)."""
+    f1, f2 = tuple(f[0]), tuple(f[1])
+    n_g1 = len(config.first_hop_space)
+    g1i = config.g1_index[f1]
+    w2 = (config.rate_sums * config.rate_sums).tolist()
+    first = tuple((m * n_g1 + g1i, r) for m, r in enumerate(config.rates.tolist()))
+    drains = tuple(
+        (m * n_g1 + g, w2[m])
+        for m in range(len(config.schemes))
+        for g, g1 in enumerate(config.first_hop_space)
+        if (m, g1, f2) in config.support.triples
+    )
+    return first, drains
 
 
 @dataclass(frozen=True)

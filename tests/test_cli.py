@@ -268,6 +268,31 @@ def test_simulate_overflowing_arrivals_exit_2(tmp_path, capsys, arrival):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+SEED_ERROR = "coopsim: error: the seed must be a non-negative integer, got -3\n"
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", "--seed", "-3",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", SEED_ERROR)
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_drift_check_negative_seed_exits_2(capsys):
+    assert main(["drift-check", TOY, "--lambda", "0.3", "--samples", "10", "--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", SEED_ERROR)
+
+
+def test_sweep_negative_seed_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"load_factors": [0.5], "horizon": 10, "seeds": [1, -3]}))
+    assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", SEED_ERROR)
+
+
 def test_sweep_rows_and_consistency(tmp_path, capsys):
     spec = {"direction": [1.0, 1.0], "load_factors": [0.5, 1.1], "horizon": 8000,
             "seeds": [1, 2]}

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, state_entries
 from conftest import make_doc, sparse_config
-from oracles import bruteforce_decide, decide, lyapunov
+from oracles import bruteforce_decide, decide, lyapunov, state_entry
 
 
 def _two_scheme_cfg(support="all"):
@@ -194,3 +194,43 @@ def _check_decide_against_bruteforce(config):
         assert (d.variant, d.m, d.g1) == (variant, m, g1)
         assert d.weight_first == bf_a
         assert d.weight_second == bf_b
+
+
+def _undrained_g2_config():
+    # only ("a",) drains, so the drawable states with f2 = ("b",) drain nothing
+    support = [{"m": 0, "g1": ["b"], "g2": ["a"]}, {"m": 1, "g1": ["a"], "g2": ["a"]}]
+    return _two_scheme_cfg(support=support)
+
+
+def _trailing_zero_state_config():
+    states = [{"f1": ["a"], "f2": ["a"], "p": 1.0}, {"f1": ["b"], "f2": ["b"], "p": 0.0}]
+    return cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
+
+
+SPEC_CONFIGS = {
+    "sparse_n3": lambda: sparse_config(3, 3, 4, 300, 6),
+    "sparse_n4": lambda: sparse_config(4, 3, 6, 800, 1),
+    "undrained_g2": _undrained_g2_config,
+    "trailing_p0": _trailing_zero_state_config,
+}
+
+
+@pytest.mark.parametrize("name", ["toy_single", "toy_goodbad", "desk", *SPEC_CONFIGS])
+def test_state_entries_match_spec(request, name):
+    config = SPEC_CONFIGS[name]() if name in SPEC_CONFIGS else request.getfixturevalue(name)
+    states = config.sorted_states
+    table = state_entries(config, states)
+    assert table == [state_entry(config, f) for f in states]
+    # states sharing f1 (f2) share one first-hop (drain) tuple
+    assert len({id(first) for first, _ in table}) == len({f1 for f1, _ in states})
+    assert len({id(drains) for _, drains in table}) <= len({f2 for _, f2 in states})
+
+
+def test_state_entries_cover_the_edge_configs():
+    undrained = _undrained_g2_config()
+    entries = dict(zip(undrained.sorted_states, state_entries(undrained, undrained.sorted_states)))
+    assert undrained.probability((("a",), ("b",))) > 0 and entries[("a",), ("b",)][1] == ()
+    assert entries[("a",), ("a",)][1] == ((1, 1.0), (2, 4.0))  # (m, g1) = (0, "b"), then (1, "a")
+    trailing = _trailing_zero_state_config()
+    assert trailing.probability(trailing.sorted_states[-1]) == 0.0
+    assert len(state_entries(trailing, trailing.sorted_states)) == 2

@@ -1,10 +1,14 @@
 """Property tests on random small configs (N <= 3, K <= 2, sparse tables,
-random support): the controller against ``oracles.bruteforce_decide`` and
-the pure ``queueing.apply_*`` updates against their bit-accounting rules.
+random support): the controller against ``oracles.bruteforce_decide``,
+``controller.state_entries`` against the per-state ``oracles.state_entry``,
+and the pure ``queueing.apply_*`` updates against their bit-accounting
+rules.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum
 over relays, n ascending, on a shape no shipped config has.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +17,16 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
+from coopsim.controller import state_entries  # noqa: E402
 from conftest import small_configs  # noqa: E402
-from oracles import apply_first_hop, apply_idle, apply_second_hop, bruteforce_decide, decide  # noqa: E402
+from oracles import (  # noqa: E402
+    apply_first_hop,
+    apply_idle,
+    apply_second_hop,
+    bruteforce_decide,
+    decide,
+    state_entry,
+)
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -49,6 +61,15 @@ def test_decide_matches_bruteforce(case):
     state, f = case
     d = decide(state, f)
     assert (d.variant, d.m, d.g1, d.weight_first, d.weight_second) == bruteforce_decide(state, f)
+
+
+@SETTINGS
+@hypothesis.given(small_configs())
+def test_state_entries_match_spec_on_every_f2(config):
+    sh = config.shape
+    f2s = itertools.product("GB", repeat=sh.num_relays * sh.num_destinations)
+    states = list(itertools.product(config.first_hop_space, f2s))
+    assert state_entries(config, states) == [state_entry(config, f) for f in states]
 
 
 @st.composite

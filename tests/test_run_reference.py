@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim import sim
-from coopsim.controller import state_entry
+from coopsim import controller, sim
 from coopsim.model import fading_indices
 from conftest import make_doc
-from oracles import expected_drift, reference_drift_check, reference_run
+from oracles import expected_drift, reference_drift_check, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
 # along (1, 1), both toys have rho* = 0.5
@@ -173,19 +172,40 @@ def test_expected_drift_point_mass(toy_single):
     assert est.mean == expected_drift(toy_single, arrivals, probe)
 
 
+def _recording_choose(entries):
+    def recording_choose(src, q, entry, n_relays, allow_idle):
+        entries.append(entry)
+        return controller.choose(src, q, entry, n_relays, allow_idle)
+
+    return recording_choose
+
+
 def test_drift_check_decides_once_per_fading_state(desk, monkeypatch):
-    probe, rate = _desk_probes(desk)[1]  # before the patch: run() builds its own state table
-    calls = []
-
-    def counting_state_entry(config, f):
-        calls.append(f)
-        return state_entry(config, f)
-
-    monkeypatch.setattr(sim, "state_entry", counting_state_entry)
+    probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls choose once per block
+    entries = []
+    monkeypatch.setattr(sim, "choose", _recording_choose(entries))
     arrivals = cs.ArrivalConfig(rates=(rate, rate))
     cs.drift_check(desk, arrivals, probe, 5000, seed=1)
-    drawn = {desk.sorted_states[s] for s in sim._draws(desk, arrivals, 5000, 1)[0].tolist()}
-    assert len(calls) == len(set(calls)) and set(calls) == drawn
+    drawn = set(sim._draws(desk, arrivals, 5000, 1)[0].tolist())
+    expected = [state_entry(desk, desk.sorted_states[s]) for s in drawn]
+    # one call per distinct drawn state, each on that state's entry
+    assert len(entries) == len(drawn)
+    assert sorted(map(repr, entries)) == sorted(map(repr, expected))
+
+
+def test_run_and_drift_check_build_the_state_table_once(desk, monkeypatch):
+    calls = []
+
+    def counting_state_entries(config, states):
+        calls.append(states)
+        return controller.state_entries(config, states)
+
+    monkeypatch.setattr(sim, "state_entries", counting_state_entries)
+    arrivals = cs.ArrivalConfig(rates=(1.0, 1.0))
+    probe = cs.run(desk, arrivals, 2 * sim.CHUNK + 5, 0).final_state
+    assert len(calls) == 1
+    cs.drift_check(desk, arrivals, probe, 2000, seed=1)
+    assert calls == [desk.sorted_states] * 2
 
 
 # -- the zero-probability clamp ---------------------------------------------
@@ -226,13 +246,9 @@ def test_run_never_draws_zero_probability_state(monkeypatch):
 
 def test_drift_check_never_draws_zero_probability_state(monkeypatch):
     config = _trailing_zero_state_config()
-    seen = []
-
-    def recording_state_entry(config, f):
-        seen.append(f)
-        return state_entry(config, f)
-
+    entries = []
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
-    monkeypatch.setattr(sim, "state_entry", recording_state_entry)
+    monkeypatch.setattr(sim, "choose", _recording_choose(entries))
     cs.drift_check(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), cs.QueueState.zeros(config), 10)
-    assert seen == [config.sorted_states[0]]
+    assert state_entry(config, config.sorted_states[1]) != state_entry(config, config.sorted_states[0])
+    assert entries == [state_entry(config, config.sorted_states[0])]
