@@ -145,10 +145,9 @@ def cmd_simulate(args) -> int:
         raise ValueError("lambda must be non-negative")
     arrivals = ArrivalConfig(rates=tuple(lam), distribution=args.arrival)
     out = _out_dir(args.out)
-    sink = None
+    queues = out / args.queues if args.queues else None
+    sink = open(queues, "w", encoding="utf-8") if queues else None
     try:
-        if args.queues:
-            sink = open(out / args.queues, "w", encoding="utf-8")
         metrics = run(
             config,
             arrivals,
@@ -157,6 +156,11 @@ def cmd_simulate(args) -> int:
             allow_idle=args.allow_idle,
             snapshot_sink=sink,
         )
+    except BaseException:
+        if sink is not None:  # a failed run leaves no queues file behind
+            sink.close()
+            queues.unlink()
+        raise
     finally:
         if sink is not None:
             sink.close()

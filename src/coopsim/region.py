@@ -22,6 +22,20 @@ vectors: in a class drained more than it is filled, scale every b down by
 the factor fill/drain.  Its drain then equals its fill, no rate row reads
 a b, and every time row only loosens.
 
+The LP is built over groups of states, not over single states, and this is
+exact too.  A state can fill the classes with g1 = f1 and drain those in
+D(f2), the classes (m, g1) with (m, g1, f2) supported, so the states are
+grouped by the key (f1, D(f2)); a group G gets one time row and one a or b
+column per class it can reach, weighted by pi_G = sum_{f in G} pi_f.  The
+states of one group have identical column sets.  Replace their fractions by
+the pi-weighted average x_G over the group: every rate and flow row reads
+them only as sum_{f in G} pi_f x_f = pi_G x_G and keeps its value, and the
+group's time use is a convex combination of its members', each <= 1, so it
+stays <= 1.  Splitting back, each member taking the group's fraction gives
+the same rate and flow sums and the group's time use in every member's
+time row, so it is feasible.  Both forms thus have the same optimum, and a
+config in which no two states share a key builds the per-state LP.
+
 Two queries are exposed.  ``boundary_scale`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
 query ``interior_slack`` maximizes the uniform margin delta by which every
@@ -92,7 +106,10 @@ class LinearProgram:
     matrix: np.ndarray
     senses: tuple  # "<=" per row, the only sense solve_lp takes
     rhs: np.ndarray
-    columns: tuple  # per-column tags: ("a", m, g1, f), ("b", m, g1, f), ("delta",), ("rho",)
+    # per-column tags: ("a", m, g1, members), ("b", m, g1, members), ("delta",),
+    # ("rho",); members is the tuple of the fading states, in sorted_states
+    # order, that share the column's time row
+    columns: tuple
     kind: str = "generic"  # "slack" | "scale" | "generic"
     objective_shift: float = 0.0  # reported value = raw optimum - shift
 
@@ -118,7 +135,9 @@ class RegionWitness:
 
     ``value`` is the slack delta (kind "slack"), the scale rho (kind
     "scale") or the raw objective (generic LPs).  ``a`` and ``b`` hold the
-    nonzero fractions keyed (f, m, g1).
+    nonzero fractions keyed (f, m, g1), one entry per fading state: the
+    states merged into one time row of the LP each carry that row's
+    fraction, so they share a value.
     """
 
     status: str  # "optimal" | "unbounded"
@@ -313,9 +332,10 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
     )
     for j, col in enumerate(lp.columns):
         if col and col[0] in ("a", "b") and x[j] > PIVOT_TOL:
-            _, m, g1, f = col
-            target = wit.a if col[0] == "a" else wit.b
-            target[(f, m, g1)] = float(x[j])
+            family, m, g1, members = col
+            target = wit.a if family == "a" else wit.b
+            for f in members:
+                target[(f, m, g1)] = float(x[j])
     return wit
 
 
@@ -330,6 +350,25 @@ def _classes(config: NetworkConfig) -> list:
     return sorted(pairs, key=lambda c: (c[0], g1i[c[1]]))
 
 
+def _groups(config: NetworkConfig, classes: list) -> dict:
+    """The drawable states merged by (f1, D(f2)), D(f2) being the indices
+    of the classes (m, g1) with (m, g1, f2) supported: key -> [member
+    states, pi].  Both follow ``sorted_states`` order, so the groups come in
+    the order of their first members and a group of one has pi = pi_f."""
+    supported = config.support.triples
+    drained: dict = {}
+    groups: dict = {}
+    for f in config.sorted_states:
+        p = config.fading.table[f]
+        if p > 0.0:
+            if f[1] not in drained:
+                drained[f[1]] = frozenset(c for c, (m, g1) in enumerate(classes) if (m, g1, f[1]) in supported)
+            group = groups.setdefault((f[0], drained[f[1]]), [(), 0.0])
+            group[0] += (f,)
+            group[1] += p
+    return groups
+
+
 def _assemble(config: NetworkConfig, extra_tag: tuple):
     """Shared rate/flow/time skeleton plus one trailing column the caller fills.
 
@@ -337,25 +376,25 @@ def _assemble(config: NetworkConfig, extra_tag: tuple):
     """
     k_dest = config.shape.num_destinations
     classes = _classes(config)
-    states = [f for f in config.sorted_states if config.fading.table[f] > 0.0]
-    supported = config.support.triples
-    columns, class_of, state_of = [], [], []
+    groups = _groups(config, classes)
+    keys, members = list(groups), [states for states, _ in groups.values()]
+    columns, class_of, group_of = [], [], []
     for c, (m, g1) in enumerate(classes):
-        fill = [s for s, f in enumerate(states) if f[0] == g1]
-        drain = [s for s, f in enumerate(states) if (m, g1, f[1]) in supported]
-        columns += [("a", m, g1, states[s]) for s in fill] + [("b", m, g1, states[s]) for s in drain]
+        fill = [s for s, (f1, _) in enumerate(keys) if f1 == g1]
+        drain = [s for s, (_, drained) in enumerate(keys) if c in drained]
+        columns += [("a", m, g1, members[s]) for s in fill] + [("b", m, g1, members[s]) for s in drain]
         class_of += [c] * (len(fill) + len(drain))
-        state_of += fill + drain
+        group_of += fill + drain
     fills = np.array([col[0] == "a" for col in columns], dtype=bool)
-    class_of, state_of = np.array(class_of, dtype=int), np.array(state_of, dtype=int)
-    pi = np.array([config.fading.table[f] for f in states])[state_of]
+    class_of, group_of = np.array(class_of, dtype=int), np.array(group_of, dtype=int)
+    pi = np.array([p for _, p in groups.values()])[group_of]
     scheme = np.array([m for m, _ in classes], dtype=int)[class_of]
 
     j = np.arange(len(columns))
-    matrix = np.zeros((k_dest + len(classes) + len(states), len(columns) + 1))
+    matrix = np.zeros((k_dest + len(classes) + len(groups), len(columns) + 1))
     matrix[:k_dest, j[fills]] = (-pi[fills, None] * config.rates[scheme[fills]]).T
     matrix[k_dest + class_of, j] = np.where(fills, pi, -pi)
-    matrix[k_dest + len(classes) + state_of, j] = 1.0
+    matrix[k_dest + len(classes) + group_of, j] = 1.0
     return tuple(columns) + (extra_tag,), matrix, slice(k_dest, k_dest + len(classes))
 
 

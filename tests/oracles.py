@@ -35,7 +35,9 @@ every fading state and every point of the finite arrival support, weighted
 by its probability, of the same per-sample change of the potential.
 
 ``highs_value`` solves a ``LinearProgram`` with scipy's HiGHS (tests only;
-the package itself needs numpy alone).
+the package itself needs numpy alone).  ``per_triple_value`` gives HiGHS
+the unaggregated per-triple, per-state formulation instead, which it
+builds itself, so it also checks how the package builds its LP.
 
 ``slack_oracle`` / ``scale_oracle`` evaluate the region queries by direct
 grid search over the time-sharing fractions: feasibility and the margin
@@ -476,3 +478,36 @@ def highs_value(lp):
     )
     assert res.status == 0, res.message
     return float(-res.fun) - lp.objective_shift
+
+
+def per_triple_value(config, kind, target):
+    """The scale ("scale", target = direction) or slack ("slack", target =
+    lambda) optimum by HiGHS on the unaggregated formulation: the
+    ``_oracle_columns`` layout, one time row per combined state (p = 0 ones
+    included) and no merging of states.  The scale LP keeps one flow row
+    per triple; the slack margin is per relay queue (m, g1), so the slack
+    LP sums the triples' flow rows into one per class.  The last variable,
+    rho >= 0 or a free delta, is maximized."""
+    from scipy.optimize import linprog
+
+    cols = _oracle_columns(config)
+    rate, flow, time = _constraint_matrices(config, cols)
+    target = np.asarray(target, dtype=float)
+    if kind == "slack":
+        triples = sorted({(m, g) for _, m, g, _ in cols})
+        classes = sorted({(m, g[0]) for m, g in triples})
+        merge = np.array([[(m, g[0]) == c for m, g in triples] for c in classes], dtype=float)
+        flow = merge.reshape(len(classes), len(triples)) @ flow  # the shape holds with no classes too
+        extra = np.concatenate([np.ones(len(rate) + len(flow)), np.zeros(len(time))])
+        rhs = np.concatenate([-target, np.zeros(len(flow)), np.ones(len(time))])
+        bounds = [(0, None)] * len(cols) + [(None, None)]
+    else:
+        extra = np.concatenate([target, np.zeros(len(flow) + len(time))])
+        rhs = np.concatenate([np.zeros(len(rate) + len(flow)), np.ones(len(time))])
+        bounds = (0, None)
+    matrix = np.hstack([np.vstack([-rate, flow, time]), extra[:, None]])
+    objective = np.zeros(matrix.shape[1])
+    objective[-1] = -1.0
+    res = linprog(objective, A_ub=matrix, b_ub=rhs, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)

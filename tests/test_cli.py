@@ -262,21 +262,22 @@ def test_simulate_non_finite_lambda(tmp_path, capsys):
 def test_simulate_overflowing_arrivals_exit_2(tmp_path, capsys, arrival):
     # 1e308 bits/symbol is finite, but 1e308 * T is not
     assert main(["simulate", TOY, "--lambda", "1e308", "--arrival", arrival, "--horizon", "10",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(tmp_path), "--queues", "q.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coopsim: error: ") and err.count("\n") == 1
-    assert not (tmp_path / "metrics.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # neither metrics.csv nor the --queues file
 
 
 SEED_ERROR = "coopsim: error: the seed must be a non-negative integer, got -3\n"
 
 
 def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    # run checks the seed after --queues is opened; the file must go again
     assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", "--seed", "-3",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(tmp_path), "--queues", "q.csv"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", SEED_ERROR)
-    assert not (tmp_path / "metrics.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_drift_check_negative_seed_exits_2(capsys):

@@ -90,22 +90,27 @@ def test_solver_terminates_on_beales_cycling_lp(monkeypatch):
 
 def test_toy_slack_lp_shape(toy_single):
     lp = cs.build_slack_lp(toy_single, [0.4])
-    state = (("a",), ("a",))
-    assert lp.columns == (("a", 0, ("a",), state), ("b", 0, ("a",), state), ("delta",))
+    members = ((("a",), ("a",)),)  # the one state, in a group of its own
+    assert lp.columns == (("a", 0, ("a",), members), ("b", 0, ("a",), members), ("delta",))
     assert len(lp.rhs) == 3  # rate, flow, time
 
 
 def test_column_count_closed_form(desk):
-    # a: one column per (m, g1) class and drawable state with f1 = g1;
-    # b: one per support triple and drawable state with f2 = g2
+    # one time row per group of drawable states sharing (f1, D(f2)), D(f2)
+    # the classes (m, g1) with (m, g1, f2) supported; a: one column per class
+    # and group with f1 = g1; b: one per class and group whose D holds it
     drawable = [f for f in desk.sorted_states if desk.probability(f) > 0]
     classes = {(m, g1) for m, g1, _ in desk.support.triples}
-    expected = sum(sum(f[0] == g1 for f in drawable) for _, g1 in classes)
-    expected += sum(sum(f[1] == g2 for f in drawable) for _, _, g2 in desk.support.triples)
-    assert expected == 384
+    groups = {(f1, frozenset(c for c in classes if (*c, f2) in desk.support)) for f1, f2 in drawable}
+    expected = sum(sum(f1 == g1 for f1, _ in groups) for _, g1 in classes)
+    expected += sum(len(drained) for _, drained in groups)
+    assert (len(drawable), len(groups), expected) == (64, 12, 120)
+    assert sorted({len(drained) for _, drained in groups}) == [0, 9, 12]
     for lp in (cs.build_slack_lp(desk, [0.1, 0.1]), cs.build_scale_lp(desk, [1.0, 1.0])):
-        assert lp.matrix.shape == (2 + len(classes) + len(drawable), expected + 1) == (78, 385)
+        assert lp.matrix.shape == (2 + len(classes) + len(groups), expected + 1) == (26, 121)
         assert len(lp.columns) == expected + 1
+        members = {col[3] for col in lp.columns[:-1]}
+        assert sorted(f for group in members for f in group) == sorted(drawable)
 
 
 def test_zero_probability_states_add_no_rows():
@@ -121,10 +126,10 @@ def test_zero_probability_states_add_no_rows():
     cfg = cs.validate_config(doc)
     lp = cs.build_scale_lp(cfg, [1.0])
     assert lp.matrix.shape == (1 + 2 + 2, 4 + 1)  # rate, 2 classes, 2 states
-    assert all(col[3][0] == ("G",) for col in lp.columns[:-1])
-    assert [col[:3] for col in lp.columns[:-1]] == [
-        ("a", 0, ("G",)), ("a", 0, ("G",)), ("b", 0, ("G",)), ("b", 0, ("B",))
-    ]
+    gg, gb = ((("G",), ("G",)),), ((("G",), ("B",)),)  # different D(f2): no merge
+    assert lp.columns[:-1] == (
+        ("a", 0, ("G",), gg), ("a", 0, ("G",), gb), ("b", 0, ("G",), gg), ("b", 0, ("B",), gb)
+    )
     assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(0.5, abs=1e-12)
 
 
