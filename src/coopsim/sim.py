@@ -20,12 +20,28 @@ M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
 block it calls ``controller.choose`` on the state's entry of the table
 ``controller.state_entries`` builds once per run, and applies the exact
 queue updates (given in ``queueing``) inline.  Queues start empty and move
-only in whole multiples of the integer T.  The loop records only what it
-alone knows: each block's (variant code, c, A, B), the source queues and
-the relay queue.  The decision columns m and g1 are split from c after the
-loop, the per-block series are numpy row sums over buffered chunks of the
-one relay's queue, and the final state is the flat queue reshaped to
-(M, |F|^N).  The summary is derived where it is printed, in ``summary_dict``.
+only in whole multiples of the integer T.  An action writes at most one
+relay queue, so per block the loop records three things: ``choose``'s
+(variant code, c, A, B), the new source queues (appended to one flat list)
+and the new value of queue c.
+
+After each chunk of blocks, ``_relay_rows`` rebuilds the relay queue after
+every block from the row at the chunk's start: it scatters each block's
+write at (t, c), skipping idle blocks (c = -1), and forward-fills each
+cell's last write with ``np.maximum.accumulate`` over the write positions.
+The rows hold the very floats the loop wrote, so they equal a copy of the
+queue taken after every block bit for bit, and that one matrix feeds the
+relay series, the potential and the snapshot rows through the same numpy
+row sums a copy would.  ``delivered_bits`` reads each second hop's queue
+before the drain from the row above it: min(T, Q) times r_m for every
+destination, added block after block by ``np.add.accumulate`` seeded with
+the running total.  ``accumulate`` adds strictly in sequence, so the sums
+are those of the running d + sent * r_m^k.  Snapshot text is the repr of
+each distinct float64 bit pattern of the chunk, so no memo outlives a chunk
+and memory stays flat in the horizon.  The decision columns m and g1 are
+split from c after the loop, and the final state is the flat queue
+reshaped to (M, |F|^N).  The summary is derived where it is printed, in
+``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
 draws a run of that many blocks would use.  It builds the same table once
@@ -57,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -66,9 +83,9 @@ from .queueing import QueueState, snapshot_header
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
 
-# Blocks per chunk: draws are converted to Python lists, and the series and
-# snapshot rows computed, one chunk at a time, so memory stays flat in the
-# horizon.
+# Blocks per chunk: draws are converted to Python lists, and the relay rows
+# rebuilt and the series and snapshot rows computed, one chunk at a time, so
+# memory stays flat in the horizon.
 CHUNK = 256
 
 METRICS_COLUMNS = (
@@ -223,6 +240,25 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     return state_idx, arr
 
 
+def _relay_rows(start, cells, values) -> np.ndarray:
+    """One relay's queues before and after each block of a chunk, shape
+    (blocks + 1, cells): row 0 is ``start``, and row t + 1 holds each cell's
+    last write at or before block t, else its start value.  Block t wrote
+    ``values[t]`` to queue ``cells[t]``; an idle block (c = -1) writes
+    nothing."""
+    width = len(start)
+    written = np.empty((len(cells) + 1) * width)
+    written[:width] = start
+    last = np.zeros((len(cells) + 1, width), dtype=np.intp)  # flat position of each cell's last write
+    last[0] = np.arange(width)
+    t = np.flatnonzero(cells >= 0)
+    at = (t + 1) * width + cells[t]
+    written[at] = np.asarray(values)[t]
+    last.flat[at] = at
+    np.maximum.accumulate(last, axis=0, out=last)
+    return written[last]
+
+
 def run(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -246,7 +282,7 @@ def run(
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     table = state_entries(config, config.sorted_states)
-    cell_rates = np.repeat(config.rates, n_g1, axis=0).tolist()  # r_m per flat index
+    cell_rates = np.repeat(config.rates, n_g1, axis=0)  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
 
@@ -258,17 +294,17 @@ def run(
     cells = np.empty(horizon, dtype=np.int32)  # the queue filled or drained, -1 when idle
     w_first = np.empty(horizon)
     w_second = np.empty(horizon)
-    delivered = [0.0] * k_dest
+    delivered = np.zeros(k_dest)
 
     src = [0.0] * k_dest
     q = [0.0] * n_cells  # one relay's queues, index m * |F|^N + g1
     if snapshot_sink is not None:
         snapshot_sink.write(",".join(snapshot_header(config)) + "\n")
-        reprs = {}  # float64 bits -> repr: a run's queues take few distinct values
 
     for lo in range(0, horizon, CHUNK):
         hi = min(lo + CHUNK, horizon)
-        ch_act, ch_src, ch_q = [], [], []
+        start = np.array(q)
+        ch_act, ch_src, ch_val = [], [], []
         for s, a in zip(state_idx[lo:hi].tolist(), arr[:, lo:hi].T.tolist()):
             act = choose(src, q, table[s], n_relays, allow_idle)
             code, c = act[0], act[1]
@@ -277,24 +313,28 @@ def run(
                 src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, cell_sends[c])]
                 q[c] += T
             else:
-                src = [x + y for x, y in zip(src, a)]
+                src = list(map(add, src, a))
                 if code == 1:  # second hop draining queue c
-                    pre = q[c]
-                    sent = min(T, pre)
-                    delivered = [d + sent * r for d, r in zip(delivered, cell_rates[c])]
-                    q[c] = v if (v := pre - T) > 0.0 else 0.0
+                    q[c] = v if (v := q[c] - T) > 0.0 else 0.0
             ch_act.append(act)
-            ch_src.append(src)
-            ch_q.extend(q)
+            ch_src += src
+            ch_val.append(q[c])  # the one queue the action wrote; unused when idle (c = -1)
 
         variants[lo:hi], cells[lo:hi], w_first[lo:hi], w_second[lo:hi] = zip(*ch_act)
-        source = np.array(ch_src)
-        relay = np.array(ch_q).reshape(hi - lo, n_cells)
+        source = np.array(ch_src).reshape(hi - lo, k_dest)
+        rows = _relay_rows(start, cells[lo:hi], ch_val)
+        relay = rows[1:]
         weighted = relay * cell_rate_sums
         src_series[lo:hi] = source.sum(axis=1)
         rel_series[lo:hi] = relay.sum(axis=1)
         rel_bits_series[lo:hi] = weighted.sum(axis=1)
         v_series[lo:hi] = (source * source).sum(axis=1) + n_relays * (weighted * weighted).sum(axis=1)
+        # a second hop delivers min(T, Q) symbols of each of its queue's r_m;
+        # accumulate adds them one block after another, as a running sum would
+        second = np.flatnonzero(variants[lo:hi] == 1)
+        drained = cells[lo:hi][second]
+        steps = np.minimum(T, rows[second, drained])[:, None] * cell_rates[drained]
+        delivered = np.add.accumulate(np.vstack((delivered, steps)), axis=0)[-1]
         if snapshot_sink is not None:
             # Keyed by bit pattern, -0.0 could never take 0.0's text, though
             # the queues never hold -0.0: they start at +0.0, each update
@@ -302,9 +342,7 @@ def run(
             # at +0.0 or above, and an IEEE sum is -0.0 only when both terms are.
             row_bits = np.concatenate((source, relay), axis=1).view(np.int64)
             bits, inverse = np.unique(row_bits, return_inverse=True)
-            pairs = zip(bits.tolist(), bits.view(np.float64).tolist())
-            texts = [reprs.get(b) or reprs.setdefault(b, repr(x)) for b, x in pairs]
-            texts = np.array(texts, dtype=object)[inverse.ravel()]
+            texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse.ravel()]
             snapshot_sink.writelines(
                 f"{t},{','.join(row)}\n" for t, row in zip(range(lo, hi), texts.reshape(row_bits.shape).tolist())
             )
@@ -325,7 +363,7 @@ def run(
         fading_state_idx=state_idx,
         g1_space=config.first_hop_space,
         seed=seed,
-        delivered_bits=np.minimum(np.array(delivered), offered),
+        delivered_bits=np.minimum(delivered, offered),
         offered_bits=offered,
         final_state=QueueState(config, np.array(src), np.array(q).reshape(-1, n_g1)),
     )

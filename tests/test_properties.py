@@ -1,8 +1,9 @@
 """Property tests on random small configs (N <= 3, K <= 2, sparse tables,
 random support): the controller against ``oracles.bruteforce_decide``,
 ``controller.state_entries`` against the per-state ``oracles.state_entry``,
-and the pure ``queueing.apply_*`` updates against their bit-accounting
-rules.
+the pure ``queueing.apply_*`` updates against their bit-accounting
+rules, and ``sim._relay_rows``, the chunk rebuild of the relay queues,
+against a copy of the queues after every block.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum
 over relays, n ascending, on a shape no shipped config has.
@@ -18,6 +19,7 @@ st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
 from coopsim.controller import state_entries  # noqa: E402
+from coopsim.sim import _relay_rows  # noqa: E402
 from conftest import small_configs  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
@@ -112,3 +114,37 @@ def test_updates_conserve_bits(case):
     others[cell] = False
     assert np.array_equal(out.relay[others], state.relay[others])
     assert np.array_equal(state.source, before.source) and np.array_equal(state.relay, before.relay)
+
+
+@st.composite
+def chunk_writes(draw):
+    """A start row, and per block the cell written (-1 when idle) and the
+    value written; few cells, so blocks often write one cell again."""
+    width = draw(st.integers(1, 5))
+    blocks = draw(st.integers(1, 20))
+    start = draw(st.lists(QUEUE, min_size=width, max_size=width))
+    cells = draw(st.lists(st.integers(-1, width - 1), min_size=blocks, max_size=blocks))
+    values = draw(st.lists(QUEUE, min_size=blocks, max_size=blocks))
+    return np.array(start), np.array(cells, dtype=np.int32), values
+
+
+def _copied_rows(start, cells, values):
+    q = start.tolist()
+    rows = [list(q)]
+    for c, v in zip(cells.tolist(), values):
+        if c >= 0:
+            q[c] = v
+        rows.append(list(q))
+    return np.array(rows)
+
+
+@SETTINGS
+@hypothesis.given(chunk_writes())
+@hypothesis.example((np.array([3.0, 0.0]), np.array([-1, -1, -1], dtype=np.int32), [5.0, 6.0, 7.0]))  # no write
+@hypothesis.example((np.array([0.0, 20.0, 0.0]), np.array([1, 1, -1, 1], dtype=np.int32), [30.0, 10.0, 9.0, 0.0]))
+@hypothesis.example((np.array([40.0]), np.array([0], dtype=np.int32), [50.0]))
+def test_relay_rows_match_a_copy_per_block(case):
+    start, cells, values = case
+    got = _relay_rows(start, cells, values)
+    want = _copied_rows(start, cells, values)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -19,7 +19,7 @@ import pytest
 import coopsim as cs
 from coopsim import controller, sim
 from coopsim.model import fading_indices
-from conftest import make_doc
+from conftest import make_doc, sparse_config
 from oracles import expected_drift, reference_drift_check, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
@@ -98,6 +98,19 @@ def test_run_matches_reference_synthetic(n, k, seed, allow_idle):
         want = reference_run(config, arrivals, HORIZON, seed, allow_idle=allow_idle, snapshot_sink=want_rows)
         assert_bit_identical(got, want)
         assert got_rows.getvalue() == want_rows.getvalue()
+
+
+@pytest.mark.parametrize("rate", [0.6, 1.6])
+def test_run_matches_reference_on_96_cells(rate):
+    # N = 4, K = 3: 96 relay cells per row, rho* about 1.147 along (1, 1, 1),
+    # so 1.6 fills most of them
+    config = sparse_config(4, 3, 6, 800, 1)
+    arrivals = cs.ArrivalConfig(rates=(rate,) * 3)
+    got_rows, want_rows = io.StringIO(), io.StringIO()
+    got = cs.run(config, arrivals, HORIZON, 1, snapshot_sink=got_rows)
+    want = reference_run(config, arrivals, HORIZON, 1, snapshot_sink=want_rows)
+    assert_bit_identical(got, want)
+    assert got_rows.getvalue() == want_rows.getvalue()
 
 
 @pytest.mark.parametrize("horizon", [1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,6 +139,41 @@ def test_snapshot_sink(toy_single):
     assert lines[0] == "block,Qs_1,Q_m0_a"
     assert len(lines) == 6
     assert lines[1].startswith("0,")
+
+
+class _DiscardingSink:
+    """A snapshot sink that formats every row and keeps none."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+def test_snapshot_sink_memory_stays_flat(desk):
+    # at 1.5 rho* along (1, 1) the queues grow, so nearly every block brings
+    # values no earlier block held
+    rate = 1.5 * cs.boundary_scale(desk, [1.0, 1.0])
+    arrivals = cs.ArrivalConfig(rates=(rate, rate))
+
+    def traced_peak(horizon):
+        tracemalloc.start()
+        try:
+            metrics = cs.run(desk, arrivals, horizon, 1, snapshot_sink=_DiscardingSink())
+            return tracemalloc.get_traced_memory()[1], metrics
+        finally:
+            tracemalloc.stop()
+
+    small, _ = traced_peak(4 * cs.sim.CHUNK)
+    large, metrics = traced_peak(32 * cs.sim.CHUNK)
+    per_block = sum(
+        value.nbytes for value in vars(metrics).values() if isinstance(value, np.ndarray) and len(value) == metrics.horizon
+    ) / metrics.horizon
+    # the series, the draws and one chunk's rows; a memo of every text the
+    # run formatted adds over 3 times the series' bytes per block on top
+    assert large - small <= 2 * per_block * 28 * cs.sim.CHUNK
 
 
 # -- verdicts ---------------------------------------------------------------
