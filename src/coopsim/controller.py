@@ -15,7 +15,8 @@ scheme id and then the lexicographically smallest g1, so runs are exactly
 reproducible.  With ``allow_idle`` set the controller idles when A <= 0 and
 B <= 0.  It never sees the fading distribution or the arrival rates; its
 only inputs are queue lengths, the realized state and the support relation,
-read as its raw (m, g1, g2) triples.
+read as ``NetworkConfig.drain_cells``, the relation's g2 -> drainable queues
+view that the region LP's state groups share.
 
 The rule has one implementation, ``choose``, a scalar step over Python
 floats: the K source queues and one relay's queues as a flat list, index
@@ -42,17 +43,14 @@ VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)  # indexed by choose()'s variant c
 def state_entries(config: NetworkConfig, states) -> list:
     """What ``choose`` reads of each fading state f = (f1, f2) in ``states``:
     per scheme m, the flat index of its (m, f1) queue and its rates r_m; and
-    the queues drainable under f2 as (flat index, (r_m . 1)^2), lowest m and
-    then smallest g1 first.  States that share f1 (f2) share one first-hop
-    (drain) tuple."""
+    the queues drainable under f2 (``config.drain_cells``) as (flat index,
+    (r_m . 1)^2), lowest m and then smallest g1 first.  States that share
+    f1 (f2) share one first-hop (drain) tuple."""
     n_g1 = len(config.first_hop_space)
     rates = config.rates.tolist()
     w2 = (config.rate_sums * config.rate_sums).tolist()
     firsts = [tuple((m * n_g1 + g1i, r) for m, r in enumerate(rates)) for g1i in range(n_g1)]
-    drained: dict = {}  # g2 -> the flat indices of the queues it drains
-    for m, g1, g2 in config.support.triples:
-        drained.setdefault(g2, []).append(m * n_g1 + config.g1_index[g1])
-    drains = {g2: tuple((c, w2[c // n_g1]) for c in sorted(cells)) for g2, cells in drained.items()}
+    drains = {g2: tuple((c, w2[c // n_g1]) for c in cells) for g2, cells in config.drain_cells.items()}
     return [(firsts[config.g1_index[f1]], drains.get(f2, ())) for f1, f2 in states]
 
 

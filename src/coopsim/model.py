@@ -105,6 +105,11 @@ class NetworkConfig:
     support: SupportRelation
 
     # -- derived, cached views used by the controller / region builders --
+    # Each is computed on first use and shared by every later call on this
+    # config.  Per config: the drain relation, the support classes, the
+    # region LP's state groups and its layout.  Per region query: a fresh
+    # matrix filled from ``lp_layout``, its rho or delta column and its rhs.
+    # Cached arrays are read-only; the other views are only read.
 
     @cached_property
     def first_hop_space(self) -> tuple:
@@ -153,6 +158,48 @@ class NetworkConfig:
     def last_drawable_state(self) -> int:
         """Index of the last sorted state with p > 0."""
         return max(i for i, s in enumerate(self.sorted_states) if self.fading.table[s] > 0)
+
+    @cached_property
+    def drain_cells(self) -> dict:
+        """g2 -> the flat indices m * |F|^N + g1 of the relay queues (m, g1)
+        with (m, g1, g2) supported, ascending; a g2 that drains nothing is
+        absent."""
+        n_g1 = len(self.first_hop_space)
+        cells: dict = {}
+        for m, g1, g2 in self.support.triples:
+            cells.setdefault(g2, []).append(m * n_g1 + self.g1_index[g1])
+        return {g2: tuple(sorted(c)) for g2, c in cells.items()}
+
+    @cached_property
+    def support_classes(self) -> tuple:
+        """The (m, g1) pairs of the support, ordered by scheme, then g1
+        (ascending flat index)."""
+        n_g1 = len(self.first_hop_space)
+        cells = sorted({c for drained in self.drain_cells.values() for c in drained})
+        return tuple((c // n_g1, self.first_hop_space[c % n_g1]) for c in cells)
+
+    @cached_property
+    def state_groups(self) -> dict:
+        """The drawable states merged by (f1, D(f2)), D(f2) being
+        ``drain_cells[f2]`` (empty if absent): key -> (member states, pi).
+        Members and the pi sum follow ``sorted_states`` order, so the groups
+        come in the order of their first members and a group of one has
+        pi = pi_f."""
+        groups: dict = {}
+        for f in self.sorted_states:
+            p = self.fading.table[f]
+            if p > 0.0:
+                key = (f[0], self.drain_cells.get(f[1], ()))
+                members, pi = groups.get(key, ((), 0.0))
+                groups[key] = (members + (f,), pi + p)
+        return groups
+
+    @cached_property
+    def lp_layout(self):
+        """The region LP's config-only part, ``region.lp_layout(self)``."""
+        from .region import lp_layout  # region builds on this module
+
+        return lp_layout(self)
 
     def probability(self, f) -> float:
         return self.fading.table.get(f, 0.0)

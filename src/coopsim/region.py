@@ -36,6 +36,15 @@ the same rate and flow sums and the group's time use in every member's
 time row, so it is feasible.  Both forms thus have the same optimum, and a
 config in which no two states share a key builds the per-state LP.
 
+What depends on the config alone is computed once per config and cached on
+it: the drain relation g2 -> D(f2) (``NetworkConfig.drain_cells``, which the
+controller reads too), the support classes, the state groups with their pi
+sums and ``lp_layout``, the column tags and the position and value of every
+rate, flow and time entry.  Per query, ``build_scale_lp`` and
+``build_slack_lp`` only fill a fresh matrix from that layout and write the
+trailing rho or delta column and the rhs; the cached arrays are read-only,
+so no query can change what the next one reads.
+
 Two queries are exposed.  ``boundary_scale`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
 query ``interior_slack`` maximizes the uniform margin delta by which every
@@ -154,18 +163,24 @@ class RegionWitness:
 
 
 def _ratio_row(column: np.ndarray, x_b: np.ndarray, basis: np.ndarray, col: int) -> int | None:
-    """Leaving row by minimum ratio, Bland tie-break.  None means unbounded."""
-    threshold = PIVOT_TOL * max(1.0, np.abs(column).max(initial=0.0))
-    eligible = np.flatnonzero(column > threshold)
-    if eligible.size == 0:
-        if (column > 1e-25).any():
-            raise DegeneracyError(
-                f"all candidate pivots in column {col} are below {threshold:.3g}"
-            )
-        return None
-    ratios = x_b[eligible] / column[eligible]
-    ties = eligible[ratios == ratios.min()]
-    return int(ties[np.argmin(basis[ties])])
+    """Leaving row by minimum ratio, Bland tie-break.  None means unbounded.
+
+    One pass over Python floats: the column is short (one entry per row),
+    so this beats a dozen numpy calls on it.  ``oracles.ratio_row`` is the
+    same test in numpy."""
+    entries = column.tolist()
+    threshold = PIVOT_TOL * max(1.0, max(map(abs, entries), default=0.0))
+    row, best, positive = None, 0.0, False
+    for i, (entry, x) in enumerate(zip(entries, x_b.tolist())):
+        if entry > threshold:
+            ratio = x / entry
+            if row is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                row, best = i, ratio
+        elif entry > 1e-25:
+            positive = True
+    if row is None and positive:
+        raise DegeneracyError(f"all candidate pivots in column {col} are below {threshold:.3g}")
+    return row
 
 
 STALL_LIMIT = 32  # degenerate pivots tolerated before Bland's rule kicks in
@@ -271,24 +286,24 @@ def _iterate(basis: _Basis) -> str:
                     stats.bland_from = stats.pivots
 
 
-def _check_primal(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
+def _check_primal(matrix: np.ndarray, abs_matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
     """Worst relative residual of x: x >= 0 and every row holds, each
-    relative to 1 + |rhs_i| + sum_j |A_ij x_j|.  Raise DegeneracyError if it
-    exceeds RESIDUAL_TOL."""
-    gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + np.abs(matrix) @ np.abs(x))
+    relative to 1 + |rhs_i| + sum_j |A_ij x_j|, ``abs_matrix`` being |A|.
+    Raise DegeneracyError if it exceeds RESIDUAL_TOL."""
+    gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + abs_matrix @ np.abs(x))
     worst = max(gap.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
     if worst > RESIDUAL_TOL:
         raise DegeneracyError(f"post-solve residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
     return float(worst)
 
 
-def _check_dual(matrix, rhs, objective, x, y) -> float:
+def _check_dual(matrix, abs_matrix, rhs, objective, x, y) -> float:
     """Worst relative residual of the row prices y as a proof that x is
     maximal: y >= 0, A^T y >= c and b.y = c.x, each relative to the
-    magnitudes of its terms.  Raise DegeneracyError if it exceeds
-    RESIDUAL_TOL."""
+    magnitudes of its terms, ``abs_matrix`` being |A|.  Raise
+    DegeneracyError if it exceeds RESIDUAL_TOL."""
     abs_y = np.abs(y)
-    short = (objective - matrix.T @ y) / (1.0 + np.abs(objective) + np.abs(matrix).T @ abs_y)
+    short = (objective - matrix.T @ y) / (1.0 + np.abs(objective) + abs_matrix.T @ abs_y)
     gap = abs(rhs @ y - objective @ x) / (1.0 + np.abs(rhs) @ abs_y + np.abs(objective) @ np.abs(x))
     worst = max(0.0, -y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
     if worst > RESIDUAL_TOL:
@@ -323,9 +338,11 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
 
     x_full = np.zeros(len(basis.cost))
     x_full[basis.cols] = basis.x_b
-    x = x_full[:n_cols]
-    stats.primal_residual = _check_primal(matrix, rhs, x)
-    stats.dual_residual = _check_dual(matrix, rhs, objective, x, basis.prices())
+    x, y = x_full[:n_cols], basis.prices()
+    del basis  # frees [A | I] before |A| is built for the checks
+    abs_matrix = np.abs(matrix)
+    stats.primal_residual = _check_primal(matrix, abs_matrix, rhs, x)
+    stats.dual_residual = _check_dual(matrix, abs_matrix, rhs, objective, x, y)
     raw = float(np.dot(objective, x))
     wit = RegionWitness(
         status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x, stats=stats
@@ -343,45 +360,34 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
 # LP construction
 
 
-def _classes(config: NetworkConfig) -> list:
-    """The (m, g1) pairs of the support, ordered by scheme, then g1."""
-    g1i = config.g1_index
-    pairs = {(m, g1) for m, g1, _ in config.support.triples}
-    return sorted(pairs, key=lambda c: (c[0], g1i[c[1]]))
+@dataclass(frozen=True)
+class LpLayout:
+    """The config-only part of both region LPs, built once per config and
+    cached as ``NetworkConfig.lp_layout``: rate rows, then one flow row per
+    support class, then one time row per state group; a query adds one
+    trailing column and the rhs."""
+
+    columns: tuple  # the a and b column tags, without the query's column
+    shape: tuple  # (rows, columns + 1)
+    cells: np.ndarray  # flat positions of the rate, flow and time entries in a matrix of ``shape``
+    values: np.ndarray  # their values
+    flows: slice  # the flow rows
 
 
-def _groups(config: NetworkConfig, classes: list) -> dict:
-    """The drawable states merged by (f1, D(f2)), D(f2) being the indices
-    of the classes (m, g1) with (m, g1, f2) supported: key -> [member
-    states, pi].  Both follow ``sorted_states`` order, so the groups come in
-    the order of their first members and a group of one has pi = pi_f."""
-    supported = config.support.triples
-    drained: dict = {}
-    groups: dict = {}
-    for f in config.sorted_states:
-        p = config.fading.table[f]
-        if p > 0.0:
-            if f[1] not in drained:
-                drained[f[1]] = frozenset(c for c, (m, g1) in enumerate(classes) if (m, g1, f[1]) in supported)
-            group = groups.setdefault((f[0], drained[f[1]]), [(), 0.0])
-            group[0] += (f,)
-            group[1] += p
-    return groups
-
-
-def _assemble(config: NetworkConfig, extra_tag: tuple):
-    """Shared rate/flow/time skeleton plus one trailing column the caller fills.
-
-    Returns the column tags, the matrix and the slice of flow rows.
-    """
+def lp_layout(config: NetworkConfig) -> LpLayout:
+    """Lay out the rate/flow/time skeleton over ``config.support_classes``
+    and ``config.state_groups``: per class (m, g1), one a column per group
+    with f1 = g1, then one b column per group whose drain set holds the
+    class."""
     k_dest = config.shape.num_destinations
-    classes = _classes(config)
-    groups = _groups(config, classes)
+    classes, groups = config.support_classes, config.state_groups
+    n_g1 = len(config.first_hop_space)
     keys, members = list(groups), [states for states, _ in groups.values()]
     columns, class_of, group_of = [], [], []
     for c, (m, g1) in enumerate(classes):
+        cell = m * n_g1 + config.g1_index[g1]
         fill = [s for s, (f1, _) in enumerate(keys) if f1 == g1]
-        drain = [s for s, (_, drained) in enumerate(keys) if c in drained]
+        drain = [s for s, (_, drained) in enumerate(keys) if cell in drained]
         columns += [("a", m, g1, members[s]) for s in fill] + [("b", m, g1, members[s]) for s in drain]
         class_of += [c] * (len(fill) + len(drain))
         group_of += fill + drain
@@ -391,11 +397,33 @@ def _assemble(config: NetworkConfig, extra_tag: tuple):
     scheme = np.array([m for m, _ in classes], dtype=int)[class_of]
 
     j = np.arange(len(columns))
-    matrix = np.zeros((k_dest + len(classes) + len(groups), len(columns) + 1))
-    matrix[:k_dest, j[fills]] = (-pi[fills, None] * config.rates[scheme[fills]]).T
-    matrix[k_dest + class_of, j] = np.where(fills, pi, -pi)
-    matrix[k_dest + len(classes) + group_of, j] = 1.0
-    return tuple(columns) + (extra_tag,), matrix, slice(k_dest, k_dest + len(classes))
+    width = len(columns) + 1
+    rate_rows = np.repeat(np.arange(k_dest), fills.sum())
+    rows = np.concatenate((rate_rows, k_dest + class_of, k_dest + len(classes) + group_of))
+    cols = np.concatenate((np.tile(j[fills], k_dest), j, j))
+    values = np.concatenate((
+        (-pi[fills, None] * config.rates[scheme[fills]]).T.ravel(),
+        np.where(fills, pi, -pi),
+        np.ones(len(columns)),
+    ))
+    cells = rows * width + cols
+    cells.setflags(write=False)
+    values.setflags(write=False)
+    return LpLayout(
+        tuple(columns), (k_dest + len(classes) + len(groups), width), cells, values, slice(k_dest, k_dest + len(classes))
+    )
+
+
+def _assemble(config: NetworkConfig, extra_tag: tuple):
+    """A fresh matrix filled from the config's cached layout, its trailing
+    column left for the caller.
+
+    Returns the column tags, the matrix and the slice of flow rows.
+    """
+    layout = config.lp_layout
+    matrix = np.zeros(layout.shape)
+    matrix.flat[layout.cells] = layout.values
+    return layout.columns + (extra_tag,), matrix, layout.flows
 
 
 def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
@@ -519,7 +547,7 @@ def witness_max_violation(
     if witness.status != "optimal":
         raise ValueError("can only replay an optimal witness")
     rate = np.zeros(config.shape.num_destinations)
-    flow = dict.fromkeys(_classes(config), 0.0)  # fill - drain per relay queue
+    flow = dict.fromkeys(config.support_classes, 0.0)  # fill - drain per relay queue
     time_used: dict = {}
     worst = 0.0
     for (f, m, g1), val in witness.a.items():

@@ -34,6 +34,9 @@ call, one pure queue update and one full potential per sample.
 every fading state and every point of the finite arrival support, weighted
 by its probability, of the same per-sample change of the potential.
 
+``ratio_row`` is the simplex's ratio test written in numpy, the reference
+for the package's one-pass loop over Python floats.
+
 ``highs_value`` solves a ``LinearProgram`` with scipy's HiGHS (tests only;
 the package itself needs numpy alone).  ``per_triple_value`` gives HiGHS
 the unaggregated per-triple, per-state formulation instead, which it
@@ -55,6 +58,7 @@ import numpy as np
 
 from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose
 from coopsim.queueing import QueueState, snapshot_header
+from coopsim.region import PIVOT_TOL, DegeneracyError
 from coopsim.sim import DriftEstimate, Metrics, _draws
 
 # ---------------------------------------------------------------------------
@@ -462,6 +466,24 @@ def scale_oracle(config, direction, start_step=None):
 
 # ---------------------------------------------------------------------------
 # independent LP solver
+
+
+def ratio_row(column, x_b, basis, col):
+    """``region._ratio_row`` in numpy: the leaving row by minimum ratio
+    x_B / column over the entries above PIVOT_TOL * max(1, max |column|),
+    ties to the lowest basis index; None when no entry is positive, and
+    DegeneracyError when every positive entry is below the threshold."""
+    threshold = PIVOT_TOL * max(1.0, np.abs(column).max(initial=0.0))
+    eligible = np.flatnonzero(column > threshold)
+    if eligible.size == 0:
+        if (column > 1e-25).any():
+            raise DegeneracyError(
+                f"all candidate pivots in column {col} are below {threshold:.3g}"
+            )
+        return None
+    ratios = x_b[eligible] / column[eligible]
+    ties = eligible[ratios == ratios.min()]
+    return int(ties[np.argmin(basis[ties])])
 
 
 def highs_value(lp):

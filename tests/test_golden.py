@@ -1,6 +1,6 @@
 """Golden outputs: ``simulate`` (metrics.csv, summary.json, --queues),
-``sweep`` stdout and ``drift-check`` stdout at fixed seeds, compared byte
-for byte.
+``sweep`` stdout and ``drift-check`` stdout at fixed seeds, and ``region``
+stdout on desk, compared byte for byte.
 
 These files pin the deterministic output contract across refactors of the
 block loop.  An intended change to any of them must be named column by
@@ -57,6 +57,10 @@ DRIFT_CASES = {
     "drift_single": ("toy_single", ["--lambda", "0.75", "--qs", "10000", "--relay-fill", "4000",
                                     "--samples", "3000", "--seed", "13"]),
 }
+# desk region directions: (1, 1), test_region.py's PINNED_DIRECTION, two
+# skewed ones and one that scales rho* down to 1.5e-10; the witness JSON is
+# taken along the first.
+REGION_DIRECTIONS = ("1,1", "0.6263039869788208,0.7430217329347985", "0.2,1", "1,0.3", "1e10,1")
 SWEEP_SPEC = {"direction": [1.0, 1.0], "load_factors": [0.5, 1.5], "horizon": 1500, "seeds": [1, 2]}
 
 
@@ -85,6 +89,17 @@ def _drift(name: str) -> bytes:
     return buf.getvalue().encode()
 
 
+def _region() -> bytes:
+    desk = str(ROOT / "configs" / "desk.json")
+    runs = [["region", desk, "--direction", d] for d in REGION_DIRECTIONS]
+    runs.append(["region", desk, "--direction", REGION_DIRECTIONS[0], "--witness"])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for argv in runs:
+            assert main(argv) == 0
+    return buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
 def test_simulate_matches_golden(name, tmp_path):
     _simulate(name, tmp_path)
@@ -102,6 +117,10 @@ def test_drift_check_matches_golden(name):
     assert _drift(name) == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+def test_region_matches_golden():
+    assert _region() == (GOLDEN / "region_desk.txt").read_bytes()
+
+
 if __name__ == "__main__":
     for case in SIMULATE_CASES:
         _simulate(case, GOLDEN / case)
@@ -109,5 +128,7 @@ if __name__ == "__main__":
     (GOLDEN / "sweep_spec.json").unlink()
     for case in DRIFT_CASES:
         (GOLDEN / f"{case}.txt").write_bytes(_drift(case))
-    print(f"captured {len(SIMULATE_CASES)} simulate cases, one sweep and {len(DRIFT_CASES)} drift checks "
+    (GOLDEN / "region_desk.txt").write_bytes(_region())
+    print(f"captured {len(SIMULATE_CASES)} simulate cases, one sweep, {len(DRIFT_CASES)} drift checks "
+          "and the desk region queries "
           f"under {GOLDEN}", file=sys.stderr)

@@ -2,8 +2,9 @@
 random support): the controller against ``oracles.bruteforce_decide``,
 ``controller.state_entries`` against the per-state ``oracles.state_entry``,
 the pure ``queueing.apply_*`` updates against their bit-accounting
-rules, and ``sim._relay_rows``, the chunk rebuild of the relay queues,
-against a copy of the queues after every block.
+rules, ``sim._relay_rows``, the chunk rebuild of the relay queues,
+against a copy of the queues after every block, and the simplex's ratio
+test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum
 over relays, n ascending, on a shape no shipped config has.
@@ -19,6 +20,7 @@ st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
 from coopsim.controller import state_entries  # noqa: E402
+from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
 from coopsim.sim import _relay_rows  # noqa: E402
 from conftest import small_configs  # noqa: E402
 from oracles import (  # noqa: E402
@@ -27,6 +29,7 @@ from oracles import (  # noqa: E402
     apply_second_hop,
     bruteforce_decide,
     decide,
+    ratio_row,
     state_entry,
 )
 
@@ -72,6 +75,45 @@ def test_state_entries_match_spec_on_every_f2(config):
     f2s = itertools.product("GB", repeat=sh.num_relays * sh.num_destinations)
     states = list(itertools.product(config.first_hop_space, f2s))
     assert state_entries(config, states) == [state_entry(config, f) for f in states]
+
+
+# ratio-test columns: exact ties, +-0.0, entries far below the pivot
+# tolerance, non-positive ones and arbitrary floats; x_B holds zeros and ties
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 1e-13, 1e-26]), st.floats(-1e3, 1e3))
+BASIC = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(0.0, 1e3))
+
+
+@st.composite
+def ratio_cases(draw):
+    """A column with entries at and just around its pivot threshold
+    appended (they leave max |column| alone), its basic values and distinct
+    basis indices, all in a drawn order."""
+    column = draw(st.lists(ENTRY, min_size=1, max_size=10))
+    threshold = PIVOT_TOL * max(1.0, max(map(abs, column)))
+    edges = [threshold, float(np.nextafter(threshold, np.inf)), float(np.nextafter(threshold, 0.0))]
+    column += draw(st.lists(st.sampled_from(edges), max_size=3))
+    n = len(column)
+    order = draw(st.permutations(range(n)))
+    x_b = draw(st.lists(BASIC, min_size=n, max_size=n))
+    basis = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n, unique=True))
+    return np.array(column)[order], np.array(x_b), np.array(basis)
+
+
+def _ratio_outcome(test, case):
+    try:
+        return test(*case, 3)
+    except cs.DegeneracyError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@hypothesis.given(ratio_cases())
+@hypothesis.example((np.array([-1.0, 0.0, -0.0]), np.array([1.0, 0.0, 2.0]), np.array([4, 1, 2])))  # unbounded
+@hypothesis.example((np.array([-3.0, 1e-13, 3e-12]), np.zeros(3), np.array([0, 1, 2])))  # all below 3e-12
+@hypothesis.example((np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 1.0]), np.array([7, 3, 5])))  # a three-way tie
+@hypothesis.example((np.array([-0.0, 0.5, 1e-12]), np.array([0.0, -0.0, 0.0]), np.array([9, 8, 1])))  # +-0 ratios
+def test_ratio_row_matches_numpy_spec(case):
+    assert _ratio_outcome(_ratio_row, case) == _ratio_outcome(ratio_row, case)
 
 
 @st.composite

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import coopsim as cs
+from coopsim.controller import state_entries
+from coopsim.model import NetworkConfig
 from coopsim.region import LinearProgram
-from conftest import make_doc
+from conftest import CONFIG_DIR, make_doc
 from oracles import _constraint_matrices, _oracle_columns, highs_value, scale_oracle, slack_oracle
 
 # On the per-triple LP of this direction the solver once returned rho*
@@ -131,6 +135,56 @@ def test_zero_probability_states_add_no_rows():
         ("a", 0, ("G",), gg), ("a", 0, ("G",), gb), ("b", 0, ("G",), gg), ("b", 0, ("B",), gb)
     )
     assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(0.5, abs=1e-12)
+
+
+# -- per-config views ------------------------------------------------------
+
+CACHED_VIEWS = ("drain_cells", "support_classes", "state_groups", "lp_layout")
+
+
+def test_queries_on_one_config_match_fresh_configs():
+    # scale -> slack -> scale on one loaded config, against the same queries
+    # each on a freshly loaded one: nothing a query does reaches the next
+    shared = cs.load_config(CONFIG_DIR / "desk.json")
+    rho = cs.boundary_scale(cs.load_config(CONFIG_DIR / "desk.json"), PINNED_DIRECTION)
+    lam = 0.9 * rho * np.asarray(PINNED_DIRECTION)
+    queries = ((cs.scale_witness, PINNED_DIRECTION), (cs.slack_witness, lam), (cs.scale_witness, PINNED_DIRECTION))
+    for query, arg in queries:
+        got, want = query(shared, arg), query(cs.load_config(CONFIG_DIR / "desk.json"), arg)
+        assert (got.value, got.x.tobytes(), got.stats) == (want.value, want.x.tobytes(), want.stats)
+
+
+def test_cached_layout_is_read_only(desk):
+    layout = desk.lp_layout
+    for array in (layout.cells, layout.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # each query owns its matrix: writing into one leaves the next as it was
+    first = cs.build_scale_lp(desk, [1.0, 1.0])
+    expected = first.matrix.copy()
+    first.matrix[:] = 7.0
+    assert cs.build_scale_lp(desk, [1.0, 1.0]).matrix.tobytes() == expected.tobytes()
+
+
+def test_queries_compute_the_grouping_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapped(config):
+            calls[name] += 1
+            return func(config)
+
+        return wrapped
+
+    for name in CACHED_VIEWS:
+        prop = NetworkConfig.__dict__[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    cfg = cs.load_config(CONFIG_DIR / "desk.json")
+    for direction in ((1.0, 1.0), PINNED_DIRECTION, (0.2, 1.0)):
+        cs.interior_slack(cfg, 0.9 * cs.boundary_scale(cfg, direction) * np.asarray(direction))
+    state_entries(cfg, cfg.sorted_states)  # the controller reads the same drain relation
+    assert calls == dict.fromkeys(CACHED_VIEWS, 1)
 
 
 def test_zero_rate_interior(toy_single):
@@ -304,7 +358,7 @@ def test_post_solve_check_rejects_a_broken_point(monkeypatch):
     import coopsim.region as region
 
     real = region._check_primal
-    monkeypatch.setattr(region, "_check_primal", lambda m, r, x: real(m, r, x + 1.0))
+    monkeypatch.setattr(region, "_check_primal", lambda m, am, r, x: real(m, am, r, x + 1.0))
     with pytest.raises(cs.DegeneracyError, match="post-solve residual"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
 
@@ -314,7 +368,7 @@ def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
     import coopsim.region as region
 
     real = region._check_dual
-    monkeypatch.setattr(region, "_check_dual", lambda m, r, c, x, y: real(m, r, c, x, 0.5 * y))
+    monkeypatch.setattr(region, "_check_dual", lambda m, am, r, c, x, y: real(m, am, r, c, x, 0.5 * y))
     with pytest.raises(cs.DegeneracyError, match="dual residual"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
 
