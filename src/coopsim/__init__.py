@@ -5,11 +5,8 @@ from .controller import FIRST_HOP, IDLE, SECOND_HOP
 from .model import (
     ConfigError,
     CountOverflowError,
-    EncodingScheme,
-    FadingModel,
     NetworkConfig,
     NetworkShape,
-    SupportRelation,
     load_config,
     queue_count_encoding_based,
     queue_count_state_based,

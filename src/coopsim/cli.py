@@ -94,7 +94,7 @@ def _witness_records(config, wit) -> dict:
     for (f, m, g1), val in wit.a.items():
         weights = drain.get((m, g1))
         if not weights:
-            weights = {t[2]: 1.0 for t in sorted(config.support.triples) if t[:2] == (m, g1)}
+            weights = {t[2]: 1.0 for t in sorted(config.support) if t[:2] == (m, g1)}
         total = sum(weights.values())
         a += [(f, m, g1, g2, val * w / total) for g2, w in weights.items()]
     b = [(f, m, g1, f[1], val) for (f, m, g1), val in wit.b.items()]
@@ -243,7 +243,7 @@ def cmd_queue_count(args) -> int:
     state = queue_count_state_based(
         args.state_based_levels,
         sh.num_destinations,
-        len(config.fading.alphabet),
+        len(config.alphabet),
         sh.num_relays,
     )
     ratio = state // enc if state % enc == 0 else state / enc

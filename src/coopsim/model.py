@@ -27,6 +27,10 @@ Config files are single JSON documents::
 
 Unknown fields are rejected.  States missing from the table are treated as
 probability zero.  Scheme ids must be the contiguous integers 0..M-1.
+``validate_config`` turns the document into a ``NetworkConfig`` of plain
+data: the shape, the alphabet, the fading table as a dict, one rate tuple
+per scheme (its position is its id) and the support as a frozenset of
+triples.
 """
 
 from __future__ import annotations
@@ -70,39 +74,14 @@ class NetworkShape:
 
 
 @dataclass(frozen=True)
-class FadingModel:
-    """Joint block-fading table: (f1, f2) -> probability.
-
-    The table is sparse; the key space is semantically the full product
-    F^N x F^(N*K).  Keys are pairs of label tuples.
-    """
-
-    alphabet: tuple[Label, ...]
-    table: dict
-
-
-@dataclass(frozen=True)
-class EncodingScheme:
-    id: int
-    rates: tuple[float, ...]  # bits/symbol per destination
-
-
-@dataclass(frozen=True)
-class SupportRelation:
-    """Set of (m, g1, g2) triples a second-hop transmission may use."""
-
-    triples: frozenset
-
-    def __contains__(self, triple) -> bool:
-        return triple in self.triples
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     shape: NetworkShape
-    fading: FadingModel
-    schemes: tuple[EncodingScheme, ...]
-    support: SupportRelation
+    alphabet: tuple[Label, ...]
+    # (f1, f2) -> p, a pair of label tuples to a probability.  The table is
+    # sparse; the key space is semantically the full product F^N x F^(N*K).
+    fading: dict
+    schemes: tuple[tuple[float, ...], ...]  # bits/symbol per destination; index = scheme id
+    support: frozenset  # the (m, g1, g2) triples a second-hop transmission may use
 
     # -- derived, cached views used by the controller / region builders --
     # Each is computed on first use and shared by every later call on this
@@ -114,7 +93,7 @@ class NetworkConfig:
     @cached_property
     def first_hop_space(self) -> tuple:
         """All F^N tuples in lexicographic (alphabet-order) order."""
-        return tuple(itertools.product(self.fading.alphabet, repeat=self.shape.num_relays))
+        return tuple(itertools.product(self.alphabet, repeat=self.shape.num_relays))
 
     @cached_property
     def g1_index(self) -> dict:
@@ -123,7 +102,7 @@ class NetworkConfig:
     @cached_property
     def rates(self) -> np.ndarray:
         """(M, K) rate matrix, row m = scheme m."""
-        out = np.array([s.rates for s in self.schemes], dtype=float)
+        out = np.array(self.schemes, dtype=float)
         out.setflags(write=False)
         return out
 
@@ -140,24 +119,24 @@ class NetworkConfig:
     @cached_property
     def sorted_states(self) -> tuple:
         """Fading-table states in canonical (lexicographic) order."""
-        idx = {lab: i for i, lab in enumerate(self.fading.alphabet)}
+        idx = {lab: i for i, lab in enumerate(self.alphabet)}
 
         def key(st):
             f1, f2 = st
             return tuple(idx[x] for x in f1) + tuple(idx[x] for x in f2)
 
-        return tuple(sorted(self.fading.table, key=key))
+        return tuple(sorted(self.fading, key=key))
 
     @cached_property
     def cumulative_probs(self) -> np.ndarray:
-        out = np.cumsum([self.fading.table[s] for s in self.sorted_states])
+        out = np.cumsum([self.fading[s] for s in self.sorted_states])
         out.setflags(write=False)
         return out
 
     @cached_property
     def last_drawable_state(self) -> int:
         """Index of the last sorted state with p > 0."""
-        return max(i for i, s in enumerate(self.sorted_states) if self.fading.table[s] > 0)
+        return max(i for i, s in enumerate(self.sorted_states) if self.fading[s] > 0)
 
     @cached_property
     def drain_cells(self) -> dict:
@@ -166,7 +145,7 @@ class NetworkConfig:
         absent."""
         n_g1 = len(self.first_hop_space)
         cells: dict = {}
-        for m, g1, g2 in self.support.triples:
+        for m, g1, g2 in self.support:
             cells.setdefault(g2, []).append(m * n_g1 + self.g1_index[g1])
         return {g2: tuple(sorted(c)) for g2, c in cells.items()}
 
@@ -187,7 +166,7 @@ class NetworkConfig:
         pi = pi_f."""
         groups: dict = {}
         for f in self.sorted_states:
-            p = self.fading.table[f]
+            p = self.fading[f]
             if p > 0.0:
                 key = (f[0], self.drain_cells.get(f[1], ()))
                 members, pi = groups.get(key, ((), 0.0))
@@ -202,7 +181,7 @@ class NetworkConfig:
         return lp_layout(self)
 
     def probability(self, f) -> float:
-        return self.fading.table.get(f, 0.0)
+        return self.fading.get(f, 0.0)
 
     def to_document(self) -> dict:
         """Round-trip back to the JSON document form (canonically ordered)."""
@@ -210,16 +189,16 @@ class NetworkConfig:
         return {
             "shape": {"N": sh.num_relays, "K": sh.num_destinations, "T": sh.block_length},
             "fading": {
-                "alphabet": list(self.fading.alphabet),
+                "alphabet": list(self.alphabet),
                 "states": [
-                    {"f1": list(f1), "f2": list(f2), "p": self.fading.table[(f1, f2)]}
+                    {"f1": list(f1), "f2": list(f2), "p": self.fading[(f1, f2)]}
                     for f1, f2 in self.sorted_states
                 ],
             },
-            "schemes": [{"id": s.id, "rates": list(s.rates)} for s in self.schemes],
+            "schemes": [{"id": m, "rates": list(r)} for m, r in enumerate(self.schemes)],
             "support": [
                 {"m": m, "g1": list(g1), "g2": list(g2)}
-                for m, g1, g2 in sorted(self.support.triples)
+                for m, g1, g2 in sorted(self.support)
             ],
         }
 
@@ -264,9 +243,7 @@ def _number(raw, what: str, code: str, integral: bool = False):
 
 
 def validate_config(raw) -> NetworkConfig:
-    """Validate a parsed config document (or re-validate a NetworkConfig)."""
-    if isinstance(raw, NetworkConfig):
-        raw = raw.to_document()
+    """Validate a parsed config document."""
     if not isinstance(raw, dict):
         raise ConfigError("bad-document", "config document must be a JSON object")
     _require_keys(raw, {"shape", "fading", "schemes", "support"}, "config")
@@ -305,7 +282,6 @@ def validate_config(raw) -> NetworkConfig:
         raise ConfigError(
             "distribution-not-normalized", f"state probabilities sum to {total!r}, expected 1"
         )
-    fading = FadingModel(alphabet=alphabet, table=table)
 
     raw_schemes = _typed(raw["schemes"], list, "schemes")
     if not raw_schemes:
@@ -323,7 +299,7 @@ def validate_config(raw) -> NetworkConfig:
             raise ConfigError("negative-rate", f"scheme {pos} has a negative rate")
         if all(r == 0 for r in rates):
             raise ConfigError("zero-rate-vector", f"scheme {pos} has an all-zero rate vector")
-        schemes.append(EncodingScheme(id=pos, rates=rates))
+        schemes.append(rates)
 
     triples = set()
     for ent in _typed(raw["support"], list, "support"):
@@ -335,12 +311,7 @@ def validate_config(raw) -> NetworkConfig:
         g2 = _label_tuple(ent.get("g2"), n * k, alpha_set, "support g2")
         triples.add((m, g1, g2))
 
-    return NetworkConfig(
-        shape=shape,
-        fading=fading,
-        schemes=tuple(schemes),
-        support=SupportRelation(triples=frozenset(triples)),
-    )
+    return NetworkConfig(shape, alphabet, table, tuple(schemes), frozenset(triples))
 
 
 def load_config(path) -> NetworkConfig:
@@ -365,7 +336,7 @@ def fading_indices(config: NetworkConfig, u):
 
 def queue_count_encoding_based(config: NetworkConfig) -> int:
     """Virtual queues per relay under the encoding-based architecture: |M| * |F|^N."""
-    return len(config.schemes) * len(config.fading.alphabet) ** config.shape.num_relays
+    return len(config.schemes) * len(config.alphabet) ** config.shape.num_relays
 
 
 def queue_count_state_based(

@@ -183,23 +183,15 @@ def _ls_slope(t: np.ndarray, x: np.ndarray) -> float:
     return float((d * (x - x.mean())).sum() / den)
 
 
-def stability_verdict(
-    metrics: Metrics,
-    theta_stable: float | None = None,
-    theta_unstable: float | None = None,
-) -> StabilityVerdict:
+def stability_verdict(metrics: Metrics) -> StabilityVerdict:
     """Classify the trailing-half backlog slope against two thresholds.
 
-    Defaults: theta_stable = 0.01 * T and theta_unstable = 0.1 * T bits per
-    block, an order of magnitude apart so slow transients do not flip the
-    verdict.  Slopes between the thresholds are inconclusive.
+    theta_stable = 0.01 * T and theta_unstable = 0.1 * T bits per block, an
+    order of magnitude apart so slow transients do not flip the verdict.
+    Slopes between the thresholds are inconclusive.
     """
-    if theta_stable is None:
-        theta_stable = 0.01 * metrics.block_length
-    if theta_unstable is None:
-        theta_unstable = 0.1 * metrics.block_length
-    if not theta_stable < theta_unstable:
-        raise ValueError("theta_stable must be below theta_unstable")
+    theta_stable = 0.01 * metrics.block_length
+    theta_unstable = 0.1 * metrics.block_length
     series = metrics.total_backlog_bits()
     start = metrics.horizon // 2
     tail = series[start:]
@@ -230,6 +222,13 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
     T = config.shape.block_length
     if not all(math.isfinite(r * T) for r in arrivals.rates):
         raise ValueError(f"arrival rates times the block length T={T} must be finite")
+    for k, r in enumerate(arrivals.rates):
+        # the uniform draw's exclusive bound 2 * floor(r * T) + 1 must fit numpy's int64
+        if arrivals.distribution == "uniform-integer" and r * T >= 2**62:
+            raise ValueError(
+                f"destination {k}: uniform-integer mean {r * T!r} bits per block (rate times T={T})"
+                f" must be below 2**62 = {2**62}"
+            )
     if seed < 0:
         raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(1 + k_dest)

@@ -123,7 +123,7 @@ def state_entry(config, f) -> tuple:
         (m * n_g1 + g, w2[m])
         for m in range(len(config.schemes))
         for g, g1 in enumerate(config.first_hop_space)
-        if (m, g1, f2) in config.support.triples
+        if (m, g1, f2) in config.support
     )
     return first, drains
 
@@ -166,28 +166,27 @@ def bruteforce_decide(state, f, allow_idle=False):
     """(variant, m, g1, best_first, best_second) by exhaustive enumeration;
     with ``allow_idle``, idle when neither weight is positive."""
     cfg = state.config
-    triples = cfg.support.triples
     f1, f2 = tuple(f[0]), tuple(f[1])
     g1i_now = cfg.g1_index[f1]
 
     first = []
-    for m, scheme in enumerate(cfg.schemes):
+    for m, rates in enumerate(cfg.schemes):
         s = 0.0
         for _ in range(cfg.shape.num_relays):
             s += state.relay[m, g1i_now]
         val = 0.0
         for k in range(cfg.shape.num_destinations):
-            r = scheme.rates[k]
+            r = rates[k]
             val += (state.source[k] - r * s) * r
         first.append((val, m))
 
     second = []
-    for m, scheme in enumerate(cfg.schemes):
+    for m, rates in enumerate(cfg.schemes):
         rsum = 0.0
         for k in range(cfg.shape.num_destinations):
-            rsum += scheme.rates[k]
+            rsum += rates[k]
         for g1 in cfg.first_hop_space:
-            if (m, g1, f2) in triples:
+            if (m, g1, f2) in cfg.support:
                 s = 0.0
                 for _ in range(cfg.shape.num_relays):
                     s += state.relay[m, cfg.g1_index[g1]]
@@ -349,7 +348,7 @@ def expected_drift(config, arrivals, probe_state, allow_idle=False):
 
 def _second_hop_space(config):
     n = config.shape.num_relays * config.shape.num_destinations
-    return list(itertools.product(config.fading.alphabet, repeat=n))
+    return list(itertools.product(config.alphabet, repeat=n))
 
 
 def _oracle_columns(config):
@@ -363,7 +362,7 @@ def _oracle_columns(config):
     second_hop_space = _second_hop_space(config)
     g2rank = {g: i for i, g in enumerate(second_hop_space)}
     cols = []
-    for m, g1, g2 in sorted(config.support.triples, key=lambda t: (t[0], g1rank[t[1]], g2rank[t[2]])):
+    for m, g1, g2 in sorted(config.support, key=lambda t: (t[0], g1rank[t[1]], g2rank[t[2]])):
         for f2 in second_hop_space:
             cols.append(("a", m, (g1, g2), (g1, f2)))
         for f1 in config.first_hop_space:
@@ -381,9 +380,9 @@ def _constraint_matrices(config, cols):
     flow = np.zeros((len(classes), len(cols)))  # net = sum pi (a - b)
     time = np.zeros((len(fstates), len(cols)))
     for j, (fam, m, g, f) in enumerate(cols):
-        pi = config.fading.table.get(f, 0.0)
+        pi = config.fading.get(f, 0.0)
         if fam == "a":
-            rate[:, j] = pi * np.asarray(config.schemes[m].rates)
+            rate[:, j] = pi * np.asarray(config.schemes[m])
             flow[class_rank[(m, g)], j] = pi
         else:
             flow[class_rank[(m, g)], j] = -pi

@@ -268,6 +268,27 @@ def test_simulate_overflowing_arrivals_exit_2(tmp_path, capsys, arrival):
     assert list(tmp_path.iterdir()) == []  # neither metrics.csv nor the --queues file
 
 
+HUGE_MEAN_ERROR = (
+    "coopsim: error: destination 0: uniform-integer mean 4.7e+18 bits per block (rate times T=10)"
+    " must be below 2**62 = 4611686018427387904\n"
+)
+
+
+def test_simulate_huge_uniform_mean_exits_2(tmp_path, capsys):
+    # 2 * floor(4.7e18) + 1 exceeds int64; 4.5e17 * T = 4.5e18 still runs (the limit is 4.6e18)
+    assert main(["simulate", DESK, "--lambda", "4.7e17", "--horizon", "10", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", HUGE_MEAN_ERROR)
+    assert list(tmp_path.iterdir()) == []
+    assert main(["simulate", DESK, "--lambda", "4.5e17", "--horizon", "10", "--out", str(tmp_path)]) == 0
+
+
+def test_drift_check_huge_uniform_mean_exits_2(capsys):
+    assert main(["drift-check", DESK, "--lambda", "4.7e17", "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", HUGE_MEAN_ERROR)
+
+
 SEED_ERROR = "coopsim: error: the seed must be a non-negative integer, got -3\n"
 
 

@@ -135,7 +135,7 @@ def test_second_hop_weight_scales_linearly():
     cfg = cs.validate_config(
         make_doc(n=2, k=2, alphabet=("a", "b"), rates=((1.0, 0.5), (0.25, 2.0)))
     )
-    second_hop_space = list(itertools.product(cfg.fading.alphabet, repeat=4))
+    second_hop_space = list(itertools.product(cfg.alphabet, repeat=4))
     f1 = cfg.first_hop_space[0]
     rng = np.random.default_rng(11)
     for _ in range(50):

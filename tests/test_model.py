@@ -12,7 +12,7 @@ from conftest import make_doc
 def test_minimal_config_valid():
     cfg = cs.validate_config(make_doc())
     assert cfg.shape == cs.NetworkShape(1, 1, 10)
-    assert cfg.schemes[0].rates == (1.0,)
+    assert cfg.schemes[0] == (1.0,)
     assert (0, ("a",), ("a",)) in cfg.support
 
 
@@ -76,8 +76,6 @@ def test_duplicate_state_rejected():
 def test_validate_is_idempotent():
     doc = make_doc(n=2, k=2, alphabet=("G", "B"), rates=((1.0, 0.5), (0.25, 2.0)))
     cfg = cs.validate_config(doc)
-    again = cs.validate_config(cfg)
-    assert again == cfg
     assert cs.validate_config(cfg.to_document()) == cfg
 
 

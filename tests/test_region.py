@@ -104,7 +104,7 @@ def test_column_count_closed_form(desk):
     # the classes (m, g1) with (m, g1, f2) supported; a: one column per class
     # and group with f1 = g1; b: one per class and group whose D holds it
     drawable = [f for f in desk.sorted_states if desk.probability(f) > 0]
-    classes = {(m, g1) for m, g1, _ in desk.support.triples}
+    classes = {(m, g1) for m, g1, _ in desk.support}
     groups = {(f1, frozenset(c for c in classes if (*c, f2) in desk.support)) for f1, f2 in drawable}
     expected = sum(sum(f1 == g1 for f1, _ in groups) for _, g1 in classes)
     expected += sum(len(drained) for _, drained in groups)
@@ -432,3 +432,18 @@ def test_replay_rejects_an_under_drained_class():
     cfg = _replay_config()
     worst = cs.witness_max_violation(cfg, _replay_witness(0.5), direction=[1.0, 0.5])
     assert worst == pytest.approx(5 / 72, abs=1e-12)
+
+
+# One state, fill = drain: the scheme fills half the time and drains the
+# other half, so rho* = r / 2.  Below 1e-8 the reduced costs of the rate
+# row's columns (of order r) fall under the absolute ENTER_TOL = 1e-9, the
+# simplex stops at the origin and reports rho* = 0.0 as optimal; both
+# post-solve checks pass at that vertex.  Equilibrating the LP should flip
+# the xfails.
+@pytest.mark.parametrize("rate", [
+    1e-8,
+    *(pytest.param(r, marks=pytest.mark.xfail(strict=True, reason="ENTER_TOL is absolute")) for r in (1e-9, 1e-10, 1e-13)),
+])
+def test_tiny_rate_scale_rho_star(rate):
+    cfg = cs.validate_config(make_doc(rates=((rate,),)))
+    assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(rate / 2, rel=1e-12, abs=0.0)

@@ -192,24 +192,29 @@ def test_verdict_flat_noisy_series_stable():
     assert abs(v.growth_rate) < v.theta_stable
 
 
+# T = 100 makes both thresholds exact: theta_stable = 1.0, theta_unstable = 10.0
+
+
 def test_verdict_linear_growth_unstable():
     t = np.arange(2000, dtype=float)
-    v = cs.stability_verdict(_synthetic(5.0 * t), theta_stable=0.1, theta_unstable=1.0)
+    v = cs.stability_verdict(_synthetic(50.0 * t, T=100))
+    assert (v.theta_stable, v.theta_unstable) == (1.0, 10.0)
     assert v.verdict == "unstable"
-    assert v.growth_rate == pytest.approx(5.0, rel=1e-12)
+    assert v.growth_rate == pytest.approx(50.0, rel=1e-12)
 
 
 def test_verdict_boundary_is_inconclusive():
     t = np.arange(2000, dtype=float)
-    v = cs.stability_verdict(_synthetic(0.25 * t), theta_stable=0.25, theta_unstable=2.0)
-    assert v.growth_rate == 0.25  # exact: quarter-integer sums are lossless
+    v = cs.stability_verdict(_synthetic(t, T=100))
+    assert v.growth_rate == v.theta_stable == 1.0  # exact: quarter-integer sums are lossless
     assert v.verdict == "inconclusive"
 
 
-def test_verdict_threshold_validation():
-    m = _synthetic(np.zeros(100))
-    with pytest.raises(ValueError):
-        cs.stability_verdict(m, theta_stable=1.0, theta_unstable=0.5)
+def test_verdict_upper_boundary_is_inconclusive():
+    t = np.arange(2000, dtype=float)
+    v = cs.stability_verdict(_synthetic(10.0 * t, T=100))
+    assert v.growth_rate == v.theta_unstable == 10.0
+    assert v.verdict == "inconclusive"
 
 
 # -- drift ------------------------------------------------------------------
