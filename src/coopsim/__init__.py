@@ -18,10 +18,8 @@ from .region import (
     LinearProgram,
     RegionWitness,
     SolverError,
-    boundary_scale,
     build_scale_lp,
     build_slack_lp,
-    interior_slack,
     scale_witness,
     slack_witness,
     solve_lp,

@@ -5,8 +5,8 @@ output carries machine-readable CSV or JSON only; diagnostics go to
 standard error.  Exit codes: 0 ok, 2 bad config or arguments (a horizon
 or sample count too large to allocate included), 3 LP solver failure,
 4 queue-count overflow.  The environment variable
-COOPSIM_OUTPUT_DIR overrides the output directory for file-writing
-commands.
+COOPSIM_OUTPUT_DIR, when set and not empty, overrides the output directory
+for file-writing commands.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ from .model import (
     queue_count_state_based,
 )
 from .queueing import QueueState
-from .region import SolverError, boundary_scale, interior_slack, scale_witness
+from .region import SolverError, scale_witness, slack_witness
 from .sim import (
     ArrivalConfig,
     DISTRIBUTIONS,
@@ -61,17 +62,28 @@ def _spec_list(spec: dict, key: str, default=()) -> list:
 
 
 def _spec_number(value, what: str, integral: bool = False):
-    """A JSON number, or an integral one; never a boolean or a string."""
+    """A finite JSON number, or an integral one; never a boolean or a string.
+    ``json`` reads NaN, Infinity and 1e309 as floats, and an integer may lie
+    beyond the float range: a number that is not finite as a float is refused."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if ok and integral:
         ok = isinstance(value, int) or value.is_integer()
     if not ok:
         raise ValueError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
+    if integral:
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {number!r}")
+    return number
 
 
 def _out_dir(flag_value: str) -> Path:
-    out = Path(os.environ.get("COOPSIM_OUTPUT_DIR", flag_value))
+    """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``."""
+    out = Path(os.environ.get("COOPSIM_OUTPUT_DIR") or flag_value)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -114,10 +126,8 @@ def cmd_region(args) -> int:
     k = config.shape.num_destinations
     direction = _vector(args.direction, k, "direction")
     wit = scale_witness(config, direction)
-    if wit.status != "optimal":
-        raise SolverError(f"scale LP ended {wit.status}")
     rho = wit.value
-    delta = interior_slack(config, 0.9 * rho * direction)
+    delta = slack_witness(config, 0.9 * rho * direction).value
     if args.witness:
         doc = {
             "direction": [float(x) for x in direction],
@@ -146,6 +156,9 @@ def cmd_simulate(args) -> int:
     arrivals = ArrivalConfig(rates=tuple(lam), distribution=args.arrival)
     out = _out_dir(args.out)
     queues = out / args.queues if args.queues else None
+    for name in ("metrics.csv", "summary.json"):
+        if queues is not None and queues.resolve() == (out / name).resolve():
+            raise ValueError(f"--queues {args.queues} names the run's own {name}, which would overwrite it")
     sink = open(queues, "w", encoding="utf-8") if queues else None
     try:
         metrics = run(
@@ -212,7 +225,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"allow_idle must be true or false, got {allow_idle!r}")
 
     direction = np.array(direction)
-    rho = boundary_scale(config, direction)
+    rho = scale_witness(config, direction).value
     tasks = [
         (args.config, tuple(lf * rho * direction), horizon, seed, allow_idle, lf)
         for lf in load_factors

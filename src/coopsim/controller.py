@@ -16,7 +16,7 @@ reproducible.  With ``allow_idle`` set the controller idles when A <= 0 and
 B <= 0.  It never sees the fading distribution or the arrival rates; its
 only inputs are queue lengths, the realized state and the support relation,
 read as ``NetworkConfig.drain_cells``, the relation's g2 -> drainable queues
-view that the region LP's state groups share.
+view that the region LP's layout is built from too.
 
 The rule has one implementation, ``choose``, a scalar step over Python
 floats: the K source queues and one relay's queues as a flat list, index

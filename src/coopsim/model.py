@@ -85,8 +85,8 @@ class NetworkConfig:
 
     # -- derived, cached views used by the controller / region builders --
     # Each is computed on first use and shared by every later call on this
-    # config.  Per config: the drain relation, the support classes, the
-    # region LP's state groups and its layout.  Per region query: a fresh
+    # config.  Per config: the drain relation, which the controller and the
+    # region LP share, and the region LP's layout.  Per region query: a fresh
     # matrix filled from ``lp_layout``, its rho or delta column and its rhs.
     # Cached arrays are read-only; the other views are only read.
 
@@ -148,30 +148,6 @@ class NetworkConfig:
         for m, g1, g2 in self.support:
             cells.setdefault(g2, []).append(m * n_g1 + self.g1_index[g1])
         return {g2: tuple(sorted(c)) for g2, c in cells.items()}
-
-    @cached_property
-    def support_classes(self) -> tuple:
-        """The (m, g1) pairs of the support, ordered by scheme, then g1
-        (ascending flat index)."""
-        n_g1 = len(self.first_hop_space)
-        cells = sorted({c for drained in self.drain_cells.values() for c in drained})
-        return tuple((c // n_g1, self.first_hop_space[c % n_g1]) for c in cells)
-
-    @cached_property
-    def state_groups(self) -> dict:
-        """The drawable states merged by (f1, D(f2)), D(f2) being
-        ``drain_cells[f2]`` (empty if absent): key -> (member states, pi).
-        Members and the pi sum follow ``sorted_states`` order, so the groups
-        come in the order of their first members and a group of one has
-        pi = pi_f."""
-        groups: dict = {}
-        for f in self.sorted_states:
-            p = self.fading[f]
-            if p > 0.0:
-                key = (f[0], self.drain_cells.get(f[1], ()))
-                members, pi = groups.get(key, ((), 0.0))
-                groups[key] = (members + (f,), pi + p)
-        return groups
 
     @cached_property
     def lp_layout(self):

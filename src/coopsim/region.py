@@ -38,22 +38,24 @@ config in which no two states share a key builds the per-state LP.
 
 What depends on the config alone is computed once per config and cached on
 it: the drain relation g2 -> D(f2) (``NetworkConfig.drain_cells``, which the
-controller reads too), the support classes, the state groups with their pi
-sums and ``lp_layout``, the column tags and the position and value of every
-rate, flow and time entry.  Per query, ``build_scale_lp`` and
+controller reads too) and ``lp_layout``, which groups the states, orders the
+support classes and records the column tags and the position and value of
+every rate, flow and time entry.  Per query, ``build_scale_lp`` and
 ``build_slack_lp`` only fill a fresh matrix from that layout and write the
 trailing rho or delta column and the rhs; the cached arrays are read-only,
 so no query can change what the next one reads.
 
-Two queries are exposed.  ``boundary_scale`` pushes rho * direction as far
+Two queries are exposed.  ``scale_witness`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
-query ``interior_slack`` maximizes the uniform margin delta by which every
+query ``slack_witness`` maximizes the uniform margin delta by which every
 rate row and every relay queue's flow row holds strictly; delta > 0
 certifies a strictly interior rate vector, delta <= 0 a boundary or
 exterior one.  Since every column of a LinearProgram is non-negative while
 delta may legitimately be negative, the slack LP optimizes the shifted
 variable d = delta + shift (shift = max(lambda) + 1, a lower bound
 certified by the all-zero assignment) and the reported value is d - shift.
+Both LPs are bounded, so each query raises SolverError unless its solve
+ends optimal.
 
 Both LPs are written as ``<=`` rows with a non-negative rhs, so x = 0 is
 feasible and the solver is a deterministic one-phase revised simplex that
@@ -127,8 +129,8 @@ class LinearProgram:
 class SolveStats:
     """What the simplex did on one LP.  ``bland_from`` is the pivot count at
     which Bland's rule took over, ``min_pivot`` the smallest accepted
-    |pivot|, and the residuals are the worst relative ones of the two
-    post-solve checks; each is None when it never happened."""
+    |pivot|, and the residuals are the worst relative ones of ``_certify``;
+    each is None when it never happened."""
 
     pivots: int = 0
     refactorizations: int = 0
@@ -286,29 +288,25 @@ def _iterate(basis: _Basis) -> str:
                     stats.bland_from = stats.pivots
 
 
-def _check_primal(matrix: np.ndarray, abs_matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
-    """Worst relative residual of x: x >= 0 and every row holds, each
-    relative to 1 + |rhs_i| + sum_j |A_ij x_j|, ``abs_matrix`` being |A|.
-    Raise DegeneracyError if it exceeds RESIDUAL_TOL."""
+def _certify(matrix, rhs, objective, x, y) -> tuple:
+    """Worst relative residuals (primal, dual) of x and its row prices y.
+
+    Primal: x >= 0 and every row holds, each relative to 1 + |rhs_i| +
+    sum_j |A_ij x_j|.  Dual, the proof that x is maximal: y >= 0, A^T y >= c
+    and b.y = c.x, each relative to the magnitudes of its terms.  Raise
+    DegeneracyError if either exceeds RESIDUAL_TOL, the primal first."""
+    abs_matrix = np.abs(matrix)
     gap = (matrix @ x - rhs) / (1.0 + np.abs(rhs) + abs_matrix @ np.abs(x))
-    worst = max(gap.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
-    if worst > RESIDUAL_TOL:
-        raise DegeneracyError(f"post-solve residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
-    return float(worst)
-
-
-def _check_dual(matrix, abs_matrix, rhs, objective, x, y) -> float:
-    """Worst relative residual of the row prices y as a proof that x is
-    maximal: y >= 0, A^T y >= c and b.y = c.x, each relative to the
-    magnitudes of its terms, ``abs_matrix`` being |A|.  Raise
-    DegeneracyError if it exceeds RESIDUAL_TOL."""
+    primal = max(gap.max(initial=0.0), -x.min(initial=0.0) / (1.0 + np.abs(x).max(initial=0.0)))
+    if primal > RESIDUAL_TOL:
+        raise DegeneracyError(f"post-solve residual {primal:.3g} exceeds {RESIDUAL_TOL} (relative)")
     abs_y = np.abs(y)
     short = (objective - matrix.T @ y) / (1.0 + np.abs(objective) + abs_matrix.T @ abs_y)
     gap = abs(rhs @ y - objective @ x) / (1.0 + np.abs(rhs) @ abs_y + np.abs(objective) @ np.abs(x))
-    worst = max(0.0, -y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
-    if worst > RESIDUAL_TOL:
-        raise DegeneracyError(f"dual residual {worst:.3g} exceeds {RESIDUAL_TOL} (relative)")
-    return float(worst)
+    dual = max(0.0, -y.min(initial=0.0) / (1.0 + abs_y.max(initial=0.0)), short.max(initial=0.0), gap)
+    if dual > RESIDUAL_TOL:
+        raise DegeneracyError(f"dual residual {dual:.3g} exceeds {RESIDUAL_TOL} (relative)")
+    return float(primal), float(dual)
 
 
 def solve_lp(lp: LinearProgram) -> RegionWitness:
@@ -339,10 +337,8 @@ def solve_lp(lp: LinearProgram) -> RegionWitness:
     x_full = np.zeros(len(basis.cost))
     x_full[basis.cols] = basis.x_b
     x, y = x_full[:n_cols], basis.prices()
-    del basis  # frees [A | I] before |A| is built for the checks
-    abs_matrix = np.abs(matrix)
-    stats.primal_residual = _check_primal(matrix, abs_matrix, rhs, x)
-    stats.dual_residual = _check_dual(matrix, abs_matrix, rhs, objective, x, y)
+    del basis  # frees [A | I] before |A| is built for the certificate
+    stats.primal_residual, stats.dual_residual = _certify(matrix, rhs, objective, x, y)
     raw = float(np.dot(objective, x))
     wit = RegionWitness(
         status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x, stats=stats
@@ -375,17 +371,26 @@ class LpLayout:
 
 
 def lp_layout(config: NetworkConfig) -> LpLayout:
-    """Lay out the rate/flow/time skeleton over ``config.support_classes``
-    and ``config.state_groups``: per class (m, g1), one a column per group
-    with f1 = g1, then one b column per group whose drain set holds the
-    class."""
+    """Lay out the rate/flow/time skeleton.  The classes are the support's
+    (m, g1) pairs by flat index m * |F|^N + g1, the groups the drawable
+    states merged by (f1, D(f2)) in ``sorted_states`` order.  Per class, one
+    a column per group with f1 = g1, then one b column per group whose drain
+    set holds the class."""
     k_dest = config.shape.num_destinations
-    classes, groups = config.support_classes, config.state_groups
     n_g1 = len(config.first_hop_space)
+    drains = config.drain_cells
+    classes = sorted({c for drained in drains.values() for c in drained})  # flat indices
+    groups: dict = {}  # (f1, D(f2)) -> (member states, pi)
+    for f in config.sorted_states:
+        p = config.fading[f]
+        if p > 0.0:
+            key = (f[0], drains.get(f[1], ()))
+            states, total = groups.get(key, ((), 0.0))
+            groups[key] = (states + (f,), total + p)
     keys, members = list(groups), [states for states, _ in groups.values()]
     columns, class_of, group_of = [], [], []
-    for c, (m, g1) in enumerate(classes):
-        cell = m * n_g1 + config.g1_index[g1]
+    for c, cell in enumerate(classes):
+        m, g1 = cell // n_g1, config.first_hop_space[cell % n_g1]
         fill = [s for s, (f1, _) in enumerate(keys) if f1 == g1]
         drain = [s for s, (_, drained) in enumerate(keys) if cell in drained]
         columns += [("a", m, g1, members[s]) for s in fill] + [("b", m, g1, members[s]) for s in drain]
@@ -394,7 +399,7 @@ def lp_layout(config: NetworkConfig) -> LpLayout:
     fills = np.array([col[0] == "a" for col in columns], dtype=bool)
     class_of, group_of = np.array(class_of, dtype=int), np.array(group_of, dtype=int)
     pi = np.array([p for _, p in groups.values()])[group_of]
-    scheme = np.array([m for m, _ in classes], dtype=int)[class_of]
+    scheme = (np.array(classes, dtype=int) // n_g1)[class_of]
 
     j = np.arange(len(columns))
     width = len(columns) + 1
@@ -494,44 +499,37 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
 
 
 def slack_witness(config: NetworkConfig, lam) -> RegionWitness:
-    return solve_lp(build_slack_lp(config, lam))
+    """The slack LP's witness at ``lam``: the largest delta with every rate
+    and flow row satisfied by margin delta, positive iff some epsilon > 0
+    keeps lam + epsilon*1 inside the region.  The LP is bounded, as every
+    rate row caps delta, so a solve that does not end optimal raises
+    SolverError."""
+    wit = solve_lp(build_slack_lp(config, lam))
+    if wit.status != "optimal":
+        raise SolverError(f"slack LP ended {wit.status}")
+    return wit
 
 
 def scale_witness(config: NetworkConfig, direction) -> RegionWitness:
-    """The scale LP's witness along ``direction``, solved on the direction
-    times the power of two 2^-e that puts its largest entry in (0.5, 1], as
-    the solver's tolerances are not scale-free.  rho(c * d) = rho(d) / c, so
-    ``value`` and the rho entry of ``x`` are scaled back by 2^-e exactly;
-    ``stats`` describe the scaled solve."""
+    """The scale LP's witness: the largest rho with rho * direction inside
+    the region.  The LP is bounded, as a positive direction entry's rate row
+    caps rho, so a solve that does not end optimal raises SolverError.  It
+    is solved on the direction times the power of two 2^-e that puts its
+    largest entry in (0.5, 1], as the solver's tolerances are not
+    scale-free; rho(c * d) = rho(d) / c, so ``value`` and the rho entry of
+    ``x`` are scaled back by 2^-e exactly.  ``stats`` describe the scaled
+    solve."""
     direction = np.asarray(direction, dtype=float)
     mantissa, e = math.frexp(float(direction.max(initial=0.0)))
     e -= mantissa == 0.5  # a power of two scales to 1, not 0.5
     wit = solve_lp(build_scale_lp(config, np.ldexp(direction, -e)))
-    if wit.status == "optimal":
-        try:
-            wit.value = wit.x[-1] = math.ldexp(wit.value, -e)
-        except OverflowError:
-            raise ValueError("rho* along this direction exceeds the float range") from None
-    return wit
-
-
-def interior_slack(config: NetworkConfig, lam) -> float:
-    """Largest delta with every rate/flow row satisfied by margin delta.
-
-    Positive iff some epsilon > 0 keeps lam + epsilon*1 inside the region.
-    """
-    wit = slack_witness(config, lam)
-    if wit.status != "optimal":
-        raise SolverError(f"slack LP ended {wit.status}")
-    return wit.value
-
-
-def boundary_scale(config: NetworkConfig, direction) -> float:
-    """Largest rho with rho * direction inside the region."""
-    wit = scale_witness(config, direction)
     if wit.status != "optimal":
         raise SolverError(f"scale LP ended {wit.status}")
-    return wit.value
+    try:
+        wit.value = wit.x[-1] = math.ldexp(wit.value, -e)
+    except OverflowError:
+        raise ValueError("rho* along this direction exceeds the float range") from None
+    return wit
 
 
 def witness_max_violation(
@@ -539,15 +537,16 @@ def witness_max_violation(
 ) -> float:
     """Replay a witness against the region constraints; max violation.
 
-    Checked from first principles (the witness dicts), independent of the
-    LP matrix that produced it: every relay queue (m, g1) is filled no more
-    than it drains, less the margin (delta for slack, 0 for scale), and an
-    entry outside its family's states counts as an infinite breach.
+    Checked from first principles (the witness dicts and ``config.support``),
+    independent of the LP and the cached views it was built from: every
+    relay queue (m, g1) is filled no more than it drains, less the margin
+    (delta for slack, 0 for scale), and an entry outside its family's states
+    counts as an infinite breach.
     """
     if witness.status != "optimal":
         raise ValueError("can only replay an optimal witness")
     rate = np.zeros(config.shape.num_destinations)
-    flow = dict.fromkeys(config.support_classes, 0.0)  # fill - drain per relay queue
+    flow = {(m, g1): 0.0 for m, g1, _ in config.support}  # fill - drain per relay queue
     time_used: dict = {}
     worst = 0.0
     for (f, m, g1), val in witness.a.items():

@@ -375,7 +375,6 @@ def drift_check(
     probe_state: QueueState,
     samples: int,
     seed: int = 0,
-    allow_idle: bool = False,
 ) -> DriftEstimate:
     """Monte Carlo estimate of the one-block potential drift at a fixed state.
 
@@ -418,13 +417,12 @@ def drift_check(
     by_action = {}  # (variant code, c) -> the relay term of V after that action
     table = state_entries(config, config.sorted_states)
     for s in np.flatnonzero(np.bincount(state_idx)).tolist():
-        code, c = choose(qs, q, table[s], n_relays, allow_idle)[:2]
+        code, c = choose(qs, q, table[s], n_relays, False)[:2]
         if code == 0:
             sub[s] = sends[c // n_g1]
         if (code, c) not in by_action:
             relay = probe_state.relay.copy()
-            if code != 2:
-                relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
+            relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
             by_action[code, c] = relay_term(relay)
         relay_terms[s] = by_action[code, c]
     src = np.ascontiguousarray(arr.T)  # next source queues, one row per sample

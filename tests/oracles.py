@@ -274,7 +274,7 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
     )
 
 
-def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_idle=False):
+def reference_drift_check(config, arrivals, probe_state, samples, seed=0):
     """``drift_check`` with a fresh ``bruteforce_decide``, a pure queue update
     and a full potential for every sample, on the draws of ``sim._draws``."""
     state_idx, arr = _draws(config, arrivals, samples, seed)
@@ -283,13 +283,11 @@ def reference_drift_check(config, arrivals, probe_state, samples, seed=0, allow_
     for i in range(samples):
         f = config.sorted_states[state_idx[i]]
         a = arr[:, i]
-        variant, m, g1, _, _ = bruteforce_decide(probe_state, f, allow_idle)
+        variant, m, g1, _, _ = bruteforce_decide(probe_state, f)
         if variant == FIRST_HOP:
             nxt = apply_first_hop(probe_state, a, m, f[0])
-        elif variant == SECOND_HOP:
-            nxt = apply_second_hop(probe_state, a, m, g1)
         else:
-            nxt = apply_idle(probe_state, a)
+            nxt = apply_second_hop(probe_state, a, m, g1)
         dv[i] = lyapunov(nxt) - v0
     return DriftEstimate(
         mean=float(dv.mean()), stderr=float(dv.std(ddof=1) / math.sqrt(samples)), samples=samples
@@ -309,7 +307,7 @@ def _arrival_support(arrivals, k, T):
     return [(0.5, 0.0), (0.5, 2.0 * mu)]
 
 
-def expected_drift(config, arrivals, probe_state, allow_idle=False):
+def expected_drift(config, arrivals, probe_state):
     """E[V(next) - V(probe)] over fading states x arrival supports, exactly
     enumerated with the spec-level ``decide``, ``apply_*`` and ``lyapunov``.
 
@@ -325,7 +323,7 @@ def expected_drift(config, arrivals, probe_state, allow_idle=False):
     for f in config.sorted_states:
         p = config.probability(f)
         if p > 0.0:
-            d = decide(probe_state, f, allow_idle=allow_idle)
+            d = decide(probe_state, f)
             key = (d.variant, d.m, f[0] if d.variant == FIRST_HOP else d.g1)
             actions[key] = actions.get(key, 0.0) + p
     v0 = lyapunov(probe_state)
@@ -334,10 +332,8 @@ def expected_drift(config, arrivals, probe_state, allow_idle=False):
         for p_arr, a in outcomes:
             if variant == FIRST_HOP:
                 nxt = apply_first_hop(probe_state, a, m, g1)
-            elif variant == SECOND_HOP:
-                nxt = apply_second_hop(probe_state, a, m, g1)
             else:
-                nxt = apply_idle(probe_state, a)
+                nxt = apply_second_hop(probe_state, a, m, g1)
             terms.append(p_action * p_arr * (lyapunov(nxt) - v0))
     return math.fsum(terms)
 

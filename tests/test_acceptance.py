@@ -124,11 +124,11 @@ def test_region_matches_grid_oracle(toy_single, toy_goodbad):
     t0 = time.time()
     checks = []
     for cfg in (toy_single, toy_goodbad):
-        rho = cs.boundary_scale(cfg, [1.0])
+        rho = cs.scale_witness(cfg, [1.0]).value
         oracle_rho = scale_oracle(cfg, [1.0])
         checks.append(abs(rho - 0.5) <= 1e-5)
         checks.append(abs(rho - oracle_rho) <= 1e-5)
-    delta = cs.interior_slack(toy_single, [0.4])
+    delta = cs.slack_witness(toy_single, [0.4]).value
     oracle_delta = slack_oracle(toy_single, [0.4])
     checks.append(abs(delta - 1.0 / 15.0) <= 1e-5)
     checks.append(abs(delta - oracle_delta) <= 1e-5)
@@ -143,7 +143,7 @@ def test_region_matches_grid_oracle(toy_single, toy_goodbad):
 
 def test_interior_loads_stable(desk):
     t0 = time.time()
-    rho = cs.boundary_scale(desk, [1.0, 1.0])
+    rho = cs.scale_witness(desk, [1.0, 1.0]).value
     _shared["rho"] = rho
     verdicts = []
     finals = []
@@ -169,7 +169,7 @@ def test_interior_loads_stable(desk):
 
 def test_exterior_load_unstable(desk):
     t0 = time.time()
-    rho = _shared.get("rho") or cs.boundary_scale(desk, [1.0, 1.0])
+    rho = _shared.get("rho") or cs.scale_witness(desk, [1.0, 1.0]).value
     lam = 1.1 * rho
     verdicts = []
     finals = []
@@ -195,7 +195,7 @@ def test_exterior_load_unstable(desk):
 
 def test_drift_sign(desk):
     t0 = time.time()
-    rho = _shared.get("rho") or cs.boundary_scale(desk, [1.0, 1.0])
+    rho = _shared.get("rho") or cs.scale_witness(desk, [1.0, 1.0]).value
     T = desk.shape.block_length
 
     lam_in = 0.8 * rho
@@ -231,16 +231,16 @@ def test_region_convexity(desk):
     t0 = time.time()
     rng = np.random.default_rng(7)
     dirs = [tuple(rng.uniform(0.2, 1.0, size=2)) for _ in range(8)]
-    rho = {d: cs.boundary_scale(desk, d) for d in dirs}
+    rho = {d: cs.scale_witness(desk, d).value for d in dirs}
     ok = True
     for _ in range(50):
         d1, d2 = dirs[int(rng.integers(0, 8))], dirs[int(rng.integers(0, 8))]
         lam1 = float(rng.uniform(0, 0.99)) * rho[d1] * np.asarray(d1)
         lam2 = float(rng.uniform(0, 0.99)) * rho[d2] * np.asarray(d2)
-        ok &= cs.interior_slack(desk, lam1) >= -1e-9
-        ok &= cs.interior_slack(desk, lam2) >= -1e-9
+        ok &= cs.slack_witness(desk, lam1).value >= -1e-9
+        ok &= cs.slack_witness(desk, lam2).value >= -1e-9
         mid = 0.5 * (lam1 + lam2)
-        ok &= cs.interior_slack(desk, mid) >= -1e-9
+        ok &= cs.slack_witness(desk, mid).value >= -1e-9
     _report("region-convexity", bool(ok), time.time() - t0, 60.0, "50 pairs")
 
 

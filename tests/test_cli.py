@@ -155,12 +155,25 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert captured.err == "coopsim: solver failure: simplex failed to converge within the pivot limit\n"
 
 
-def test_region_non_optimal_scale_lp_exits_3(capsys, monkeypatch):
-    import coopsim.cli as cli
+def _unbounded_solves(monkeypatch):
+    import coopsim.region as region
 
-    monkeypatch.setattr(cli, "scale_witness", lambda config, d: cs.RegionWitness("unbounded", "scale", float("nan")))
+    monkeypatch.setattr(region, "solve_lp", lambda lp: cs.RegionWitness("unbounded", lp.kind, float("nan")))
+
+
+def test_region_non_optimal_scale_lp_exits_3(capsys, monkeypatch):
+    _unbounded_solves(monkeypatch)
     assert main(["region", DESK]) == 3
     assert capsys.readouterr().err == "coopsim: solver failure: scale LP ended unbounded\n"
+
+
+def test_sweep_non_optimal_scale_lp_exits_3(tmp_path, capsys, monkeypatch):
+    _unbounded_solves(monkeypatch)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"load_factors": [0.5], "horizon": 10, "seeds": [1]}))
+    assert main(["sweep", DESK, str(spec), "--jobs", "1"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "coopsim: solver failure: scale LP ended unbounded\n")
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -209,7 +222,7 @@ def test_region_direction_broadcast(capsys):
     )
     desk = cs.load_config(DESK)
     assert float(out["rho_star"]) == pytest.approx(
-        cs.boundary_scale(desk, [1.0, 1.0]), abs=1e-12
+        cs.scale_witness(desk, [1.0, 1.0]).value, abs=1e-12
     )
     assert float(out["direction_2"]) == 1.0
 
@@ -243,6 +256,30 @@ def test_simulate_env_overrides_out(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (tmp_path / "env" / "summary.json").exists()
     assert not (tmp_path / "flag").exists()
+
+
+def test_simulate_empty_env_is_unset(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory: an empty variable must not pick it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COOPSIM_OUTPUT_DIR", "")
+    assert main(["simulate", TOY, "--lambda", "0.2", "--horizon", "100", "--out", "wanted"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wanted"]
+    assert sorted(p.name for p in (tmp_path / "wanted").iterdir()) == ["metrics.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "summary.json"])
+def test_simulate_queues_naming_an_output_exits_2(tmp_path, capsys, name):
+    # the output written after the run would overwrite the snapshots
+    for queues in (name, f"./{name}"):
+        assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10",
+                     "--out", str(tmp_path), "--queues", queues]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"coopsim: error: --queues {queues} names the run's own {name}, which would overwrite it\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_bad_lambda(capsys):
@@ -332,7 +369,7 @@ def test_sweep_rows_and_consistency(tmp_path, capsys):
 
     # single-cell sweep row matches a direct simulate run at the same rate
     desk = cs.load_config(DESK)
-    rho = cs.boundary_scale(desk, [1.0, 1.0])
+    rho = cs.scale_witness(desk, [1.0, 1.0]).value
     lam = 0.5 * rho
     rc = main(["simulate", DESK, "--lambda", f"{lam!r},{lam!r}", "--horizon", "8000",
                "--seed", "1", "--out", str(tmp_path)])
@@ -417,6 +454,25 @@ def test_sweep_wrong_spec_types_exit_2(tmp_path, capsys, spec):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("coopsim: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("1e309", "inf"), pytest.param("1" + "0" * 400, "inf", id="10**400")],
+)
+@pytest.mark.parametrize("field,what", [("load_factors", "load factor"), ("direction", "direction entry")])
+def test_sweep_non_finite_spec_number_exits_2(tmp_path, capsys, value, shown, field, what):
+    # json reads the first three as floats and the last as an integer beyond
+    # the float range; the error names the spec field
+    entries = {"load_factors": "[0.5]", "direction": "[1.0]", field: f"[{value}]"}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(
+        f'{{"load_factors": {entries["load_factors"]}, "direction": {entries["direction"]},'
+        ' "horizon": 10, "seeds": [1]}'
+    )
+    assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"coopsim: error: {what} must be a finite number, got {shown}\n")
 
 
 def test_queue_count_formats(tmp_path, capsys):

@@ -134,19 +134,19 @@ def test_zero_probability_states_add_no_rows():
     assert lp.columns[:-1] == (
         ("a", 0, ("G",), gg), ("a", 0, ("G",), gb), ("b", 0, ("G",), gg), ("b", 0, ("B",), gb)
     )
-    assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(0.5, abs=1e-12)
+    assert cs.scale_witness(cfg, [1.0]).value == pytest.approx(0.5, abs=1e-12)
 
 
 # -- per-config views ------------------------------------------------------
 
-CACHED_VIEWS = ("drain_cells", "support_classes", "state_groups", "lp_layout")
+CACHED_VIEWS = ("drain_cells", "lp_layout")
 
 
 def test_queries_on_one_config_match_fresh_configs():
     # scale -> slack -> scale on one loaded config, against the same queries
     # each on a freshly loaded one: nothing a query does reaches the next
     shared = cs.load_config(CONFIG_DIR / "desk.json")
-    rho = cs.boundary_scale(cs.load_config(CONFIG_DIR / "desk.json"), PINNED_DIRECTION)
+    rho = cs.scale_witness(cs.load_config(CONFIG_DIR / "desk.json"), PINNED_DIRECTION).value
     lam = 0.9 * rho * np.asarray(PINNED_DIRECTION)
     queries = ((cs.scale_witness, PINNED_DIRECTION), (cs.slack_witness, lam), (cs.scale_witness, PINNED_DIRECTION))
     for query, arg in queries:
@@ -182,14 +182,14 @@ def test_queries_compute_the_grouping_once(monkeypatch):
         monkeypatch.setattr(prop, "func", counting(name, prop.func))
     cfg = cs.load_config(CONFIG_DIR / "desk.json")
     for direction in ((1.0, 1.0), PINNED_DIRECTION, (0.2, 1.0)):
-        cs.interior_slack(cfg, 0.9 * cs.boundary_scale(cfg, direction) * np.asarray(direction))
+        cs.slack_witness(cfg, 0.9 * cs.scale_witness(cfg, direction).value * np.asarray(direction))
     state_entries(cfg, cfg.sorted_states)  # the controller reads the same drain relation
     assert calls == dict.fromkeys(CACHED_VIEWS, 1)
 
 
 def test_zero_rate_interior(toy_single):
     # with lam = 0 the slack is capped by the time budget: a=1/3, b=2/3
-    assert cs.interior_slack(toy_single, [0.0]) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert cs.slack_witness(toy_single, [0.0]).value == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -197,38 +197,38 @@ def test_zero_rate_interior(toy_single):
     [(0.4, 1.0 / 15.0), (0.5, 0.0), (0.6, -1.0 / 15.0)],
 )
 def test_toy_slack_closed_forms(toy_single, lam, expected):
-    got = cs.interior_slack(toy_single, [lam])
+    got = cs.slack_witness(toy_single, [lam]).value
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(slack_oracle(toy_single, [lam]), abs=1e-5)
 
 
 def test_toy_scale(toy_single):
-    got = cs.boundary_scale(toy_single, [1.0])
+    got = cs.scale_witness(toy_single, [1.0]).value
     assert got == pytest.approx(0.5, abs=1e-9)
     assert got == pytest.approx(scale_oracle(toy_single, [1.0]), abs=1e-5)
 
 
 def test_goodbad_scale_and_slack(toy_goodbad):
-    rho = cs.boundary_scale(toy_goodbad, [1.0])
+    rho = cs.scale_witness(toy_goodbad, [1.0]).value
     assert rho == pytest.approx(0.5, abs=1e-9)
     assert rho == pytest.approx(scale_oracle(toy_goodbad, [1.0]), abs=1e-5)
-    delta = cs.interior_slack(toy_goodbad, [0.4])
+    delta = cs.slack_witness(toy_goodbad, [0.4]).value
     assert delta == pytest.approx(0.05, abs=1e-9)
     assert delta == pytest.approx(slack_oracle(toy_goodbad, [0.4]), abs=1e-5)
 
 
 def test_empty_support_zero_throughput():
     cfg = cs.validate_config(make_doc(support=[]))
-    assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(0.0, abs=1e-12)
+    assert cs.scale_witness(cfg, [1.0]).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_direction_validation(toy_single):
     with pytest.raises(ValueError):
-        cs.boundary_scale(toy_single, [0.0])
+        cs.scale_witness(toy_single, [0.0])
     with pytest.raises(ValueError):
-        cs.boundary_scale(toy_single, [-1.0])
+        cs.scale_witness(toy_single, [-1.0])
     with pytest.raises(ValueError):
-        cs.interior_slack(toy_single, [-0.1])
+        cs.slack_witness(toy_single, [-0.1])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="direction entries must be finite"):
             cs.build_scale_lp(toy_single, [bad])
@@ -245,6 +245,32 @@ def test_witness_replay(toy_single, toy_goodbad, desk):
         wit = cs.scale_witness(cfg, direction)
         assert wit.status == "optimal"
         assert cs.witness_max_violation(cfg, wit, direction=direction) <= 1e-7
+
+
+def test_witness_replay_reads_no_builder_view(monkeypatch):
+    # the replay checks the LP, so it must not share a view with the code
+    # that built it: on a fresh config whose layout and drain relation
+    # raise, it reports the same violations as on the config that solved
+    solved = cs.load_config(CONFIG_DIR / "desk.json")
+    scale = cs.scale_witness(solved, [1.0, 1.0])
+    lam = [0.5, 0.7]
+    slack = cs.slack_witness(solved, lam)
+    want = (
+        cs.witness_max_violation(solved, scale, direction=[1.0, 1.0]),
+        cs.witness_max_violation(solved, slack, lam=lam),
+    )
+
+    def unavailable(config):
+        raise AssertionError("the replay read a view the LP builder reads")
+
+    fresh = cs.load_config(CONFIG_DIR / "desk.json")
+    for name in ("lp_layout", "drain_cells"):
+        monkeypatch.setattr(NetworkConfig, name, property(unavailable))
+    got = (
+        cs.witness_max_violation(fresh, scale, direction=[1.0, 1.0]),
+        cs.witness_max_violation(fresh, slack, lam=lam),
+    )
+    assert got == want
 
 
 def test_witness_replay_rejects_misplaced_fractions(desk):
@@ -266,18 +292,18 @@ def test_witness_fractions_in_unit_interval(desk):
 
 
 def test_scale_inverse_in_direction_norm(desk):
-    base = cs.boundary_scale(desk, [1.0, 1.0])
+    base = cs.scale_witness(desk, [1.0, 1.0]).value
     for c in (0.5, 2.0, 3.7):
-        got = cs.boundary_scale(desk, [c, c])
+        got = cs.scale_witness(desk, [c, c]).value
         assert got == pytest.approx(base / c, rel=1e-7)
 
 
 def test_scale_exact_at_extreme_direction_scales(desk):
     # the solver's tolerances are not scale-free: unless the direction is
     # rescaled, these read 0, overflow or fail a pivot
-    base = cs.boundary_scale(desk, [1.0, 1.0])
+    base = cs.scale_witness(desk, [1.0, 1.0]).value
     for c in (1e-13, 1e10, 1e155, 1e300):
-        assert cs.boundary_scale(desk, [c, c]) * c == pytest.approx(base, rel=1e-12)
+        assert cs.scale_witness(desk, [c, c]).value * c == pytest.approx(base, rel=1e-12)
 
 
 def test_support_monotonicity_of_scale(toy_goodbad, desk):
@@ -285,13 +311,13 @@ def test_support_monotonicity_of_scale(toy_goodbad, desk):
     doc = desk.to_document()
     doc["support"] = doc["support"][: len(doc["support"]) // 2]
     smaller = cs.validate_config(doc)
-    assert cs.boundary_scale(smaller, [1.0, 1.0]) <= cs.boundary_scale(desk, [1.0, 1.0]) + 1e-9
+    assert cs.scale_witness(smaller, [1.0, 1.0]).value <= cs.scale_witness(desk, [1.0, 1.0]).value + 1e-9
 
     # and enlarging the good/bad toy helps: support the bad state too
     doc = toy_goodbad.to_document()
     doc["support"].append({"m": 0, "g1": ["G"], "g2": ["B"]})
     bigger = cs.validate_config(doc)
-    assert cs.boundary_scale(bigger, [1.0]) >= 0.5 - 1e-9
+    assert cs.scale_witness(bigger, [1.0]).value >= 0.5 - 1e-9
 
 
 def test_slack_is_not_monotone_in_support(desk):
@@ -304,7 +330,7 @@ def test_slack_is_not_monotone_in_support(desk):
     doc["support"] = doc["support"][: len(doc["support"]) // 2]
     smaller = cs.validate_config(doc)
     lam = [0.3, 0.3]
-    assert cs.interior_slack(smaller, lam) > cs.interior_slack(desk, lam)
+    assert cs.slack_witness(smaller, lam).value > cs.slack_witness(desk, lam).value
 
 
 def test_midpoint_convexity_small(desk):
@@ -315,17 +341,17 @@ def test_midpoint_convexity_small(desk):
         d2 = tuple(rng.uniform(0.2, 1.0, size=2))
         for d in (d1, d2):
             if d not in rho_cache:
-                rho_cache[d] = cs.boundary_scale(desk, d)
+                rho_cache[d] = cs.scale_witness(desk, d).value
         lam1 = rng.uniform(0, 1) * rho_cache[d1] * np.asarray(d1)
         lam2 = rng.uniform(0, 1) * rho_cache[d2] * np.asarray(d2)
         mid = 0.5 * (lam1 + lam2)
-        assert cs.interior_slack(desk, mid) >= -1e-9
+        assert cs.slack_witness(desk, mid).value >= -1e-9
 
 
 def test_desk_slack_sign_tracks_boundary(desk):
-    rho = cs.boundary_scale(desk, [1.0, 1.0])
-    inside = cs.interior_slack(desk, [0.9 * rho, 0.9 * rho])
-    outside = cs.interior_slack(desk, [1.1 * rho, 1.1 * rho])
+    rho = cs.scale_witness(desk, [1.0, 1.0]).value
+    inside = cs.slack_witness(desk, [0.9 * rho, 0.9 * rho]).value
+    outside = cs.slack_witness(desk, [1.1 * rho, 1.1 * rho]).value
     assert inside > 0.0
     assert outside < 0.0
 
@@ -357,8 +383,8 @@ def test_post_solve_check_rejects_a_broken_point(monkeypatch):
     # force the check to see a point that breaks its row
     import coopsim.region as region
 
-    real = region._check_primal
-    monkeypatch.setattr(region, "_check_primal", lambda m, am, r, x: real(m, am, r, x + 1.0))
+    real = region._certify
+    monkeypatch.setattr(region, "_certify", lambda m, r, c, x, y: real(m, r, c, x + 1.0, y))
     with pytest.raises(cs.DegeneracyError, match="post-solve residual"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
 
@@ -367,10 +393,20 @@ def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
     # force the check to see prices of half the true ones: b.y < c.x
     import coopsim.region as region
 
-    real = region._check_dual
-    monkeypatch.setattr(region, "_check_dual", lambda m, am, r, c, x, y: real(m, am, r, c, x, 0.5 * y))
+    real = region._certify
+    monkeypatch.setattr(region, "_certify", lambda m, r, c, x, y: real(m, r, c, x, 0.5 * y))
     with pytest.raises(cs.DegeneracyError, match="dual residual"):
         cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+
+
+def test_queries_raise_unless_optimal(toy_single, monkeypatch):
+    import coopsim.region as region
+
+    monkeypatch.setattr(region, "solve_lp", lambda lp: cs.RegionWitness("unbounded", lp.kind, np.nan))
+    with pytest.raises(cs.SolverError, match="^scale LP ended unbounded$"):
+        cs.scale_witness(toy_single, [1.0])
+    with pytest.raises(cs.SolverError, match="^slack LP ended unbounded$"):
+        cs.slack_witness(toy_single, [0.4])
 
 
 def test_singular_basis_at_refactorization_raises(monkeypatch):
@@ -386,7 +422,7 @@ def test_singular_basis_at_refactorization_raises(monkeypatch):
 
 
 def test_pinned_direction_matches_highs(desk):
-    assert cs.boundary_scale(desk, PINNED_DIRECTION) == pytest.approx(PINNED_RHO, abs=1e-9)
+    assert cs.scale_witness(desk, PINNED_DIRECTION).value == pytest.approx(PINNED_RHO, abs=1e-9)
 
 
 def _replay_config():
@@ -423,7 +459,7 @@ def _replay_witness(drain_1):
 def test_replay_accepts_an_over_drained_class():
     # fill 5/18 <= drain 5/12 in class (1, G): as good as balanced
     cfg = _replay_config()
-    assert cs.boundary_scale(cfg, [1.0, 0.5]) == pytest.approx(5 / 18, abs=1e-12)
+    assert cs.scale_witness(cfg, [1.0, 0.5]).value == pytest.approx(5 / 18, abs=1e-12)
     assert cs.witness_max_violation(cfg, _replay_witness(1.0), direction=[1.0, 0.5]) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -446,4 +482,4 @@ def test_replay_rejects_an_under_drained_class():
 ])
 def test_tiny_rate_scale_rho_star(rate):
     cfg = cs.validate_config(make_doc(rates=((rate,),)))
-    assert cs.boundary_scale(cfg, [1.0]) == pytest.approx(rate / 2, rel=1e-12, abs=0.0)
+    assert cs.scale_witness(cfg, [1.0]).value == pytest.approx(rate / 2, rel=1e-12, abs=0.0)

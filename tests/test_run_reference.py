@@ -152,13 +152,12 @@ def _drift_cases(desk, toy_goodbad):
     return cases
 
 
-@pytest.mark.parametrize("allow_idle", [False, True])
-def test_drift_check_matches_reference(desk, toy_goodbad, allow_idle):
+def test_drift_check_matches_reference(desk, toy_goodbad):
     cases = itertools.product(sim.DISTRIBUTIONS, _drift_cases(desk, toy_goodbad))
     for seed, (distribution, (config, probe, rate)) in enumerate(cases):
         arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
-        got = cs.drift_check(config, arrivals, probe, 1500, seed=seed, allow_idle=allow_idle)
-        want = reference_drift_check(config, arrivals, probe, 1500, seed=seed, allow_idle=allow_idle)
+        got = cs.drift_check(config, arrivals, probe, 1500, seed=seed)
+        want = reference_drift_check(config, arrivals, probe, 1500, seed=seed)
         assert [_bits(getattr(got, f)) for f in ("mean", "stderr", "samples")] == [
             _bits(getattr(want, f)) for f in ("mean", "stderr", "samples")
         ]

@@ -155,7 +155,7 @@ class _DiscardingSink:
 def test_snapshot_sink_memory_stays_flat(desk):
     # at 1.5 rho* along (1, 1) the queues grow, so nearly every block brings
     # values no earlier block held
-    rate = 1.5 * cs.boundary_scale(desk, [1.0, 1.0])
+    rate = 1.5 * cs.scale_witness(desk, [1.0, 1.0]).value
     arrivals = cs.ArrivalConfig(rates=(rate, rate))
 
     def traced_peak(horizon):
