@@ -82,10 +82,35 @@ def _spec_number(value, what: str, integral: bool = False):
 
 
 def _out_dir(flag_value: str) -> Path:
-    """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``."""
-    out = Path(os.environ.get("COOPSIM_OUTPUT_DIR") or flag_value)
+    """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``.
+    The directory is made when the first file in it is opened, so a run
+    refused before it writes anything leaves nothing behind."""
+    return Path(os.environ.get("COOPSIM_OUTPUT_DIR") or flag_value)
+
+
+def _create(out: Path, name):
+    """``out / name`` opened for writing, after making ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return open(out / name, "w", encoding="utf-8")
+
+
+class _SnapshotFile:
+    """The --queues file, created at its first write: ``run`` writes the
+    header only after its inputs have passed their checks."""
+
+    def __init__(self, out: Path, name):
+        self.out, self.name, self.fh = out, name, None
+
+    def _file(self):
+        if self.fh is None:
+            self.fh = _create(self.out, self.name)
+        return self.fh
+
+    def write(self, text):
+        self._file().write(text)
+
+    def writelines(self, lines):
+        self._file().writelines(lines)
 
 
 def _fmt(x) -> str:
@@ -159,7 +184,7 @@ def cmd_simulate(args) -> int:
     for name in ("metrics.csv", "summary.json"):
         if queues is not None and queues.resolve() == (out / name).resolve():
             raise ValueError(f"--queues {args.queues} names the run's own {name}, which would overwrite it")
-    sink = open(queues, "w", encoding="utf-8") if queues else None
+    sink = _SnapshotFile(out, args.queues) if queues else None
     try:
         metrics = run(
             config,
@@ -170,21 +195,21 @@ def cmd_simulate(args) -> int:
             snapshot_sink=sink,
         )
     except BaseException:
-        if sink is not None:  # a failed run leaves no queues file behind
-            sink.close()
+        if sink is not None and sink.fh is not None:  # a failed run leaves no queues file behind
+            sink.fh.close()
             queues.unlink()
         raise
     finally:
-        if sink is not None:
-            sink.close()
+        if sink is not None and sink.fh is not None:
+            sink.fh.close()
     verdict = stability_verdict(metrics)
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
+    with _create(out, "metrics.csv") as fh:
         write_metrics_csv(metrics, fh)
     summary = summary_dict(metrics, verdict)
     summary["lambda"] = [float(x) for x in lam]
     summary["allow_idle"] = bool(args.allow_idle)
     text = json.dumps(summary, sort_keys=True, indent=2)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+    with _create(out, "summary.json") as fh:
         fh.write(text + "\n")
     print(text)
     return 0

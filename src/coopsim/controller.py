@@ -22,15 +22,21 @@ The rule has one implementation, ``choose``, a scalar step over Python
 floats: the K source queues and one relay's queues as a flat list, index
 m * |F|^N + g1.  The N relays hold equal queues, so S_m(g1) = N * Q at
 (m, g1).  A accumulates k ascending from 0.0 and r_m . 1 is
-``NetworkConfig.rate_sums``, summed the same way, for any K.  ``sim.run``
-and ``sim.drift_check`` each build the table of ``state_entries`` once and
-call ``choose`` once per block and once per drawn fading state
-respectively; there is no adapter for a ``QueueState``.
+``NetworkConfig.rate_sums``, summed the same way, for any K.
+
+The rule reads the state (f1, f2) only through f1 and D(f2), the queues f2
+drains, so states sharing that pair share one entry.  ``decision_table``
+keeps one entry per (f1, D(f2)) group, cached per config as
+``NetworkConfig.decision_table``: ``sim.run`` calls ``choose`` once per
+block on its state's group entry, and ``sim.drift_check`` once per drawn
+(f1, D(f2)) group; there is no adapter for a ``QueueState``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .model import NetworkConfig
 
@@ -52,6 +58,24 @@ def state_entries(config: NetworkConfig, states) -> list:
     firsts = [tuple((m * n_g1 + g1i, r) for m, r in enumerate(rates)) for g1i in range(n_g1)]
     drains = {g2: tuple((c, w2[c // n_g1]) for c in cells) for g2, cells in config.drain_cells.items()}
     return [(firsts[config.g1_index[f1]], drains.get(f2, ())) for f1, f2 in states]
+
+
+def decision_table(config: NetworkConfig) -> tuple:
+    """(entries, group_of): the distinct ``state_entries`` of the states
+    merged by (f1, D(f2)), in order of first appearance in ``sorted_states``,
+    and a read-only intp array giving each sorted state's entry index.  The
+    region LP merges its drawable states by the same pair."""
+    drains = config.drain_cells
+    index, members, group_of = {}, [], []
+    for f in config.sorted_states:
+        key = (f[0], drains.get(f[1], ()))
+        if key not in index:
+            index[key] = len(members)
+            members.append(f)
+        group_of.append(index[key])
+    group_of = np.array(group_of, dtype=np.intp)
+    group_of.setflags(write=False)
+    return tuple(state_entries(config, members)), group_of
 
 
 def choose(src, q, entry, n_relays, allow_idle) -> tuple:

@@ -86,8 +86,9 @@ class NetworkConfig:
     # -- derived, cached views used by the controller / region builders --
     # Each is computed on first use and shared by every later call on this
     # config.  Per config: the drain relation, which the controller and the
-    # region LP share, and the region LP's layout.  Per region query: a fresh
-    # matrix filled from ``lp_layout``, its rho or delta column and its rhs.
+    # region LP share, the controller's decision table and the region LP's
+    # layout.  Per region query: a fresh matrix filled from ``lp_layout``,
+    # its rho or delta column and its rhs.
     # Cached arrays are read-only; the other views are only read.
 
     @cached_property
@@ -148,6 +149,14 @@ class NetworkConfig:
         for m, g1, g2 in self.support:
             cells.setdefault(g2, []).append(m * n_g1 + self.g1_index[g1])
         return {g2: tuple(sorted(c)) for g2, c in cells.items()}
+
+    @cached_property
+    def decision_table(self) -> tuple:
+        """The controller's entries per (f1, D(f2)) group and each sorted
+        state's group, ``controller.decision_table(self)``."""
+        from .controller import decision_table  # controller builds on this module
+
+        return decision_table(self)
 
     @cached_property
     def lp_layout(self):

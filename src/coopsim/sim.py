@@ -17,13 +17,13 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
 
 The block loop keeps the state's one relay queue as a flat list of length
 M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
-block it calls ``controller.choose`` on the state's entry of the table
-``controller.state_entries`` builds once per run, and applies the exact
-queue updates (given in ``queueing``) inline.  Queues start empty and move
-only in whole multiples of the integer T.  An action writes at most one
-relay queue, so per block the loop records three things: ``choose``'s
-(variant code, c, A, B), the new source queues (appended to one flat list)
-and the new value of queue c.
+block it calls ``controller.choose`` on the entry of the state's
+(f1, D(f2)) group in the config's cached ``decision_table``, and applies
+the exact queue updates (given in ``queueing``) inline.  Queues start
+empty and move only in whole multiples of the integer T.  An action writes
+at most one relay queue, so per block the loop records three things:
+``choose``'s (variant code, c, A, B), the new source queues (appended to
+one flat list) and the new value of queue c.
 
 After each chunk of blocks, ``_relay_rows`` rebuilds the relay queue after
 every block from the row at the chunk's start: it scatters each block's
@@ -44,13 +44,14 @@ reshaped to (M, |F|^N).  The summary is derived where it is printed, in
 ``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
-draws a run of that many blocks would use.  It builds the same table once
-and calls ``choose`` once per distinct drawn fading state, on the probe's
-source queues as a list and its relay queue as one flat list, which fixes
-the bits taken from the source: r_m * T for a first hop into queue c,
-m = c // |F|^N, else none.  The relay term of V after the action,
-N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2, depends only on (variant code, c),
-so it is computed once per distinct action, on a copy of the probe's relay
+draws a run of that many blocks would use.  It reads the same table and
+calls ``choose`` once per drawn (f1, D(f2)) group, on the probe's source
+queues as a list and its relay queue as one flat list.  That fixes the
+group's bits taken from the source, r_m * T for a first hop into queue c,
+m = c // |F|^N, else none, and its relay term of V after the action,
+N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2; both are gathered per sample by
+its group.  The relay term depends only on (variant code, c), so it is
+computed once per distinct action, on a copy of the probe's relay
 with queue c moved to Q + T (first hop) or (Q - T)+ (second hop).  The
 source term max(Qs + a - sub, 0)^2 is one array pass, summed along
 contiguous rows (the order of a 1-D sum), and V(next) is that sum plus the
@@ -77,7 +78,7 @@ from operator import add
 
 import numpy as np
 
-from .controller import VARIANT_NAMES, choose, state_entries
+from .controller import VARIANT_NAMES, choose
 from .model import NetworkConfig, fading_indices
 from .queueing import QueueState, snapshot_header
 
@@ -280,7 +281,7 @@ def run(
     n_cells = len(config.schemes) * n_g1
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
-    table = state_entries(config, config.sorted_states)
+    table, group_of = config.decision_table
     cell_rates = np.repeat(config.rates, n_g1, axis=0)  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
@@ -304,8 +305,8 @@ def run(
         hi = min(lo + CHUNK, horizon)
         start = np.array(q)
         ch_act, ch_src, ch_val = [], [], []
-        for s, a in zip(state_idx[lo:hi].tolist(), arr[:, lo:hi].T.tolist()):
-            act = choose(src, q, table[s], n_relays, allow_idle)
+        for g, a in zip(group_of[state_idx[lo:hi]].tolist(), arr[:, lo:hi].T.tolist()):
+            act = choose(src, q, table[g], n_relays, allow_idle)
             code, c = act[0], act[1]
             if code == 0:  # first hop into queue c
                 # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
@@ -412,26 +413,27 @@ def drift_check(
     state_idx, arr = _draws(config, arrivals, samples, seed)
     qs, q = source.tolist(), probe_state.relay.ravel().tolist()
     sends = config.rates * T  # bits a first hop with scheme m takes
-    sub = np.zeros((len(config.sorted_states), k_dest))  # bits the action takes from the source
-    relay_terms = np.zeros(len(sub))
+    table, group_of = config.decision_table
+    groups = group_of[state_idx]
+    sub = np.zeros((len(table), k_dest))  # bits the action takes from the source, per group
+    relay_terms = np.zeros(len(table))
     by_action = {}  # (variant code, c) -> the relay term of V after that action
-    table = state_entries(config, config.sorted_states)
-    for s in np.flatnonzero(np.bincount(state_idx)).tolist():
-        code, c = choose(qs, q, table[s], n_relays, False)[:2]
+    for g in np.flatnonzero(np.bincount(groups)).tolist():
+        code, c = choose(qs, q, table[g], n_relays, False)[:2]
         if code == 0:
-            sub[s] = sends[c // n_g1]
+            sub[g] = sends[c // n_g1]
         if (code, c) not in by_action:
             relay = probe_state.relay.copy()
             relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
             by_action[code, c] = relay_term(relay)
-        relay_terms[s] = by_action[code, c]
+        relay_terms[g] = by_action[code, c]
     src = np.ascontiguousarray(arr.T)  # next source queues, one row per sample
     src += source
-    src -= sub[state_idx]
+    src -= sub[groups]
     np.maximum(src, 0.0, out=src)
     src *= src
     dv = src.sum(axis=1)
-    dv += relay_terms[state_idx]
+    dv += relay_terms[groups]
     dv -= v0
     mean = float(dv.mean())
     stderr = float(dv.std(ddof=1) / math.sqrt(samples))

@@ -6,7 +6,8 @@ The spec-level model is the package's behaviour written on a
 exact per-block updates (``queueing``'s docstring gives the equations)
 and never mutate their input; ``state_entry`` is the entry
 ``controller.state_entries`` builds for one fading state, written per
-state from the raw support triples; ``decide`` is ``controller.choose`` on
+state from the raw support triples, and ``check_decision_table`` holds
+``NetworkConfig.decision_table`` to it; ``decide`` is ``controller.choose`` on
 a ``QueueState`` and any (f1, f2), on that entry, returning a
 ``Decision``; ``lyapunov`` is the quadratic potential V.  The package
 applies the same updates inline in ``sim.run`` and ``sim.drift_check``,
@@ -126,6 +127,24 @@ def state_entry(config, f) -> tuple:
         if (m, g1, f2) in config.support
     )
     return first, drains
+
+
+def check_decision_table(config) -> None:
+    """Assert the spec of ``config.decision_table``: each sorted state's
+    entry is its ``state_entry``; the entries are pairwise distinct, one
+    per (f1, D(f2)) group, numbered in order of first appearance; and the
+    groups holding a state with p > 0 are as many as the region LP's time
+    rows, which group the drawable states by the same pair."""
+    entries, group_of = config.decision_table
+    assert config.decision_table is config.decision_table  # cached per config
+    assert group_of.dtype == np.intp and not group_of.flags.writeable
+    assert group_of.shape == (len(config.sorted_states),)
+    assert [entries[g] for g in group_of.tolist()] == [state_entry(config, f) for f in config.sorted_states]
+    assert len({repr(e) for e in entries}) == len(entries)
+    assert list(dict.fromkeys(group_of.tolist())) == list(range(len(entries)))
+    drawable = {g for g, f in zip(group_of.tolist(), config.sorted_states) if config.fading[f] > 0.0}
+    layout = config.lp_layout
+    assert len(drawable) == layout.shape[0] - layout.flows.stop
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.cli import main as cli_main
-from conftest import CONFIG_DIR
+from configs import CONFIG_DIR
 from oracles import (
     apply_first_hop,
     apply_idle,

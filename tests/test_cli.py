@@ -9,7 +9,7 @@ import pytest
 import coopsim as cs
 from coopsim.cli import _witness_records, main
 from coopsim.sim import DISTRIBUTIONS
-from conftest import CONFIG_DIR, make_doc
+from configs import CONFIG_DIR, make_doc
 
 TOY = str(CONFIG_DIR / "toy_single.json")
 GOODBAD = str(CONFIG_DIR / "toy_goodbad.json")
@@ -330,11 +330,26 @@ SEED_ERROR = "coopsim: error: the seed must be a non-negative integer, got -3\n"
 
 
 def test_simulate_negative_seed_exits_2(tmp_path, capsys):
-    # run checks the seed after --queues is opened; the file must go again
+    # run checks the seed before it writes the --queues header, so no file is made
     assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", "--seed", "-3",
                  "--out", str(tmp_path), "--queues", "q.csv"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", SEED_ERROR)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-3"],
+    ["--seed", "-3", "--queues", "q.csv"],
+    ["--horizon", "0"],
+    ["--queues", "metrics.csv"],
+])
+def test_refused_simulate_leaves_no_out_path(tmp_path, capsys, flags):
+    # the output directory is made at the first file opened, after the checks
+    out = tmp_path / "D" / "deeper"
+    assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("coopsim: error: ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,8 +5,8 @@ import pytest
 
 import coopsim as cs
 from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, state_entries
-from conftest import make_doc, sparse_config
-from oracles import bruteforce_decide, decide, lyapunov, state_entry
+from configs import make_doc, sparse_config
+from oracles import bruteforce_decide, check_decision_table, decide, lyapunov, state_entry
 
 
 def _two_scheme_cfg(support="all"):
@@ -234,3 +234,24 @@ def test_state_entries_cover_the_edge_configs():
     trailing = _trailing_zero_state_config()
     assert trailing.probability(trailing.sorted_states[-1]) == 0.0
     assert len(state_entries(trailing, trailing.sorted_states)) == 2
+
+
+# (groups, sorted states) per config: desk's 64 states fall into 12 groups,
+# the other configs merge no two states
+DECISION_GROUPS = {
+    "toy_single": (1, 1),
+    "toy_goodbad": (2, 2),
+    "desk": (12, 64),
+    "sparse_n3": (300, 300),
+    "sparse_n4": (800, 800),
+    "undrained_g2": (4, 4),
+    "trailing_p0": (2, 2),
+}
+
+
+@pytest.mark.parametrize("name", DECISION_GROUPS)
+def test_decision_table_groups_states_by_f1_and_drain_set(request, name):
+    config = SPEC_CONFIGS[name]() if name in SPEC_CONFIGS else request.getfixturevalue(name)
+    check_decision_table(config)
+    entries, group_of = config.decision_table
+    assert (len(entries), len(group_of)) == DECISION_GROUPS[name]

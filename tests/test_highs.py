@@ -28,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
-from conftest import make_doc, small_configs, sparse_config  # noqa: E402
+from configs import make_doc, small_configs, sparse_config  # noqa: E402
 from oracles import highs_value, per_triple_value  # noqa: E402
 
 TOL = 1e-7

@@ -6,7 +6,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.model import fading_indices
-from conftest import make_doc
+from configs import make_doc
 
 
 def test_minimal_config_valid():

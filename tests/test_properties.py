@@ -22,12 +22,13 @@ import coopsim as cs  # noqa: E402
 from coopsim.controller import state_entries  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
 from coopsim.sim import _relay_rows  # noqa: E402
-from conftest import small_configs  # noqa: E402
+from configs import small_configs  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
     apply_idle,
     apply_second_hop,
     bruteforce_decide,
+    check_decision_table,
     decide,
     ratio_row,
     state_entry,
@@ -75,6 +76,12 @@ def test_state_entries_match_spec_on_every_f2(config):
     f2s = itertools.product("GB", repeat=sh.num_relays * sh.num_destinations)
     states = list(itertools.product(config.first_hop_space, f2s))
     assert state_entries(config, states) == [state_entry(config, f) for f in states]
+
+
+@SETTINGS
+@hypothesis.given(small_configs())
+def test_decision_table_matches_spec(config):
+    check_decision_table(config)
 
 
 # ratio-test columns: exact ties, +-0.0, entries far below the pivot

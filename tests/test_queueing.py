@@ -3,7 +3,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.queueing import snapshot_header
-from conftest import make_doc
+from configs import make_doc
 from oracles import apply_first_hop, apply_idle, apply_second_hop
 
 

@@ -7,7 +7,7 @@ import coopsim as cs
 from coopsim.controller import state_entries
 from coopsim.model import NetworkConfig
 from coopsim.region import LinearProgram
-from conftest import CONFIG_DIR, make_doc
+from configs import CONFIG_DIR, make_doc
 from oracles import _constraint_matrices, _oracle_columns, highs_value, scale_oracle, slack_oracle
 
 # On the per-triple LP of this direction the solver once returned rho*

@@ -19,7 +19,7 @@ import pytest
 import coopsim as cs
 from coopsim import controller, sim
 from coopsim.model import fading_indices
-from conftest import make_doc, sparse_config
+from configs import CONFIG_DIR, make_doc, sparse_config
 from oracles import expected_drift, reference_drift_check, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
@@ -192,32 +192,46 @@ def _recording_choose(entries):
     return recording_choose
 
 
-def test_drift_check_decides_once_per_fading_state(desk, monkeypatch):
+def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
     probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls choose once per block
     entries = []
     monkeypatch.setattr(sim, "choose", _recording_choose(entries))
     arrivals = cs.ArrivalConfig(rates=(rate, rate))
     cs.drift_check(desk, arrivals, probe, 5000, seed=1)
     drawn = set(sim._draws(desk, arrivals, 5000, 1)[0].tolist())
-    expected = [state_entry(desk, desk.sorted_states[s]) for s in drawn]
-    # one call per distinct drawn state, each on that state's entry
-    assert len(entries) == len(drawn)
+    groups = {}  # (f1, the (m, g1) pairs f2 drains) -> member states, from the raw support
+    for s in drawn:
+        f1, f2 = desk.sorted_states[s]
+        drained = frozenset((m, g1) for m, g1, g2 in desk.support if g2 == f2)
+        groups.setdefault((f1, drained), []).append(desk.sorted_states[s])
+    # one call per distinct drawn group, each on the entry of its member states
+    assert len(entries) == len(groups) < len(drawn)
+    expected = [state_entry(desk, members[0]) for members in groups.values()]
+    assert all(state_entry(desk, f) == entry for members, entry in zip(groups.values(), expected) for f in members)
     assert sorted(map(repr, entries)) == sorted(map(repr, expected))
 
 
-def test_run_and_drift_check_build_the_state_table_once(desk, monkeypatch):
-    calls = []
+def test_run_and_drift_check_build_the_decision_table_once(monkeypatch):
+    config = cs.load_config(CONFIG_DIR / "desk.json")  # fresh: the shared desk fixture may hold the table
+    tables, entries = [], []
+
+    def counting_decision_table(config):
+        tables.append(config)
+        return real_decision_table(config)
 
     def counting_state_entries(config, states):
-        calls.append(states)
-        return controller.state_entries(config, states)
+        entries.append(states)
+        return real_state_entries(config, states)
 
-    monkeypatch.setattr(sim, "state_entries", counting_state_entries)
+    real_decision_table, real_state_entries = controller.decision_table, controller.state_entries
+    monkeypatch.setattr(controller, "decision_table", counting_decision_table)
+    monkeypatch.setattr(controller, "state_entries", counting_state_entries)
     arrivals = cs.ArrivalConfig(rates=(1.0, 1.0))
-    probe = cs.run(desk, arrivals, 2 * sim.CHUNK + 5, 0).final_state
-    assert len(calls) == 1
-    cs.drift_check(desk, arrivals, probe, 2000, seed=1)
-    assert calls == [desk.sorted_states] * 2
+    probe = cs.run(config, arrivals, 2 * sim.CHUNK + 5, 0).final_state
+    cs.drift_check(config, arrivals, probe, 2000, seed=1)
+    cs.drift_check(config, arrivals, probe, 2000, seed=2)
+    assert len(tables) == 1 and tables[0] is config
+    assert len(entries) == 1 and len(entries[0]) == len(config.decision_table[0]) == 12
 
 
 # -- the zero-probability clamp ---------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import coopsim as cs
 from coopsim.sim import METRICS_COLUMNS, _draws, summary_dict, write_metrics_csv
-from conftest import make_doc
+from configs import make_doc
 
 
 def test_arrival_validation():
