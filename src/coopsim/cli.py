@@ -184,6 +184,8 @@ def cmd_simulate(args) -> int:
     for name in ("metrics.csv", "summary.json"):
         if queues is not None and queues.resolve() == (out / name).resolve():
             raise ValueError(f"--queues {args.queues} names the run's own {name}, which would overwrite it")
+    if queues is not None and queues.parent != out and not queues.parent.is_dir():
+        raise ValueError(f"--queues {args.queues}: no directory {queues.parent}")
     sink = _SnapshotFile(out, args.queues) if queues else None
     try:
         metrics = run(

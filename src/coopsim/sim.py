@@ -53,9 +53,12 @@ N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2; both are gathered per sample by
 its group.  The relay term depends only on (variant code, c), so it is
 computed once per distinct action, on a copy of the probe's relay
 with queue c moved to Q + T (first hop) or (Q - T)+ (second hop).  The
-source term max(Qs + a - sub, 0)^2 is one array pass, summed along
-contiguous rows (the order of a 1-D sum), and V(next) is that sum plus the
-relay term, the one addition a full potential makes.  The clamp is a no-op
+source term max(Qs + a - sub, 0)^2 is computed destination-major, in the
+draws' own (K, samples) layout, with the per-group ``sub`` and relay terms
+gathered by ``take``; one transpose then lays each sample's squares out as
+a contiguous row, so the row sum adds them in the order of a 1-D sum
+(pairwise from 8 terms on), and V(next) is that sum plus the relay term,
+the one addition a full potential makes.  The clamp is a no-op
 unless bits are taken, as probe and arrivals are non-negative, so the
 estimate equals one decision, update and potential per sample bit for bit.
 
@@ -414,26 +417,25 @@ def drift_check(
     qs, q = source.tolist(), probe_state.relay.ravel().tolist()
     sends = config.rates * T  # bits a first hop with scheme m takes
     table, group_of = config.decision_table
-    groups = group_of[state_idx]
-    sub = np.zeros((len(table), k_dest))  # bits the action takes from the source, per group
+    groups = group_of.take(state_idx)
+    sub = np.zeros((k_dest, len(table)))  # bits the action takes from the source, per group
     relay_terms = np.zeros(len(table))
     by_action = {}  # (variant code, c) -> the relay term of V after that action
     for g in np.flatnonzero(np.bincount(groups)).tolist():
         code, c = choose(qs, q, table[g], n_relays, False)[:2]
         if code == 0:
-            sub[g] = sends[c // n_g1]
+            sub[:, g] = sends[c // n_g1]
         if (code, c) not in by_action:
             relay = probe_state.relay.copy()
             relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
             by_action[code, c] = relay_term(relay)
         relay_terms[g] = by_action[code, c]
-    src = np.ascontiguousarray(arr.T)  # next source queues, one row per sample
-    src += source
-    src -= sub[groups]
-    np.maximum(src, 0.0, out=src)
-    src *= src
-    dv = src.sum(axis=1)
-    dv += relay_terms[groups]
+    arr += source[:, None]  # next source queues, one row per destination
+    arr -= sub.take(groups, axis=1)
+    np.maximum(arr, 0.0, out=arr)
+    arr *= arr
+    dv = arr.T.copy().sum(axis=1)  # each sample's squares summed along a contiguous row
+    dv += relay_terms.take(groups)
     dv -= v0
     mean = float(dv.mean())
     stderr = float(dv.std(ddof=1) / math.sqrt(samples))

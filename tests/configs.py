@@ -1,7 +1,8 @@
 """Config builders shared by the tests: the shipped configs' directory,
 ``make_doc`` (a small config document), ``sparse_config`` (a deterministic
-sparse random config) and, when hypothesis is installed, the
-``small_configs`` strategy.  Nothing here imports pytest, so the module can
+sparse random config), the two zero-probability edge cases
+``trailing_zero_config`` and ``zero_gap_config`` and, when hypothesis is
+installed, the ``small_configs`` strategy.  Nothing here imports pytest, so the module can
 be imported outside a test run.
 """
 
@@ -79,6 +80,31 @@ def sparse_config(n, k, m, states, seed):
         states=[{"f1": list(f1), "f2": list(f2), "p": float(p)} for (f1, f2), p in zip(drawn, w)],
     )
     return cs.validate_config(doc)
+
+
+def trailing_zero_config():
+    """Two states whose last, in sorted order, has p = 0, and whose
+    cumulative probabilities end just below the largest float below 1."""
+    states = [
+        {"f1": ["a"], "f2": ["a"], "p": 1.0 - 1e-13},
+        {"f1": ["b"], "f2": ["b"], "p": 0.0},  # sorts last
+    ]
+    config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
+    assert config.cumulative_probs[-1] < np.nextafter(1.0, 0.0)
+    assert config.sorted_states[-1] == (("b",), ("b",))
+    return config
+
+
+def zero_gap_config():
+    """N = 1, K = 2 over {a, b}, all eight states listed in sorted order with
+    p = 0 first, between drawable states and last, so the cumulative
+    probabilities 0, .1, .1, .1, .4, .4, 1, 1 repeat."""
+    probs = [0.0, 0.1, 0.0, 0.0, 0.3, 0.0, 0.6, 0.0]
+    combos = itertools.product(itertools.product("ab", repeat=1), itertools.product("ab", repeat=2))
+    states = [{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(combos, probs)]
+    config = cs.validate_config(make_doc(k=2, alphabet=("a", "b"), rates=((1.0, 0.5),), states=states))
+    assert [config.fading[f] for f in config.sorted_states] == probs
+    return config
 
 
 if st is not None:

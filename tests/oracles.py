@@ -13,6 +13,11 @@ a ``QueueState`` and any (f1, f2), on that entry, returning a
 applies the same updates inline in ``sim.run`` and ``sim.drift_check``,
 and these are what it is checked against.
 
+``fading_indices_spec`` is the fading draw as one full binary search,
+``np.searchsorted`` clamped to the last state with p > 0, and
+``check_fading_indices`` holds ``model.fading_indices`` and the guide table
+it reads to it on the variates where a guide could go wrong.
+
 ``bruteforce_decide`` enumerates every one-hot transmit assignment of a
 block's discrete scheduling program with plain Python loops (k ascending,
 n ascending over the N equal relays, the support read as its raw triples)
@@ -58,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose
+from coopsim.model import fading_indices
 from coopsim.queueing import QueueState, snapshot_header
 from coopsim.region import PIVOT_TOL, DegeneracyError
 from coopsim.sim import DriftEstimate, Metrics, _draws
@@ -145,6 +151,43 @@ def check_decision_table(config) -> None:
     drawable = {g for g, f in zip(group_of.tolist(), config.sorted_states) if config.fading[f] > 0.0}
     layout = config.lp_layout
     assert len(drawable) == layout.shape[0] - layout.flows.stop
+
+
+def fading_indices_spec(config, u):
+    """Sorted-state indices of variates ``u``: the number of cumulative
+    probabilities at or below each, at most the last state with p > 0."""
+    return np.minimum(np.searchsorted(config.cumulative_probs, u, side="right"), config.last_drawable_state)
+
+
+def boundary_variates(config) -> tuple:
+    """The variates in [0, 1) where a sampler can err, as two arrays: 0.0,
+    1 - 2**-53 and every cumulative probability below 1 with its two float
+    neighbours; and every guide bin's left edge with the float just below it."""
+    cum = config.cumulative_probs[config.cumulative_probs < 1.0]
+    near = np.concatenate(([0.0, 1.0 - 2.0**-53], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)))
+    bins = len(config.fading_guide[0])
+    edges = np.arange(1, bins) / bins
+    return near[near < 1.0], np.concatenate((edges, np.nextafter(edges, 0.0)))
+
+
+def check_fading_indices(config, u) -> None:
+    """Assert that ``fading_indices`` equals ``fading_indices_spec`` bit for
+    bit, as intp, on ``u`` and the config's ``boundary_variates``, and on
+    each variate near a cumulative probability as a numpy scalar too; and
+    that the guide is cached per config, read-only and a power of two long."""
+    near, edges = boundary_variates(config)
+    u = np.concatenate((np.asarray(u, dtype=float), near, edges))
+    got, want = fading_indices(config, u), fading_indices_spec(config, u)
+    assert got.dtype == want.dtype == np.intp and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for x in near:  # np.float64 scalars
+        one = fading_indices(config, x)
+        assert np.asarray(one).dtype == np.intp and one == fading_indices_spec(config, x)
+    counts, split = config.fading_guide
+    assert config.fading_guide is config.fading_guide  # cached per config
+    assert counts.dtype == np.intp and split.dtype == bool and counts.shape == split.shape
+    assert not counts.flags.writeable and not split.flags.writeable
+    assert len(counts) & (len(counts) - 1) == 0
 
 
 @dataclass(frozen=True)

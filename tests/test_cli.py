@@ -343,6 +343,7 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     ["--seed", "-3", "--queues", "q.csv"],
     ["--horizon", "0"],
     ["--queues", "metrics.csv"],
+    ["--queues", "sub/q.csv"],
 ])
 def test_refused_simulate_leaves_no_out_path(tmp_path, capsys, flags):
     # the output directory is made at the first file opened, after the checks

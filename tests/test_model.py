@@ -6,7 +6,8 @@ import pytest
 
 import coopsim as cs
 from coopsim.model import fading_indices
-from configs import make_doc
+from configs import CONFIG_DIR, make_doc, sparse_config, trailing_zero_config, zero_gap_config
+from oracles import check_fading_indices
 
 
 def test_minimal_config_valid():
@@ -159,6 +160,30 @@ def test_sample_empirical_convergence(desk):
     bound = 5.0 * math.sqrt(math.log(n) / n)
     for f, c in zip(desk.sorted_states, counts.tolist()):
         assert abs(c / n - desk.probability(f)) <= bound
+
+
+SAMPLER_CONFIGS = {
+    "desk": lambda: cs.load_config(CONFIG_DIR / "desk.json"),
+    "sparse_n4": lambda: sparse_config(4, 3, 6, 800, 1),
+    "zero_gap": zero_gap_config,
+    "trailing_zero": trailing_zero_config,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CONFIGS))
+def test_fading_indices_match_spec(name):
+    check_fading_indices(SAMPLER_CONFIGS[name](), np.random.default_rng(7).random(20_000))
+
+
+def test_fading_guide_is_built_once_per_config():
+    config = cs.load_config(CONFIG_DIR / "desk.json")
+    assert "fading_guide" not in vars(config)
+    fading_indices(config, np.random.default_rng(0).random(10))
+    counts, split = guide = vars(config)["fading_guide"]
+    assert len(counts) == 1024  # 64 states, 16 bins each
+    cs.run(config, cs.ArrivalConfig(rates=(1.0, 1.0)), 300, 1)
+    cs.drift_check(config, cs.ArrivalConfig(rates=(1.0, 1.0)), cs.QueueState.zeros(config), 100, seed=2)
+    assert config.fading_guide is guide
 
 
 # -- queue counts -----------------------------------------------------------

@@ -4,7 +4,8 @@ random support): the controller against ``oracles.bruteforce_decide``,
 the pure ``queueing.apply_*`` updates against their bit-accounting
 rules, ``sim._relay_rows``, the chunk rebuild of the relay queues,
 against a copy of the queues after every block, and the simplex's ratio
-test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy.
+test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy, and
+``model.fading_indices`` against ``oracles.fading_indices_spec``.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum
 over relays, n ascending, on a shape no shipped config has.
@@ -29,6 +30,7 @@ from oracles import (  # noqa: E402
     apply_second_hop,
     bruteforce_decide,
     check_decision_table,
+    check_fading_indices,
     decide,
     ratio_row,
     state_entry,
@@ -197,3 +199,9 @@ def test_relay_rows_match_a_copy_per_block(case):
     got = _relay_rows(start, cells, values)
     want = _copied_rows(start, cells, values)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@SETTINGS
+@hypothesis.given(small_configs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64))
+def test_fading_indices_match_spec(config, variates):
+    check_fading_indices(config, variates)

@@ -12,6 +12,7 @@ is held the same way to ``oracles.reference_drift_check``, one
 import dataclasses
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import coopsim as cs
 from coopsim import controller, sim
 from coopsim.model import fading_indices
-from configs import CONFIG_DIR, make_doc, sparse_config
+from configs import CONFIG_DIR, make_doc, sparse_config, trailing_zero_config
 from oracles import expected_drift, reference_drift_check, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
@@ -136,7 +137,10 @@ def _desk_probes(desk):
 def _drift_cases(desk, toy_goodbad):
     """(config, probe, rate) for every drift comparison: toy_goodbad at a
     loaded and an empty probe, desk at its interior and warm exterior
-    probes, and a synthetic N=1/K=3 config at a warm and a hand-made probe."""
+    probes, a synthetic N=1/K=3 config at a warm and a hand-made probe, and
+    a synthetic N=1/K=9 config at sources 1000 * sqrt(k + 2), whose squares
+    do not sum exactly: a running sum over k differs there from numpy's
+    pairwise row sum, which the reference takes."""
     probe = cs.QueueState.zeros(toy_goodbad)
     probe.source[:] = 300.0
     probe.relay[:] = 40.0
@@ -149,6 +153,11 @@ def _drift_cases(desk, toy_goodbad):
     hand.relay[:, 0] = [70.0, 0.0, 14.0]
     hand.relay[:, 1] = [0.0, 21.0, 7.0]
     cases += [(synthetic, warm, 0.9), (synthetic, hand, 0.5)]
+    wide = _synthetic_config(1, 9, 14)
+    probe = cs.QueueState.zeros(wide)
+    probe.source[:] = [1000 * math.sqrt(k + 2) for k in range(9)]
+    probe.relay[:] = 3.0
+    cases.append((wide, probe, 0.9))
     return cases
 
 
@@ -245,33 +254,22 @@ class _TopDraws:
         return top if size is None else np.full(size, top)
 
 
-def _trailing_zero_state_config():
-    states = [
-        {"f1": ["a"], "f2": ["a"], "p": 1.0 - 1e-13},
-        {"f1": ["b"], "f2": ["b"], "p": 0.0},  # sorts last
-    ]
-    config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
-    assert config.cumulative_probs[-1] < np.nextafter(1.0, 0.0)
-    assert config.sorted_states[-1] == (("b",), ("b",))
-    return config
-
-
 def test_fading_indices_never_draws_zero_probability_state():
-    config = _trailing_zero_state_config()
+    config = trailing_zero_config()
     top = _TopDraws().random(3)
     assert fading_indices(config, top).tolist() == [0, 0, 0]
     assert int(fading_indices(config, top[0])) == 0
 
 
 def test_run_never_draws_zero_probability_state(monkeypatch):
-    config = _trailing_zero_state_config()
+    config = trailing_zero_config()
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
     m = cs.run(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), 10, 0)
     assert m.fading_state_idx.tolist() == [0] * 10
 
 
 def test_drift_check_never_draws_zero_probability_state(monkeypatch):
-    config = _trailing_zero_state_config()
+    config = trailing_zero_config()
     entries = []
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
     monkeypatch.setattr(sim, "choose", _recording_choose(entries))
