@@ -25,18 +25,16 @@ m * |F|^N + g1.  The N relays hold equal queues, so S_m(g1) = N * Q at
 ``NetworkConfig.rate_sums``, summed the same way, for any K.
 
 The rule reads the state (f1, f2) only through f1 and D(f2), the queues f2
-drains, so states sharing that pair share one entry.  ``decision_table``
-keeps one entry per (f1, D(f2)) group, cached per config as
+drains.  ``decision_table`` keeps one entry per group of
+``NetworkConfig.state_groups``, the region LP's partition too, cached as
 ``NetworkConfig.decision_table``: ``sim.run`` calls ``choose`` once per
-block on its state's group entry, and ``sim.drift_check`` once per drawn
-(f1, D(f2)) group; there is no adapter for a ``QueueState``.
+block on its state's entry, and ``sim.drift_check`` once per drawn group;
+there is no adapter for a ``QueueState``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .model import NetworkConfig
 
@@ -46,36 +44,16 @@ IDLE = "idle"
 VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)  # indexed by choose()'s variant code
 
 
-def state_entries(config: NetworkConfig, states) -> list:
-    """What ``choose`` reads of each fading state f = (f1, f2) in ``states``:
-    per scheme m, the flat index of its (m, f1) queue and its rates r_m; and
-    the queues drainable under f2 (``config.drain_cells``) as (flat index,
-    (r_m . 1)^2), lowest m and then smallest g1 first.  States that share
-    f1 (f2) share one first-hop (drain) tuple."""
+def decision_table(config: NetworkConfig) -> tuple:
+    """(entries, group_of): per group of ``config.state_groups``, what
+    ``choose`` reads: per scheme m, the flat index of queue (m, f1) and r_m
+    (one tuple per f1); then D(f2) as (flat index, (r_m . 1)^2)."""
+    keys, _, group_of = config.state_groups
     n_g1 = len(config.first_hop_space)
     rates = config.rates.tolist()
     w2 = (config.rate_sums * config.rate_sums).tolist()
     firsts = [tuple((m * n_g1 + g1i, r) for m, r in enumerate(rates)) for g1i in range(n_g1)]
-    drains = {g2: tuple((c, w2[c // n_g1]) for c in cells) for g2, cells in config.drain_cells.items()}
-    return [(firsts[config.g1_index[f1]], drains.get(f2, ())) for f1, f2 in states]
-
-
-def decision_table(config: NetworkConfig) -> tuple:
-    """(entries, group_of): the distinct ``state_entries`` of the states
-    merged by (f1, D(f2)), in order of first appearance in ``sorted_states``,
-    and a read-only intp array giving each sorted state's entry index.  The
-    region LP merges its drawable states by the same pair."""
-    drains = config.drain_cells
-    index, members, group_of = {}, [], []
-    for f in config.sorted_states:
-        key = (f[0], drains.get(f[1], ()))
-        if key not in index:
-            index[key] = len(members)
-            members.append(f)
-        group_of.append(index[key])
-    group_of = np.array(group_of, dtype=np.intp)
-    group_of.setflags(write=False)
-    return tuple(state_entries(config, members)), group_of
+    return tuple((firsts[config.g1_index[f1]], tuple((c, w2[c // n_g1]) for c in cells)) for f1, cells in keys), group_of
 
 
 def choose(src, q, entry, n_relays, allow_idle) -> tuple:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -86,10 +86,10 @@ class NetworkConfig:
     # -- derived, cached views used by the sampler, controller and region builders --
     # Each is computed on first use and shared by every later call on this
     # config.  Per config: the fading draw's guide table, the drain
-    # relation, which the controller and the region LP share, the
-    # controller's decision table and the region LP's layout.  Per region
-    # query: a fresh matrix filled from ``lp_layout``, its rho or delta
-    # column and its rhs.
+    # relation and the states' (f1, D(f2)) partition built on it, which the
+    # controller and the region LP share, the controller's decision table
+    # and the region LP's layout.  Per region query: a fresh matrix filled
+    # from ``lp_layout``, its rho or delta column and its rhs.
     # Cached arrays are read-only; the other views are only read.
 
     @cached_property
@@ -168,9 +168,28 @@ class NetworkConfig:
         return {g2: tuple(sorted(c)) for g2, c in cells.items()}
 
     @cached_property
+    def state_groups(self) -> tuple:
+        """(keys, members, group_of): the sorted states grouped by (f1, D(f2)),
+        D(f2) from ``drain_cells``.  ``keys[g]`` is group g's pair,
+        ``members[g]`` its p > 0 states in order, ``group_of`` a read-only
+        intp array of each sorted state's group.  Groups with a p > 0 state
+        lead, in order of their first one: the region LP's time rows."""
+        drains = self.drain_cells
+        keys = [(f1, drains.get(f2, ())) for f1, f2 in self.sorted_states]
+        drawn = [key for f, key in zip(self.sorted_states, keys) if self.fading[f] > 0.0]
+        index = {key: g for g, key in enumerate(dict.fromkeys(drawn + keys))}
+        members = [[] for _ in index]
+        for f, key in zip(self.sorted_states, keys):
+            if self.fading[f] > 0.0:
+                members[index[key]].append(f)
+        group_of = np.array([index[key] for key in keys], dtype=np.intp)
+        group_of.setflags(write=False)
+        return tuple(index), tuple(map(tuple, members)), group_of
+
+    @cached_property
     def decision_table(self) -> tuple:
-        """The controller's entries per (f1, D(f2)) group and each sorted
-        state's group, ``controller.decision_table(self)``."""
+        """The controller's entry per group of ``state_groups`` and each
+        sorted state's group, ``controller.decision_table(self)``."""
         from .controller import decision_table  # controller builds on this module
 
         return decision_table(self)
@@ -237,7 +256,7 @@ def _number(raw, what: str, code: str, integral: bool = False):
     """A finite JSON number, or an integral one; ``code`` tags NaN, inf and non-numbers."""
     if isinstance(raw, bool):
         raise ConfigError("boolean-value", f"{what} must be a number, got {raw!r}")
-    if not isinstance(raw, (int, float)) or not math.isfinite(raw):
+    if not isinstance(raw, (int, float)) or not abs(raw) <= sys.float_info.max:  # exact for ints of any size
         raise ConfigError(code, f"{what} must be a finite number, got {raw!r}")
     if integral and raw != int(raw):
         raise ConfigError("non-integral-value", f"{what} must be an integer, got {raw!r}")
@@ -263,9 +282,12 @@ def validate_config(raw) -> NetworkConfig:
     fad = _typed(raw["fading"], dict, "fading")
     _require_keys(fad, {"alphabet", "states"}, "fading")
     alphabet = tuple(_typed(fad.get("alphabet", []), list, "alphabet"))
-    strings = all(isinstance(lab, str) for lab in alphabet)
+    # the CSV outputs write labels unquoted and join a g1's labels with "|"
+    strings = all(isinstance(lab, str) and set(lab).isdisjoint(',|"\r\n') for lab in alphabet)
     if not alphabet or not strings or len(set(alphabet)) != len(alphabet):
-        raise ConfigError("bad-alphabet", "alphabet must be a non-empty list of distinct string labels")
+        raise ConfigError(
+            "bad-alphabet", 'alphabet must be a non-empty list of distinct string labels without , | " CR or LF'
+        )
     alpha_set = set(alphabet)
     table: dict = {}
     total = 0.0

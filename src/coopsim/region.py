@@ -37,13 +37,13 @@ time row, so it is feasible.  Both forms thus have the same optimum, and a
 config in which no two states share a key builds the per-state LP.
 
 What depends on the config alone is computed once per config and cached on
-it: the drain relation g2 -> D(f2) (``NetworkConfig.drain_cells``, which the
-controller reads too) and ``lp_layout``, which groups the states, orders the
-support classes and records the column tags and the position and value of
-every rate, flow and time entry.  Per query, ``build_scale_lp`` and
-``build_slack_lp`` only fill a fresh matrix from that layout and write the
-trailing rho or delta column and the rhs; the cached arrays are read-only,
-so no query can change what the next one reads.
+it: the states' (f1, D(f2)) partition (``NetworkConfig.state_groups``, the
+controller's too) and ``lp_layout``, which takes a time row per drawable
+group, orders the support classes and records the column tags and every
+rate, flow and time entry.  Per query, ``_assemble`` fills a fresh LP from
+that layout, and ``build_scale_lp`` and ``build_slack_lp`` write only their
+rho or delta column and rhs; the cached arrays are read-only, so no query
+can change what the next one reads.
 
 Two queries are exposed.  ``scale_witness`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
@@ -90,6 +90,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -373,21 +375,15 @@ class LpLayout:
 def lp_layout(config: NetworkConfig) -> LpLayout:
     """Lay out the rate/flow/time skeleton.  The classes are the support's
     (m, g1) pairs by flat index m * |F|^N + g1, the groups the drawable
-    states merged by (f1, D(f2)) in ``sorted_states`` order.  Per class, one
-    a column per group with f1 = g1, then one b column per group whose drain
-    set holds the class."""
+    ones of ``config.state_groups``, pi summed in member order.  Per class,
+    one a column per group with f1 = g1, then one b column per group whose
+    drain set holds the class."""
     k_dest = config.shape.num_destinations
     n_g1 = len(config.first_hop_space)
-    drains = config.drain_cells
-    classes = sorted({c for drained in drains.values() for c in drained})  # flat indices
-    groups: dict = {}  # (f1, D(f2)) -> (member states, pi)
-    for f in config.sorted_states:
-        p = config.fading[f]
-        if p > 0.0:
-            key = (f[0], drains.get(f[1], ()))
-            states, total = groups.get(key, ((), 0.0))
-            groups[key] = (states + (f,), total + p)
-    keys, members = list(groups), [states for states, _ in groups.values()]
+    classes = sorted({c for drained in config.drain_cells.values() for c in drained})  # flat indices
+    keys, members, _ = config.state_groups
+    n_groups = len(members) - members.count(())  # the drawable groups lead
+    keys, members = keys[:n_groups], members[:n_groups]
     columns, class_of, group_of = [], [], []
     for c, cell in enumerate(classes):
         m, g1 = cell // n_g1, config.first_hop_space[cell % n_g1]
@@ -398,7 +394,7 @@ def lp_layout(config: NetworkConfig) -> LpLayout:
         group_of += fill + drain
     fills = np.array([col[0] == "a" for col in columns], dtype=bool)
     class_of, group_of = np.array(class_of, dtype=int), np.array(group_of, dtype=int)
-    pi = np.array([p for _, p in groups.values()])[group_of]
+    pi = np.array([reduce(add, (config.fading[f] for f in states), 0.0) for states in members])[group_of]
     scheme = (np.array(classes, dtype=int) // n_g1)[class_of]
 
     j = np.arange(len(columns))
@@ -415,20 +411,22 @@ def lp_layout(config: NetworkConfig) -> LpLayout:
     cells.setflags(write=False)
     values.setflags(write=False)
     return LpLayout(
-        tuple(columns), (k_dest + len(classes) + len(groups), width), cells, values, slice(k_dest, k_dest + len(classes))
+        tuple(columns), (k_dest + len(classes) + len(keys), width), cells, values, slice(k_dest, k_dest + len(classes))
     )
 
 
-def _assemble(config: NetworkConfig, extra_tag: tuple):
-    """A fresh matrix filled from the config's cached layout, its trailing
-    column left for the caller.
-
-    Returns the column tags, the matrix and the slice of flow rows.
-    """
+def _assemble(config: NetworkConfig, tag: tuple, kind: str) -> tuple:
+    """(LP, flow-row slice): a fresh LP from the cached layout maximizing a
+    trailing column tagged ``tag``, left zero for the caller; ``<=`` rows,
+    rhs 1."""
     layout = config.lp_layout
+    rows, width = layout.shape
     matrix = np.zeros(layout.shape)
     matrix.flat[layout.cells] = layout.values
-    return layout.columns + (extra_tag,), matrix, layout.flows
+    objective = np.zeros(width)
+    objective[-1] = 1.0
+    lp = LinearProgram(objective, matrix, ("<=",) * rows, np.ones(rows), layout.columns + (tag,), kind)
+    return lp, layout.flows
 
 
 def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
@@ -441,27 +439,14 @@ def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
     if (lam < 0).any():
         raise ValueError("lambda must be non-negative")
 
-    shift = float(lam.max(initial=0.0)) + 1.0
-    columns, matrix, flows = _assemble(config, ("delta",))
+    lp, flows = _assemble(config, ("delta",), "slack")
     k_dest = config.shape.num_destinations
-    matrix[:k_dest, -1] = 1.0
-    matrix[flows, -1] = 1.0
-
-    rhs = np.ones(len(matrix))
-    rhs[:k_dest] = shift - lam
-    rhs[flows] = shift
-
-    objective = np.zeros(len(columns))
-    objective[-1] = 1.0
-    return LinearProgram(
-        objective=objective,
-        matrix=matrix,
-        senses=("<=",) * len(matrix),
-        rhs=rhs,
-        columns=columns,
-        kind="slack",
-        objective_shift=shift,
-    )
+    lp.objective_shift = shift = float(lam.max(initial=0.0)) + 1.0
+    lp.matrix[:k_dest, -1] = 1.0
+    lp.matrix[flows, -1] = 1.0
+    lp.rhs[:k_dest] = shift - lam
+    lp.rhs[flows] = shift
+    return lp
 
 
 def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
@@ -474,24 +459,12 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
     if (direction < 0).any() or not (direction > 0).any():
         raise ValueError("direction must be non-negative with at least one positive entry")
 
-    columns, matrix, flows = _assemble(config, ("rho",))
+    lp, flows = _assemble(config, ("rho",), "scale")
     k_dest = config.shape.num_destinations
-    matrix[:k_dest, -1] = direction  # rho*dir_k - sum pi r a <= 0
-
-    rhs = np.ones(len(matrix))
-    rhs[:k_dest] = 0.0
-    rhs[flows] = 0.0  # fill - drain <= 0
-
-    objective = np.zeros(len(columns))
-    objective[-1] = 1.0
-    return LinearProgram(
-        objective=objective,
-        matrix=matrix,
-        senses=("<=",) * len(matrix),
-        rhs=rhs,
-        columns=columns,
-        kind="scale",
-    )
+    lp.matrix[:k_dest, -1] = direction  # rho*dir_k - sum pi r a <= 0
+    lp.rhs[:k_dest] = 0.0
+    lp.rhs[flows] = 0.0  # fill - drain <= 0
+    return lp
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,13 @@ row sums a copy would.  ``delivered_bits`` reads each second hop's queue
 before the drain from the row above it: min(T, Q) times r_m for every
 destination, added block after block by ``np.add.accumulate`` seeded with
 the running total.  ``accumulate`` adds strictly in sequence, so the sums
-are those of the running d + sent * r_m^k.  Snapshot text is the repr of
-each distinct float64 bit pattern of the chunk, so no memo outlives a chunk
-and memory stays flat in the horizon.  The decision columns m and g1 are
-split from c after the loop, and the final state is the flat queue
-reshaped to (M, |F|^N).  The summary is derived where it is printed, in
-``summary_dict``.
+are those of the running d + sent * r_m^k.  One writer, ``_write_rows``,
+formats a chunk's floats for the snapshot rows and metrics.csv alike: the
+repr of each distinct float64 bit pattern of the chunk, so no memo
+outlives a chunk and memory stays flat in the horizon.  The decision
+columns m and g1 are split from c after the loop, and the final state is
+the flat queue reshaped to (M, |F|^N).  The summary is derived where it
+is printed, in ``summary_dict``.
 
 A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
 draws a run of that many blocks would use.  It reads the same table and
@@ -339,16 +340,7 @@ def run(
         steps = np.minimum(T, rows[second, drained])[:, None] * cell_rates[drained]
         delivered = np.add.accumulate(np.vstack((delivered, steps)), axis=0)[-1]
         if snapshot_sink is not None:
-            # Keyed by bit pattern, -0.0 could never take 0.0's text, though
-            # the queues never hold -0.0: they start at +0.0, each update
-            # either clamps to +0.0 or adds a non-negative amount to a queue
-            # at +0.0 or above, and an IEEE sum is -0.0 only when both terms are.
-            row_bits = np.concatenate((source, relay), axis=1).view(np.int64)
-            bits, inverse = np.unique(row_bits, return_inverse=True)
-            texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse.ravel()]
-            snapshot_sink.writelines(
-                f"{t},{','.join(row)}\n" for t, row in zip(range(lo, hi), texts.reshape(row_bits.shape).tolist())
-            )
+            _write_rows(snapshot_sink, (f"{t}," for t in range(lo, hi)), np.concatenate((source, relay), axis=1))
 
     offered = arr.sum(axis=1)
     return Metrics(
@@ -448,14 +440,21 @@ def drift_check(
 # serialization
 
 
+def _write_rows(fh, heads, values) -> None:
+    """One CSV line per row of the float64 matrix ``values``: its head, then
+    the repr of each value, comma-separated.  Each distinct bit pattern is
+    formatted once, so -0.0 keeps its own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse.ravel()]
+    fh.writelines(f"{head}{','.join(row)}\n" for head, row in zip(heads, texts.reshape(values.shape).tolist()))
+
+
 def write_metrics_csv(metrics: Metrics, fh) -> None:
     """Frozen column order; floats use shortest round-trip formatting."""
     fh.write(",".join(METRICS_COLUMNS) + "\n")
     g1_names = ["|".join(g1) for g1 in metrics.g1_space]
-    columns = (
-        metrics.variants,
-        metrics.decision_m,
-        metrics.decision_g1,
+    decisions = (metrics.variants, metrics.decision_m, metrics.decision_g1)
+    floats = (
         metrics.weight_first,
         metrics.weight_second,
         metrics.source_backlog,
@@ -464,12 +463,9 @@ def write_metrics_csv(metrics: Metrics, fh) -> None:
         metrics.lyapunov,
     )
     for lo in range(0, metrics.horizon, CHUNK):
-        rows = zip(range(lo, metrics.horizon), *(c[lo:lo + CHUNK].tolist() for c in columns))
-        fh.writelines(
-            f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]},"
-            f"{a!r},{b!r},{src!r},{rel!r},{rel_bits!r},{pot!r}\n"
-            for t, v, m, g1, a, b, src, rel, rel_bits, pot in rows
-        )
+        rows = zip(range(lo, metrics.horizon), *(c[lo:lo + CHUNK].tolist() for c in decisions))
+        heads = (f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]}," for t, v, m, g1 in rows)
+        _write_rows(fh, heads, np.stack([c[lo:lo + CHUNK] for c in floats], axis=1))
 
 
 def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:

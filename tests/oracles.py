@@ -5,9 +5,10 @@ The spec-level model is the package's behaviour written on a
 ``apply_second_hop`` and ``apply_idle`` return the next state under the
 exact per-block updates (``queueing``'s docstring gives the equations)
 and never mutate their input; ``state_entry`` is the entry
-``controller.state_entries`` builds for one fading state, written per
-state from the raw support triples, and ``check_decision_table`` holds
-``NetworkConfig.decision_table`` to it; ``decide`` is ``controller.choose`` on
+``controller.decision_table`` holds for one fading state's group, written
+per state from the raw support triples, and ``check_decision_table`` holds
+``NetworkConfig.state_groups``, ``NetworkConfig.decision_table`` and the
+region LP's time rows to it; ``decide`` is ``controller.choose`` on
 a ``QueueState`` and any (f1, f2), on that entry, returning a
 ``Decision``; ``lyapunov`` is the quadratic potential V.  The package
 applies the same updates inline in ``sim.run`` and ``sim.drift_check``,
@@ -32,6 +33,10 @@ It records each block's scheme m and first-hop state g1 as it decides
 them, so it checks the decision columns ``sim.run`` splits from its flat
 queue indices after the loop.  ``sim.run`` must reproduce every field bit
 for bit, so the summary ``sim.summary_dict`` derives from them matches too.
+
+``write_metrics_csv_spec`` and ``snapshot_row_spec`` format every float
+on its own with ``repr``, the spec of ``sim``'s one CSV writer, which
+formats each distinct bit pattern of a chunk once.
 
 ``reference_drift_check`` is ``drift_check`` with one ``bruteforce_decide``
 call, one pure queue update and one full potential per sample.
@@ -66,7 +71,7 @@ from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choos
 from coopsim.model import fading_indices
 from coopsim.queueing import QueueState, snapshot_header
 from coopsim.region import PIVOT_TOL, DegeneracyError
-from coopsim.sim import DriftEstimate, Metrics, _draws
+from coopsim.sim import METRICS_COLUMNS, DriftEstimate, Metrics, _draws
 
 # ---------------------------------------------------------------------------
 # the spec-level model: pure queue updates on a QueueState, the controller's
@@ -116,7 +121,7 @@ def apply_idle(state: QueueState, arrivals) -> QueueState:
 
 
 def state_entry(config, f) -> tuple:
-    """``controller.state_entries``' entry for one fading state f = (f1, f2),
+    """``controller.decision_table``'s entry for one fading state f = (f1, f2),
     built on its own: per scheme m, the flat index of its (m, f1) queue and
     its rates r_m; then every (m, g1), m ascending and g1 in
     ``first_hop_space`` order, whose (m, g1, f2) is a support triple, as
@@ -136,21 +141,41 @@ def state_entry(config, f) -> tuple:
 
 
 def check_decision_table(config) -> None:
-    """Assert the spec of ``config.decision_table``: each sorted state's
-    entry is its ``state_entry``; the entries are pairwise distinct, one
-    per (f1, D(f2)) group, numbered in order of first appearance; and the
-    groups holding a state with p > 0 are as many as the region LP's time
-    rows, which group the drawable states by the same pair."""
-    entries, group_of = config.decision_table
-    assert config.decision_table is config.decision_table  # cached per config
+    """Assert the spec of ``config.state_groups`` and ``config.decision_table``:
+    each sorted state's group has the key (f1, D(f2)), D(f2) from the raw
+    support, and the entry ``state_entry``; the entries are pairwise
+    distinct, one per group; the groups holding a state with p > 0 are
+    numbered first, in order of their first such state, and ``members``
+    lists exactly those states; and the region LP's time rows are those
+    groups in order, every column in time row r tagged with ``members[r]``."""
+    keys, members, group_of = config.state_groups
+    entries, table_group_of = config.decision_table
+    assert config.state_groups is config.state_groups  # cached per config
+    assert config.decision_table is config.decision_table
+    assert table_group_of is group_of
     assert group_of.dtype == np.intp and not group_of.flags.writeable
     assert group_of.shape == (len(config.sorted_states),)
+    assert len(keys) == len(members) == len(entries)
+    n_g1 = len(config.first_hop_space)
+    drained = {}  # g2 -> the flat indices of its supported (m, g1), from the raw triples
+    for m, g1, g2 in config.support:
+        drained.setdefault(g2, []).append(m * n_g1 + config.g1_index[g1])
+    for (f1, f2), g in zip(config.sorted_states, group_of.tolist()):
+        assert keys[g] == (f1, tuple(sorted(drained.get(f2, ()))))
     assert [entries[g] for g in group_of.tolist()] == [state_entry(config, f) for f in config.sorted_states]
     assert len({repr(e) for e in entries}) == len(entries)
-    assert list(dict.fromkeys(group_of.tolist())) == list(range(len(entries)))
-    drawable = {g for g, f in zip(group_of.tolist(), config.sorted_states) if config.fading[f] > 0.0}
+    drawn = [(g, f) for g, f in zip(group_of.tolist(), config.sorted_states) if config.fading[f] > 0.0]
+    leading = list(dict.fromkeys(g for g, _ in drawn))
+    assert leading == list(range(len(leading)))
+    assert sorted(set(group_of.tolist())) == list(range(len(entries)))
+    assert members == tuple(tuple(f for g, f in drawn if g == h) for h in range(len(entries)))
     layout = config.lp_layout
-    assert len(drawable) == layout.shape[0] - layout.flows.stop
+    time_rows = layout.shape[0] - layout.flows.stop
+    assert time_rows == len(leading)
+    rows, cols = np.divmod(layout.cells, layout.shape[1])
+    for r, j in zip(rows.tolist(), cols.tolist()):
+        if r >= layout.flows.stop:
+            assert layout.columns[j][3] == members[r - layout.flows.stop]
 
 
 def fading_indices_spec(config, u):
@@ -311,8 +336,7 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         rel_bits_series[t] = (state.relay * rate_sums[:, None]).sum()
         v_series[t] = lyapunov(state)
         if snapshot_sink is not None:
-            values = [*state.source.tolist(), *state.relay.reshape(-1).tolist()]
-            snapshot_sink.write(f"{t}," + ",".join(map(repr, values)) + "\n")
+            snapshot_sink.write(snapshot_row_spec(t, [*state.source.tolist(), *state.relay.reshape(-1).tolist()]))
 
     offered = arr.sum(axis=1)
     return Metrics(
@@ -333,6 +357,35 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         delivered_bits=np.minimum(delivered, offered),
         offered_bits=offered,
         final_state=state,
+    )
+
+
+def snapshot_row_spec(t, values) -> str:
+    """The ``--queues`` row of block t: t, then the repr of each value."""
+    return f"{t}," + ",".join(map(repr, values)) + "\n"
+
+
+def write_metrics_csv_spec(metrics, fh) -> None:
+    """``sim.write_metrics_csv`` with one f-string per row, each float
+    formatted on its own."""
+    fh.write(",".join(METRICS_COLUMNS) + "\n")
+    g1_names = ["|".join(g1) for g1 in metrics.g1_space]
+    columns = (
+        metrics.variants,
+        metrics.decision_m,
+        metrics.decision_g1,
+        metrics.weight_first,
+        metrics.weight_second,
+        metrics.source_backlog,
+        metrics.relay_backlog,
+        metrics.relay_backlog_bits,
+        metrics.lyapunov,
+    )
+    rows = zip(range(metrics.horizon), *(c.tolist() for c in columns))
+    fh.writelines(
+        f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]},"
+        f"{a!r},{b!r},{src!r},{rel!r},{rel_bits!r},{pot!r}\n"
+        for t, v, m, g1, a, b, src, rel, rel_bits, pot in rows
     )
 
 

@@ -73,6 +73,38 @@ def test_region_bad_config(tmp_path, capsys):
     assert "distribution-not-normalized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,code",
+    [("N", "bad-shape"), ("T", "bad-shape"), ("rate", "non-finite-rate"), ("p", "non-finite-probability")],
+)
+def test_region_integer_beyond_float_range_exit_2(tmp_path, capsys, field, code):
+    doc = make_doc()
+    huge = 10**400
+    if field in ("N", "T"):
+        doc["shape"][field] = huge
+    elif field == "rate":
+        doc["schemes"][0]["rates"] = [huge]
+    else:
+        doc["fading"]["states"][0]["p"] = huge
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["region", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"coopsim: config error [{code}]: ") and captured.err.count("\n") == 1
+
+
+def test_simulate_refuses_a_label_with_a_comma(tmp_path, capsys):
+    # the label would split a metrics.csv g1 cell and a --queues header cell
+    p = tmp_path / "comma.json"
+    p.write_text(json.dumps(make_doc(alphabet=("g,1", "b"))))
+    out = tmp_path / "out"
+    argv = ["simulate", str(p), "--lambda", "0.2", "--horizon", "10", "--out", str(out), "--queues", "q.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("coopsim: config error [bad-alphabet]: ")
+    assert not out.exists()
+
+
 def test_region_witness_json(capsys):
     assert main(["region", GOODBAD, "--witness"]) == 0
     doc = json.loads(capsys.readouterr().out)

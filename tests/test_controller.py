@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, state_entries
-from configs import make_doc, sparse_config
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP
+from configs import make_doc, sparse_config, zero_gap_config
 from oracles import bruteforce_decide, check_decision_table, decide, lyapunov, state_entry
 
 
@@ -215,25 +215,55 @@ SPEC_CONFIGS = {
 }
 
 
+def _state_entries(config) -> dict:
+    """Each sorted state's entry in the config's decision table."""
+    entries, group_of = config.decision_table
+    return {f: entries[g] for f, g in zip(config.sorted_states, group_of.tolist())}
+
+
 @pytest.mark.parametrize("name", ["toy_single", "toy_goodbad", "desk", *SPEC_CONFIGS])
 def test_state_entries_match_spec(request, name):
     config = SPEC_CONFIGS[name]() if name in SPEC_CONFIGS else request.getfixturevalue(name)
     states = config.sorted_states
-    table = state_entries(config, states)
-    assert table == [state_entry(config, f) for f in states]
-    # states sharing f1 (f2) share one first-hop (drain) tuple
-    assert len({id(first) for first, _ in table}) == len({f1 for f1, _ in states})
-    assert len({id(drains) for _, drains in table}) <= len({f2 for _, f2 in states})
+    assert list(_state_entries(config).values()) == [state_entry(config, f) for f in states]
+    # groups sharing f1 share one first-hop tuple
+    assert len({id(first) for first, _ in config.decision_table[0]}) == len({f1 for f1, _ in states})
 
 
 def test_state_entries_cover_the_edge_configs():
     undrained = _undrained_g2_config()
-    entries = dict(zip(undrained.sorted_states, state_entries(undrained, undrained.sorted_states)))
+    entries = _state_entries(undrained)
     assert undrained.probability((("a",), ("b",))) > 0 and entries[("a",), ("b",)][1] == ()
     assert entries[("a",), ("a",)][1] == ((1, 1.0), (2, 4.0))  # (m, g1) = (0, "b"), then (1, "a")
     trailing = _trailing_zero_state_config()
     assert trailing.probability(trailing.sorted_states[-1]) == 0.0
-    assert len(state_entries(trailing, trailing.sorted_states)) == 2
+    assert len(_state_entries(trailing)) == 2
+
+
+def test_state_groups_number_the_drawable_groups_first():
+    # the p = 0 state sorts first and shares no group: its group comes last,
+    # holds no member and gets no time row
+    states = [{"f1": ["a"], "f2": ["a"], "p": 0.0}, {"f1": ["b"], "f2": ["b"], "p": 1.0}]
+    config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
+    check_decision_table(config)
+    keys, members, group_of = config.state_groups
+    assert keys == ((("b",), (0, 1)), (("a",), (0, 1)))
+    assert members == (((("b",), ("b",)),), ())
+    assert group_of.tolist() == [1, 0]
+    assert config.lp_layout.shape[0] == 1 + 2 + 1  # rate, 2 classes, 1 time row
+
+
+def test_zero_gap_time_rows_hold_only_drawable_states():
+    # zero_gap's p = 0 states lead both groups, (a, aa) and (b, ab), yet each
+    # time row's members are its drawable states
+    config = zero_gap_config()
+    check_decision_table(config)
+    keys, members, group_of = config.state_groups
+    assert members == (
+        ((("a",), ("a", "b")),),
+        ((("b",), ("a", "a")), (("b",), ("b", "a"))),
+    )
+    assert group_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 # (groups, sorted states) per config: desk's 64 states fall into 12 groups,

@@ -56,6 +56,34 @@ def test_validation_errors(mutate, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("label", ["g,1", "a|b", 'a"', "a\r", "a\n"])
+def test_labels_with_csv_separators_rejected(label):
+    # labels are written unquoted into metrics.csv and the --queues header
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(make_doc(alphabet=(label, "b")))
+    assert exc.value.code == "bad-alphabet"
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "mutate,code",
+    [
+        (lambda d: d["shape"].update(N=HUGE), "bad-shape"),
+        (lambda d: d["shape"].update(T=HUGE), "bad-shape"),
+        (lambda d: d["schemes"][0].update(rates=[HUGE]), "non-finite-rate"),
+        (lambda d: d["fading"]["states"][0].update(p=HUGE), "non-finite-probability"),
+    ],
+)
+def test_integers_beyond_float_range_rejected(mutate, code):
+    doc = make_doc()
+    mutate(doc)
+    with pytest.raises(cs.ConfigError, match="must be a finite number") as exc:
+        cs.validate_config(doc)
+    assert exc.value.code == code
+
+
 def test_zero_rate_vector_rejected_multidest():
     doc = make_doc(k=2, rates=((0.0, 0.0),))
     with pytest.raises(cs.ConfigError) as exc:

@@ -1,17 +1,19 @@
 """Property tests on random small configs (N <= 3, K <= 2, sparse tables,
 random support): the controller against ``oracles.bruteforce_decide``,
-``controller.state_entries`` against the per-state ``oracles.state_entry``,
+``NetworkConfig.state_groups`` and ``decision_table`` against the per-state
+``oracles.state_entry`` and the region LP's time rows,
 the pure ``queueing.apply_*`` updates against their bit-accounting
 rules, ``sim._relay_rows``, the chunk rebuild of the relay queues,
 against a copy of the queues after every block, and the simplex's ratio
 test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy, and
-``model.fading_indices`` against ``oracles.fading_indices_spec``.
+``model.fading_indices`` against ``oracles.fading_indices_spec``, and the
+one CSV writer against the per-value writers of ``oracles``.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum
 over relays, n ascending, on a shape no shipped config has.
 """
 
-import itertools
+import io
 
 import numpy as np
 import pytest
@@ -20,9 +22,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
-from coopsim.controller import state_entries  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
-from coopsim.sim import _relay_rows  # noqa: E402
+from coopsim.sim import CHUNK, _relay_rows, write_metrics_csv  # noqa: E402
 from configs import small_configs  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
@@ -33,7 +34,8 @@ from oracles import (  # noqa: E402
     check_fading_indices,
     decide,
     ratio_row,
-    state_entry,
+    reference_run,
+    write_metrics_csv_spec,
 )
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -69,15 +71,6 @@ def test_decide_matches_bruteforce(case):
     state, f = case
     d = decide(state, f)
     assert (d.variant, d.m, d.g1, d.weight_first, d.weight_second) == bruteforce_decide(state, f)
-
-
-@SETTINGS
-@hypothesis.given(small_configs())
-def test_state_entries_match_spec_on_every_f2(config):
-    sh = config.shape
-    f2s = itertools.product("GB", repeat=sh.num_relays * sh.num_destinations)
-    states = list(itertools.product(config.first_hop_space, f2s))
-    assert state_entries(config, states) == [state_entry(config, f) for f in states]
 
 
 @SETTINGS
@@ -205,3 +198,20 @@ def test_relay_rows_match_a_copy_per_block(case):
 @hypothesis.given(small_configs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64))
 def test_fading_indices_match_spec(config, variates):
     check_fading_indices(config, variates)
+
+
+@hypothesis.settings(SETTINGS, max_examples=40)
+@hypothesis.given(
+    small_configs(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=2, max_size=2), st.integers(0, 2**32 - 1)
+)
+def test_csv_writers_match_the_per_value_spec(config, rates, seed):
+    # idle blocks, B = -inf and both hops; the run crosses a chunk boundary
+    arrivals = cs.ArrivalConfig(rates=rates[: config.shape.num_destinations])
+    got_rows, want_rows = io.StringIO(), io.StringIO()
+    metrics = cs.run(config, arrivals, CHUNK + 9, seed, allow_idle=True, snapshot_sink=got_rows)
+    reference_run(config, arrivals, CHUNK + 9, seed, allow_idle=True, snapshot_sink=want_rows)
+    assert got_rows.getvalue() == want_rows.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    write_metrics_csv(metrics, got)
+    write_metrics_csv_spec(metrics, want)
+    assert got.getvalue() == want.getvalue()

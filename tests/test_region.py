@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.controller import state_entries
 from coopsim.model import NetworkConfig
 from coopsim.region import LinearProgram
 from configs import CONFIG_DIR, make_doc
@@ -139,7 +138,7 @@ def test_zero_probability_states_add_no_rows():
 
 # -- per-config views ------------------------------------------------------
 
-CACHED_VIEWS = ("drain_cells", "lp_layout")
+CACHED_VIEWS = ("drain_cells", "state_groups", "lp_layout")
 
 
 def test_queries_on_one_config_match_fresh_configs():
@@ -183,7 +182,7 @@ def test_queries_compute_the_grouping_once(monkeypatch):
     cfg = cs.load_config(CONFIG_DIR / "desk.json")
     for direction in ((1.0, 1.0), PINNED_DIRECTION, (0.2, 1.0)):
         cs.slack_witness(cfg, 0.9 * cs.scale_witness(cfg, direction).value * np.asarray(direction))
-    state_entries(cfg, cfg.sorted_states)  # the controller reads the same drain relation
+    cfg.decision_table  # the controller reads the same partition
     assert calls == dict.fromkeys(CACHED_VIEWS, 1)
 
 
@@ -249,8 +248,9 @@ def test_witness_replay(toy_single, toy_goodbad, desk):
 
 def test_witness_replay_reads_no_builder_view(monkeypatch):
     # the replay checks the LP, so it must not share a view with the code
-    # that built it: on a fresh config whose layout and drain relation
-    # raise, it reports the same violations as on the config that solved
+    # that built it: on a fresh config whose layout, partition, decision
+    # table and drain relation raise, it reports the same violations as on
+    # the config that solved
     solved = cs.load_config(CONFIG_DIR / "desk.json")
     scale = cs.scale_witness(solved, [1.0, 1.0])
     lam = [0.5, 0.7]
@@ -264,7 +264,7 @@ def test_witness_replay_reads_no_builder_view(monkeypatch):
         raise AssertionError("the replay read a view the LP builder reads")
 
     fresh = cs.load_config(CONFIG_DIR / "desk.json")
-    for name in ("lp_layout", "drain_cells"):
+    for name in ("lp_layout", "state_groups", "decision_table", "drain_cells"):
         monkeypatch.setattr(NetworkConfig, name, property(unavailable))
     got = (
         cs.witness_max_violation(fresh, scale, direction=[1.0, 1.0]),

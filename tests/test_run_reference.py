@@ -222,25 +222,27 @@ def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
 
 def test_run_and_drift_check_build_the_decision_table_once(monkeypatch):
     config = cs.load_config(CONFIG_DIR / "desk.json")  # fresh: the shared desk fixture may hold the table
-    tables, entries = [], []
+    tables, partitions = [], []
 
     def counting_decision_table(config):
         tables.append(config)
         return real_decision_table(config)
 
-    def counting_state_entries(config, states):
-        entries.append(states)
-        return real_state_entries(config, states)
+    def counting_state_groups(config):
+        partitions.append(config)
+        return real_state_groups(config)
 
-    real_decision_table, real_state_entries = controller.decision_table, controller.state_entries
+    real_decision_table = controller.decision_table
+    prop = cs.NetworkConfig.__dict__["state_groups"]
+    real_state_groups = prop.func
     monkeypatch.setattr(controller, "decision_table", counting_decision_table)
-    monkeypatch.setattr(controller, "state_entries", counting_state_entries)
+    monkeypatch.setattr(prop, "func", counting_state_groups)
     arrivals = cs.ArrivalConfig(rates=(1.0, 1.0))
     probe = cs.run(config, arrivals, 2 * sim.CHUNK + 5, 0).final_state
     cs.drift_check(config, arrivals, probe, 2000, seed=1)
     cs.drift_check(config, arrivals, probe, 2000, seed=2)
-    assert len(tables) == 1 and tables[0] is config
-    assert len(entries) == 1 and len(entries[0]) == len(config.decision_table[0]) == 12
+    assert tables == [config] and partitions == [config]
+    assert len(config.decision_table[0]) == len(config.state_groups[0]) == 12
 
 
 # -- the zero-probability clamp ---------------------------------------------

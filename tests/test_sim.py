@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.sim import METRICS_COLUMNS, _draws, summary_dict, write_metrics_csv
+from coopsim.sim import CHUNK, METRICS_COLUMNS, _draws, _write_rows, summary_dict, write_metrics_csv
 from configs import make_doc
+from oracles import snapshot_row_spec, write_metrics_csv_spec
 
 
 def test_arrival_validation():
@@ -306,6 +307,50 @@ def test_metrics_csv_layout(toy_single):
     second = lines[2].split(",")
     assert second[1] == "second_hop" and second[3] == "a"
     assert float(second[4]) < 0  # A negative once the relay queue is loaded
+
+
+# -0.0 must keep its sign, B is -inf on blocks with nothing to drain, and
+# the subnormal and the largest magnitudes have the longest reprs
+EDGE_FLOATS = np.array([-0.0, 0.0, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.1, 3.0])
+
+
+def _edge_columns(rng, horizon, count):
+    return [rng.choice(EDGE_FLOATS, horizon) for _ in range(count)]
+
+
+def test_metrics_csv_matches_the_per_value_spec_on_edge_floats():
+    rng = np.random.default_rng(3)
+    horizon = CHUNK + 7
+    variants = rng.integers(0, 3, horizon).astype(np.int8)
+    a, b, src, rel, rel_bits, pot = _edge_columns(rng, horizon, 6)
+    metrics = cs.Metrics(
+        horizon=horizon,
+        block_length=10,
+        source_backlog=src,
+        relay_backlog=rel,
+        relay_backlog_bits=rel_bits,
+        lyapunov=pot,
+        variants=variants,
+        decision_m=np.where(variants == 2, -1, rng.integers(0, 2, horizon)).astype(np.int32),
+        decision_g1=np.where(variants == 1, rng.integers(0, 2, horizon), -1).astype(np.int32),
+        weight_first=a,
+        weight_second=b,
+        g1_space=(("a",), ("b",)),
+    )
+    got, want = io.StringIO(), io.StringIO()
+    write_metrics_csv(metrics, got)
+    write_metrics_csv_spec(metrics, want)
+    assert got.getvalue() == want.getvalue()
+    assert {"-0.0", "0.0", "inf", "-inf", "5e-324", "1e+308"} <= set(got.getvalue().replace("\n", ",").split(","))
+
+
+def test_queue_rows_match_the_per_value_spec_on_edge_floats():
+    rng = np.random.default_rng(4)
+    rows = np.stack(_edge_columns(rng, 40, 5), axis=1)
+    got = io.StringIO()
+    _write_rows(got, [f"{t}," for t in range(40)], rows)
+    assert got.getvalue() == "".join(snapshot_row_spec(t, row) for t, row in enumerate(rows.tolist()))
+    assert "-0.0," in got.getvalue() and "5e-324" in got.getvalue()
 
 
 def test_summary_dict_fields(toy_single):
