@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,11 +86,11 @@ class NetworkConfig:
 
     # -- derived, cached views used by the sampler, controller and region builders --
     # Each is computed on first use and shared by every later call on this
-    # config.  Per config: the fading draw's guide table, the drain
-    # relation and the states' (f1, D(f2)) partition built on it, which the
-    # controller and the region LP share, the controller's decision table
-    # and the region LP's layout.  Per region query: a fresh matrix filled
-    # from ``lp_layout``, its rho or delta column and its rhs.
+    # config.  Per config: the drain relation and the states' (f1, D(f2))
+    # partition built on it, which the controller and the region LP share,
+    # the controller's decision table and the region LP's layout.  Per
+    # region query: a fresh matrix filled from ``lp_layout``, its rho or
+    # delta column and its rhs.
     # Cached arrays are read-only; the other views are only read.
 
     @cached_property
@@ -139,22 +140,6 @@ class NetworkConfig:
     def last_drawable_state(self) -> int:
         """Index of the last sorted state with p > 0."""
         return max(i for i, s in enumerate(self.sorted_states) if self.fading[s] > 0)
-
-    @cached_property
-    def fading_guide(self) -> tuple:
-        """``fading_indices``' guide table over [0, 1): a power-of-two number
-        of equal bins, at least 16 per state.  Per bin, the count of
-        cumulative probabilities at or below its left edge, clamped to
-        ``last_drawable_state``, and whether its open interval holds one."""
-        cum = self.cumulative_probs
-        bins = 1 << (16 * len(cum) - 1).bit_length()
-        edges = np.arange(bins + 1) / bins  # exact: bins is a power of two
-        counts = np.searchsorted(cum, edges[:-1], side="right")
-        split = np.searchsorted(cum, edges[1:], side="left") > counts
-        np.minimum(counts, self.last_drawable_state, out=counts)
-        counts.setflags(write=False)
-        split.setflags(write=False)
-        return counts, split
 
     @cached_property
     def drain_cells(self) -> dict:
@@ -338,9 +323,18 @@ def validate_config(raw) -> NetworkConfig:
     return NetworkConfig(shape, alphabet, table, tuple(schemes), frozenset(triples))
 
 
+def parse_json_int(text: str):
+    """``json.load``'s ``parse_int``: +-inf for more digits than ``int`` converts
+    (4300 by default), beyond the float range anyway, so the field's check refuses it."""
+    try:
+        return int(text)
+    except ValueError:
+        return -math.inf if text.startswith("-") else math.inf
+
+
 def load_config(path) -> NetworkConfig:
     with open(Path(path), "r", encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
+        return validate_config(json.load(fh, parse_int=parse_json_int))
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +349,8 @@ def fading_indices(config: NetworkConfig, u):
     A variate at or above the table's total probability, which rounding can
     leave just below 1, maps to the last state with p > 0, never to a
     trailing zero-probability state.
-
-    The count is read from the config's ``fading_guide`` (Chen and Asau's
-    indexed search).  With 2^b bins, ``u * 2^b`` is exact, so its integer part
-    is the bin that holds u.  A bin whose open interval holds no cumulative
-    probability has one count for every u in it, the count at its left edge;
-    only variates in the other bins are searched, and the result equals the
-    full search bit for bit.
     """
-    u = np.asarray(u)
-    if u.ndim == 0:
-        return fading_indices(config, u.reshape(1))[0]
-    counts, split = config.fading_guide
-    bins = (u * len(counts)).astype(np.intp)
-    idx = counts.take(bins)
-    hard = np.flatnonzero(split.take(bins))
-    if hard.size:
-        found = np.searchsorted(config.cumulative_probs, u.ravel()[hard], side="right")
-        idx.ravel()[hard] = np.minimum(found, config.last_drawable_state)
-    return idx
+    return np.minimum(np.searchsorted(config.cumulative_probs, u, side="right"), config.last_drawable_state)
 
 
 def queue_count_encoding_based(config: NetworkConfig) -> int:

@@ -9,8 +9,8 @@ enters only as a scalar factor, where the controller and the potential
 sum over the relays.
 
 ``sim.run`` applies the exact per-block updates inline, on its flat list of
-one relay's queues (and ``sim.drift_check`` the relay half once per
-action).  A first-hop block with scheme m under first-hop state g1 updates
+one relay's queues.  A first-hop block with scheme m under first-hop state
+g1 updates
 
     Qs_k   <- (Qs_k + A_k - r_m^k * T)+        for every destination k
     Q      <- Q + T  at key (m, g1)

@@ -44,24 +44,15 @@ columns m and g1 are split from c after the loop, and the final state is
 the flat queue reshaped to (M, |F|^N).  The summary is derived where it
 is printed, in ``summary_dict``.
 
-A drift probe estimates E[V(next) - V(probe)] at a fixed probe from the
-draws a run of that many blocks would use.  It reads the same table and
-calls ``choose`` once per drawn (f1, D(f2)) group, on the probe's source
-queues as a list and its relay queue as one flat list.  That fixes the
-group's bits taken from the source, r_m * T for a first hop into queue c,
-m = c // |F|^N, else none, and its relay term of V after the action,
-N * sum_{m,g1} ((r_m . 1) * Q^{m,g1})^2; both are gathered per sample by
-its group.  The relay term depends only on (variant code, c), so it is
-computed once per distinct action, on a copy of the probe's relay
-with queue c moved to Q + T (first hop) or (Q - T)+ (second hop).  The
-source term max(Qs + a - sub, 0)^2 is computed destination-major, in the
-draws' own (K, samples) layout, with the per-group ``sub`` and relay terms
-gathered by ``take``; one transpose then lays each sample's squares out as
-a contiguous row, so the row sum adds them in the order of a 1-D sum
-(pairwise from 8 terms on), and V(next) is that sum plus the relay term,
-the one addition a full potential makes.  The clamp is a no-op
-unless bits are taken, as probe and arrivals are non-negative, so the
-estimate equals one decision, update and potential per sample bit for bit.
+A drift probe gives E[V(next) - V(probe)] at a fixed probe exactly: the
+sum over the drawable (f1, D(f2)) groups of the same table, with one
+``choose`` call each, of p * (sum_k E[(Qs_k - s_k + a_k)+^2] - Qs_k^2 +
+N * (r_m . 1)^2 * (Q'^2 - Q^2)).  The action takes s_k = r_m^k * T bits on
+a first hop into queue c, m = c // |F|^N, else none, and moves queue c
+alone, to Q' = Q + T or (Q - T)+.  Arrivals are independent across
+destinations and of the fading, so each destination has one closed-form
+expectation, next to its draw.  Each term is a change, e (2x + e), never a
+difference of squares, so no large squares cancel.
 
 The relay series sum one relay's queue: every relay holds a copy of each
 buffered packet, so a packet counts once in the backlog.  Only the
@@ -130,6 +121,33 @@ def _draw_destination(cfg: ArrivalConfig, k: int, rng: np.random.Generator, T: f
         u = rng.integers(0, 2 * base + 1, size=size)
         return u.astype(float) + (rng.random(size) < mu - base)
     return 2.0 * mu * (rng.random(size) < 0.5)  # bernoulli-batch
+
+
+def _expected_square_change(cfg: ArrivalConfig, k: int, T: float, x: float, s: float) -> float:
+    """E[(x - s + a)+^2] - x^2 for destination k's arrivals a in one block,
+    under the law ``_draw_destination`` draws from."""
+    mu = cfg.rates[k] * T
+    if cfg.distribution == "constant":
+        return _square_change(x, mu - s, 1)
+    if cfg.distribution == "uniform-integer":
+        base = math.floor(mu)
+        n, frac = 2 * base + 1, mu - base
+        return (1.0 - frac) * _square_change(x, -s, n) + frac * _square_change(x, 1.0 - s, n)
+    return 0.5 * (_square_change(x, -s, 1) + _square_change(x, 2.0 * mu - s, 1))  # bernoulli-batch
+
+
+def _square_change(x: float, lo: float, count: int) -> float:
+    """The mean over j < count of (x + e_j)+^2 - x^2, e_j = lo + j, in closed
+    form: each e_j <= -x empties the queue, a change of -x^2, and the other n
+    changes e (2x + e) sum to n (e' (2x + e') + (n^2 - 1) / 12), e' their mean."""
+    gap = -x - lo  # the queue empties for j <= gap
+    low = count if gap >= count - 1 else math.floor(gap) + 1 if gap >= 0.0 else 0
+    change = -x * x * (low / count)
+    n = count - low
+    if n:
+        e = lo + low + (n - 1) / 2
+        change += n / count * (e * (2.0 * x + e) + (n * n - 1) / 12)
+    return change
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +235,8 @@ def stability_verdict(metrics: Metrics) -> StabilityVerdict:
 # the block loop
 
 
-def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: int):
-    """All of a run's random input: sorted-state indices (horizon,) and
-    arrivals (K, horizon), from one substream for fading and one per
-    destination."""
+def _check_arrivals(config: NetworkConfig, arrivals: ArrivalConfig) -> None:
+    """Refuse arrivals without one finite mean r * T per destination, or whose uniform draw overflows."""
     k_dest = config.shape.num_destinations
     if len(arrivals.rates) != k_dest:
         raise ValueError(f"arrival rates must have {k_dest} entries")
@@ -234,6 +250,15 @@ def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: i
                 f"destination {k}: uniform-integer mean {r * T!r} bits per block (rate times T={T})"
                 f" must be below 2**62 = {2**62}"
             )
+
+
+def _draws(config: NetworkConfig, arrivals: ArrivalConfig, horizon: int, seed: int):
+    """All of a run's random input: sorted-state indices (horizon,) and
+    arrivals (K, horizon), from one substream for fading and one per
+    destination."""
+    _check_arrivals(config, arrivals)
+    k_dest = config.shape.num_destinations
+    T = config.shape.block_length
     if seed < 0:
         raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(1 + k_dest)
@@ -372,16 +397,13 @@ def drift_check(
     samples: int,
     seed: int = 0,
 ) -> DriftEstimate:
-    """Monte Carlo estimate of the one-block potential drift at a fixed state.
-
-    Each sample independently draws (fading, arrivals), applies the
-    controller's action to the probe state, and measures V(next) - V(probe).
-    The probe must have ``config``'s queue shapes, its queues must be finite
-    and non-negative, and V(probe) and the estimate must be finite floats;
-    anything else raises ValueError.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    """The exact expected one-block potential drift at a fixed state, the
+    sum the module docstring gives.  ``samples`` and ``seed`` are ignored,
+    ``stderr`` is 0.0 and ``samples`` echoes the argument, as the benchmark
+    under ``bench/`` passes and reads them.  Arrivals ``run`` refuses, a
+    probe of other queue shapes or with a negative or non-finite queue, and
+    a V(probe) or drift beyond the float range raise ValueError."""
+    _check_arrivals(config, arrivals)
     k_dest = config.shape.num_destinations
     n_g1 = len(config.first_hop_space)
     relay_shape = (len(config.schemes), n_g1)
@@ -395,45 +417,27 @@ def drift_check(
             raise ValueError("probe queues must be finite and non-negative")
     T = config.shape.block_length
     n_relays = config.shape.num_relays
-    rate_sums = config.rate_sums[:, None]
-
-    def relay_term(relay):  # N * sum ((r_m . 1) * Q^{m,g1})^2
-        weighted = relay * rate_sums
-        return n_relays * (weighted * weighted).sum()
-
     source = probe_state.source
-    v0 = float((source * source).sum() + relay_term(probe_state.relay))
+    weighted = probe_state.relay * config.rate_sums[:, None]
+    v0 = float((source * source).sum() + n_relays * (weighted * weighted).sum())
     if not math.isfinite(v0):
         raise ValueError("the probe's potential V overflows the float range")
-    state_idx, arr = _draws(config, arrivals, samples, seed)
     qs, q = source.tolist(), probe_state.relay.ravel().tolist()
-    sends = config.rates * T  # bits a first hop with scheme m takes
-    table, group_of = config.decision_table
-    groups = group_of.take(state_idx)
-    sub = np.zeros((k_dest, len(table)))  # bits the action takes from the source, per group
-    relay_terms = np.zeros(len(table))
-    by_action = {}  # (variant code, c) -> the relay term of V after that action
-    for g in np.flatnonzero(np.bincount(groups)).tolist():
-        code, c = choose(qs, q, table[g], n_relays, False)[:2]
-        if code == 0:
-            sub[:, g] = sends[c // n_g1]
-        if (code, c) not in by_action:
-            relay = probe_state.relay.copy()
-            relay.flat[c] = q[c] + T if code == 0 else max(q[c] - T, 0.0)
-            by_action[code, c] = relay_term(relay)
-        relay_terms[g] = by_action[code, c]
-    arr += source[:, None]  # next source queues, one row per destination
-    arr -= sub.take(groups, axis=1)
-    np.maximum(arr, 0.0, out=arr)
-    arr *= arr
-    dv = arr.T.copy().sum(axis=1)  # each sample's squares summed along a contiguous row
-    dv += relay_terms.take(groups)
-    dv -= v0
-    mean = float(dv.mean())
-    stderr = float(dv.std(ddof=1) / math.sqrt(samples))
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
+    w2 = (config.rate_sums * config.rate_sums).tolist()
+    drift = 0.0
+    for entry, states in zip(config.decision_table[0], config.state_groups[1]):
+        if not states:  # a group of p = 0 states is never drawn
+            continue
+        code, c = choose(qs, q, entry, n_relays, False)[:2]
+        m = c // n_g1
+        new = q[c] + T if code == 0 else max(q[c] - T, 0.0)
+        change = n_relays * w2[m] * ((new - q[c]) * (new + q[c]))
+        for k, x in enumerate(qs):
+            change += _expected_square_change(arrivals, k, T, x, config.schemes[m][k] * T if code == 0 else 0.0)
+        drift += sum(config.fading[f] for f in states) * change
+    if not math.isfinite(drift):
         raise ValueError("the drift estimate overflows the float range")
-    return DriftEstimate(mean=mean, stderr=stderr, samples=samples)
+    return DriftEstimate(mean=drift, stderr=0.0, samples=samples)
 
 
 # ---------------------------------------------------------------------------

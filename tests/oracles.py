@@ -11,13 +11,14 @@ per state from the raw support triples, and ``check_decision_table`` holds
 region LP's time rows to it; ``decide`` is ``controller.choose`` on
 a ``QueueState`` and any (f1, f2), on that entry, returning a
 ``Decision``; ``lyapunov`` is the quadratic potential V.  The package
-applies the same updates inline in ``sim.run`` and ``sim.drift_check``,
-and these are what it is checked against.
+applies the same updates inline in ``sim.run``, and these are what it is
+checked against.
 
-``fading_indices_spec`` is the fading draw as one full binary search,
-``np.searchsorted`` clamped to the last state with p > 0, and
-``check_fading_indices`` holds ``model.fading_indices`` and the guide table
-it reads to it on the variates where a guide could go wrong.
+``fading_indices_spec`` is the fading draw one variate at a time: a
+``bisect`` over the cumulative probabilities, capped at the last state with
+p > 0 found on its own, and ``check_fading_indices`` holds
+``model.fading_indices`` to it on the variates where a sampler could go
+wrong.
 
 ``bruteforce_decide`` enumerates every one-hot transmit assignment of a
 block's discrete scheduling program with plain Python loops (k ascending,
@@ -38,12 +39,11 @@ for bit, so the summary ``sim.summary_dict`` derives from them matches too.
 on its own with ``repr``, the spec of ``sim``'s one CSV writer, which
 formats each distinct bit pattern of a chunk once.
 
-``reference_drift_check`` is ``drift_check`` with one ``bruteforce_decide``
-call, one pure queue update and one full potential per sample.
-
 ``expected_drift`` is the exact one-block drift at a probe: the sum over
 every fading state and every point of the finite arrival support, weighted
-by its probability, of the same per-sample change of the potential.
+by its probability, of V(next) - V(probe) after one ``decide``, one pure
+queue update and one full potential.  It is the spec of ``sim.drift_check``,
+which sums per destination in closed form.
 
 ``ratio_row`` is the simplex's ratio test written in numpy, the reference
 for the package's one-pass loop over Python floats.
@@ -61,6 +61,7 @@ objectives are concave (minima of affine functions over a box), so the
 local refinement converges to the global optimum.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choos
 from coopsim.model import fading_indices
 from coopsim.queueing import QueueState, snapshot_header
 from coopsim.region import PIVOT_TOL, DegeneracyError
-from coopsim.sim import METRICS_COLUMNS, DriftEstimate, Metrics, _draws
+from coopsim.sim import METRICS_COLUMNS, Metrics, _draws
 
 # ---------------------------------------------------------------------------
 # the spec-level model: pure queue updates on a QueueState, the controller's
@@ -179,40 +180,34 @@ def check_decision_table(config) -> None:
 
 
 def fading_indices_spec(config, u):
-    """Sorted-state indices of variates ``u``: the number of cumulative
-    probabilities at or below each, at most the last state with p > 0."""
-    return np.minimum(np.searchsorted(config.cumulative_probs, u, side="right"), config.last_drawable_state)
+    """Sorted-state indices of variates ``u``, one at a time: the number of
+    cumulative probabilities at or below each, at most the last state with
+    p > 0."""
+    cum = config.cumulative_probs.tolist()
+    last = max(i for i, f in enumerate(config.sorted_states) if config.fading[f] > 0.0)
+    return np.array([min(bisect.bisect_right(cum, x), last) for x in np.ravel(u).tolist()], dtype=np.intp)
 
 
-def boundary_variates(config) -> tuple:
-    """The variates in [0, 1) where a sampler can err, as two arrays: 0.0,
-    1 - 2**-53 and every cumulative probability below 1 with its two float
-    neighbours; and every guide bin's left edge with the float just below it."""
+def boundary_variates(config):
+    """The variates in [0, 1) where a sampler can err: 0.0, 1 - 2**-53 and
+    every cumulative probability below 1 with its two float neighbours."""
     cum = config.cumulative_probs[config.cumulative_probs < 1.0]
     near = np.concatenate(([0.0, 1.0 - 2.0**-53], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)))
-    bins = len(config.fading_guide[0])
-    edges = np.arange(1, bins) / bins
-    return near[near < 1.0], np.concatenate((edges, np.nextafter(edges, 0.0)))
+    return near[near < 1.0]
 
 
 def check_fading_indices(config, u) -> None:
     """Assert that ``fading_indices`` equals ``fading_indices_spec`` bit for
     bit, as intp, on ``u`` and the config's ``boundary_variates``, and on
-    each variate near a cumulative probability as a numpy scalar too; and
-    that the guide is cached per config, read-only and a power of two long."""
-    near, edges = boundary_variates(config)
-    u = np.concatenate((np.asarray(u, dtype=float), near, edges))
+    each boundary variate as a numpy scalar too."""
+    near = boundary_variates(config)
+    u = np.concatenate((np.asarray(u, dtype=float), near))
     got, want = fading_indices(config, u), fading_indices_spec(config, u)
     assert got.dtype == want.dtype == np.intp and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     for x in near:  # np.float64 scalars
         one = fading_indices(config, x)
-        assert np.asarray(one).dtype == np.intp and one == fading_indices_spec(config, x)
-    counts, split = config.fading_guide
-    assert config.fading_guide is config.fading_guide  # cached per config
-    assert counts.dtype == np.intp and split.dtype == bool and counts.shape == split.shape
-    assert not counts.flags.writeable and not split.flags.writeable
-    assert len(counts) & (len(counts) - 1) == 0
+        assert np.asarray(one).dtype == np.intp and one == fading_indices_spec(config, x)[0]
 
 
 @dataclass(frozen=True)
@@ -386,26 +381,6 @@ def write_metrics_csv_spec(metrics, fh) -> None:
         f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]},"
         f"{a!r},{b!r},{src!r},{rel!r},{rel_bits!r},{pot!r}\n"
         for t, v, m, g1, a, b, src, rel, rel_bits, pot in rows
-    )
-
-
-def reference_drift_check(config, arrivals, probe_state, samples, seed=0):
-    """``drift_check`` with a fresh ``bruteforce_decide``, a pure queue update
-    and a full potential for every sample, on the draws of ``sim._draws``."""
-    state_idx, arr = _draws(config, arrivals, samples, seed)
-    v0 = lyapunov(probe_state)
-    dv = np.empty(samples)
-    for i in range(samples):
-        f = config.sorted_states[state_idx[i]]
-        a = arr[:, i]
-        variant, m, g1, _, _ = bruteforce_decide(probe_state, f)
-        if variant == FIRST_HOP:
-            nxt = apply_first_hop(probe_state, a, m, f[0])
-        else:
-            nxt = apply_second_hop(probe_state, a, m, g1)
-        dv[i] = lyapunov(nxt) - v0
-    return DriftEstimate(
-        mean=float(dv.mean()), stderr=float(dv.std(ddof=1) / math.sqrt(samples)), samples=samples
     )
 
 

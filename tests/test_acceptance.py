@@ -223,7 +223,7 @@ def test_drift_sign(desk):
         bool(ok),
         time.time() - t0,
         60.0,
-        f"interior z={est_in.mean / est_in.stderr:.0f}, exterior z={est_ex.mean / est_ex.stderr:.0f}",
+        f"interior mean_dv={est_in.mean:.6g}, exterior mean_dv={est_ex.mean:.6g}",
     )
 
 

@@ -94,6 +94,17 @@ def test_region_integer_beyond_float_range_exit_2(tmp_path, capsys, field, code)
     assert captured.err.startswith(f"coopsim: config error [{code}]: ") and captured.err.count("\n") == 1
 
 
+def test_region_integer_of_5001_digits_exit_2(tmp_path, capsys):
+    # beyond int()'s default 4300-digit limit: json reads it as inf, which
+    # the field's own check refuses with its code
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(make_doc()).replace('"N": 1,', '"N": 1' + "0" * 5000 + ","))
+    assert main(["region", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coopsim: config error [bad-shape]: shape N must be a finite number, got inf\n"
+
+
 def test_simulate_refuses_a_label_with_a_comma(tmp_path, capsys):
     # the label would split a metrics.csv g1 cell and a --queues header cell
     p = tmp_path / "comma.json"
@@ -353,7 +364,7 @@ def test_simulate_huge_uniform_mean_exits_2(tmp_path, capsys):
 
 
 def test_drift_check_huge_uniform_mean_exits_2(capsys):
-    assert main(["drift-check", DESK, "--lambda", "4.7e17", "--samples", "10"]) == 2
+    assert main(["drift-check", DESK, "--lambda", "4.7e17"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", HUGE_MEAN_ERROR)
 
@@ -384,12 +395,6 @@ def test_refused_simulate_leaves_no_out_path(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("coopsim: error: ")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_drift_check_negative_seed_exits_2(capsys):
-    assert main(["drift-check", TOY, "--lambda", "0.3", "--samples", "10", "--seed", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", SEED_ERROR)
 
 
 def test_sweep_negative_seed_exits_2(tmp_path, capsys):
@@ -506,7 +511,13 @@ def test_sweep_wrong_spec_types_exit_2(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize(
     "value,shown",
-    [("NaN", "nan"), ("Infinity", "inf"), ("1e309", "inf"), pytest.param("1" + "0" * 400, "inf", id="10**400")],
+    [
+        ("NaN", "nan"),
+        ("Infinity", "inf"),
+        ("1e309", "inf"),
+        pytest.param("1" + "0" * 400, "inf", id="10**400"),
+        pytest.param("-1" + "0" * 5000, "-inf", id="-10**5000"),  # beyond int()'s 4300-digit limit
+    ],
 )
 @pytest.mark.parametrize("field,what", [("load_factors", "load factor"), ("direction", "direction entry")])
 def test_sweep_non_finite_spec_number_exits_2(tmp_path, capsys, value, shown, field, what):
@@ -550,19 +561,23 @@ def test_queue_count_overflow_exit_code(tmp_path, capsys):
 
 
 def test_drift_check_cli(capsys):
-    rc = main(["drift-check", TOY, "--lambda", "0.3", "--qs", "10000",
-               "--samples", "2000", "--seed", "1"])
+    rc = main(["drift-check", TOY, "--lambda", "0.3", "--qs", "10000"])
     assert rc == 0
-    out = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines())
-    assert float(out["mean_dv"]) < 0
-    assert float(out["stderr"]) > 0
-    assert out["samples"] == "2000"
+    name, value = capsys.readouterr().out.split(",")  # one line
+    assert name == "mean_dv" and value.endswith("\n") and float(value) < 0
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_drift_check_has_no_sampling_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["drift-check", TOY, "--lambda", "0.3", flag, "10"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
 
 
 def test_drift_check_cli_relay_fill(capsys):
     # growth-ray probe at exterior load: positive drift
-    rc = main(["drift-check", TOY, "--lambda", "0.75", "--qs", "10000",
-               "--relay-fill", "4000", "--samples", "2000", "--seed", "1"])
+    rc = main(["drift-check", TOY, "--lambda", "0.75", "--qs", "10000", "--relay-fill", "4000"])
     assert rc == 0
     out = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines())
     assert float(out["mean_dv"]) > 0
@@ -570,7 +585,7 @@ def test_drift_check_cli_relay_fill(capsys):
 
 @pytest.mark.parametrize("flags", [["--qs", "nan"], ["--relay-fill", "inf"], ["--qs", "-5"]])
 def test_drift_check_rejects_bad_probe(capsys, flags):
-    rc = main(["drift-check", TOY, "--lambda", "0.3", "--samples", "100", *flags])
+    rc = main(["drift-check", TOY, "--lambda", "0.3", *flags])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -580,7 +595,7 @@ def test_drift_check_rejects_bad_probe(capsys, flags):
 def test_drift_check_overflowing_probe_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any RuntimeWarning fails the test
-        rc = main(["drift-check", TOY, "--lambda", "0.3", "--qs", "1e200", "--samples", "10"])
+        rc = main(["drift-check", TOY, "--lambda", "0.3", "--qs", "1e200"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -602,7 +617,6 @@ def test_region_non_finite_direction(capsys, direction):
     "argv",
     [
         ["simulate", DESK, "--lambda", "0.9,0.9", "--horizon", "1000000000000000"],
-        ["drift-check", DESK, "--lambda", "0.97", "--qs", "5", "--samples", "1000000000000"],
     ],
 )
 def test_unallocatable_length_exits_2(tmp_path, capsys, monkeypatch, argv):

@@ -285,3 +285,21 @@ def test_decision_table_groups_states_by_f1_and_drain_set(request, name):
     check_decision_table(config)
     entries, group_of = config.decision_table
     assert (len(entries), len(group_of)) == DECISION_GROUPS[name]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="decision_table offers every scheme as a first hop under every f1, also into a class no support "
+    "triple drains; the fill stays there for ever while the verdict reads stable",
+)
+def test_no_first_hop_fills_an_undrainable_class():
+    cfg = cs.validate_config(make_doc(rates=((1.0,), (2.0,)), support=[{"m": 0, "g1": ["a"], "g2": ["a"]}]))
+    rho = cs.scale_witness(cfg, [1.0]).value
+    drained = {c for cells in cfg.drain_cells.values() for c in cells}
+    n_g1 = len(cfg.first_hop_space)
+    for seed in range(3):
+        m = cs.run(cfg, cs.ArrivalConfig(rates=(0.9 * rho,)), 20_000, seed)
+        first = np.flatnonzero(m.variants == 0)
+        f1 = [cfg.g1_index[cfg.sorted_states[i][0]] for i in m.fading_state_idx[first].tolist()]
+        filled = set((m.decision_m[first] * n_g1 + np.array(f1, dtype=np.int32)).tolist())
+        assert filled <= drained, (seed, sorted(filled - drained), m.final_state.relay.tolist())

@@ -1,6 +1,7 @@
 """Golden outputs: ``simulate`` (metrics.csv, summary.json, --queues),
-``sweep`` stdout and ``drift-check`` stdout at fixed seeds, and ``region``
-stdout on desk, compared byte for byte.
+``sweep`` stdout at fixed seeds, ``drift-check`` stdout, and ``region``
+stdout on desk, compared byte for byte; each ``drift-check`` value is also
+held within 1e-12 relative to ``oracles.expected_drift``.
 
 These files pin the deterministic output contract across refactors of the
 block loop.  An intended change to any of them must be named column by
@@ -18,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+import coopsim as cs
 from coopsim.cli import main
+from oracles import expected_drift
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,14 +51,12 @@ SIMULATE_CASES = {
 # desk beyond rho* with every relay queue filled (positive drift), and
 # toy_single on its growth ray.
 DRIFT_CASES = {
-    "drift_desk_interior": ("desk", ["--lambda", "0.97", "--qs", "50000", "--samples", "4000", "--seed", "11"]),
+    "drift_desk_interior": ("desk", ["--lambda", "0.97", "--qs", "50000"]),
     "drift_desk_exterior": (
         "desk",
-        ["--lambda", "1.82", "--qs", "50000", "--relay-fill", "2000", "--samples", "4000", "--seed", "12",
-         "--arrival", "bernoulli-batch"],
+        ["--lambda", "1.82", "--qs", "50000", "--relay-fill", "2000", "--arrival", "bernoulli-batch"],
     ),
-    "drift_single": ("toy_single", ["--lambda", "0.75", "--qs", "10000", "--relay-fill", "4000",
-                                    "--samples", "3000", "--seed", "13"]),
+    "drift_single": ("toy_single", ["--lambda", "0.75", "--qs", "10000", "--relay-fill", "4000"]),
 }
 # desk region directions: (1, 1), test_region.py's PINNED_DIRECTION, two
 # skewed ones and one that scales rho* down to 1.5e-10; the witness JSON is
@@ -115,6 +116,21 @@ def test_sweep_matches_golden(tmp_path):
 @pytest.mark.parametrize("name", sorted(DRIFT_CASES))
 def test_drift_check_matches_golden(name):
     assert _drift(name) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DRIFT_CASES))
+def test_drift_golden_is_the_expected_drift(name):
+    config_name, args = DRIFT_CASES[name]
+    flags = dict(zip(args[::2], args[1::2]))
+    config = cs.load_config(ROOT / "configs" / f"{config_name}.json")
+    k = config.shape.num_destinations
+    probe = cs.QueueState.zeros(config)
+    probe.source[:] = float(flags["--qs"])
+    probe.relay[:] = float(flags.get("--relay-fill", 0.0))
+    arrivals = cs.ArrivalConfig((float(flags["--lambda"]),) * k, flags.get("--arrival", "uniform-integer"))
+    name_dv, value = (GOLDEN / f"{name}.txt").read_text().split(",")
+    exact = expected_drift(config, arrivals, probe)
+    assert name_dv == "mean_dv" and abs(float(value) - exact) <= 1e-12 * abs(exact)
 
 
 def test_region_matches_golden():

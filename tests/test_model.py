@@ -203,17 +203,6 @@ def test_fading_indices_match_spec(name):
     check_fading_indices(SAMPLER_CONFIGS[name](), np.random.default_rng(7).random(20_000))
 
 
-def test_fading_guide_is_built_once_per_config():
-    config = cs.load_config(CONFIG_DIR / "desk.json")
-    assert "fading_guide" not in vars(config)
-    fading_indices(config, np.random.default_rng(0).random(10))
-    counts, split = guide = vars(config)["fading_guide"]
-    assert len(counts) == 1024  # 64 states, 16 bins each
-    cs.run(config, cs.ArrivalConfig(rates=(1.0, 1.0)), 300, 1)
-    cs.drift_check(config, cs.ArrivalConfig(rates=(1.0, 1.0)), cs.QueueState.zeros(config), 100, seed=2)
-    assert config.fading_guide is guide
-
-
 # -- queue counts -----------------------------------------------------------
 
 

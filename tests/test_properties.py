@@ -2,11 +2,12 @@
 random support): the controller against ``oracles.bruteforce_decide``,
 ``NetworkConfig.state_groups`` and ``decision_table`` against the per-state
 ``oracles.state_entry`` and the region LP's time rows,
-the pure ``queueing.apply_*`` updates against their bit-accounting
+the pure ``oracles.apply_*`` updates against their bit-accounting
 rules, ``sim._relay_rows``, the chunk rebuild of the relay queues,
 against a copy of the queues after every block, and the simplex's ratio
 test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy, and
-``model.fading_indices`` against ``oracles.fading_indices_spec``, and the
+``model.fading_indices`` against the per-variate
+``oracles.fading_indices_spec``, and the
 one CSV writer against the per-value writers of ``oracles``.
 
 N = 3 checks the controller's N * Q column sum against the oracle's sum

@@ -3,16 +3,17 @@
 
 Every ``Metrics`` field must match bit for bit: arrays by dtype, shape and
 raw bytes (so the sign of every zero and every -inf counts), scalars the
-same way, and ``final_state`` through both of its arrays.  ``drift_check``
-is held the same way to ``oracles.reference_drift_check``, one
-``bruteforce_decide`` per sample, and its mean to the exactly enumerated
-``oracles.expected_drift``.
+same way, and ``final_state`` through both of its arrays.  ``drift_check``,
+a closed-form sum, is held within 1e-12 relative to the exactly enumerated
+``oracles.expected_drift``, and where the arrival support is too large to
+list, to the same sum taken in ``fractions.Fraction``.
 """
 
 import dataclasses
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import coopsim as cs
 from coopsim import controller, sim
 from coopsim.model import fading_indices
 from configs import CONFIG_DIR, make_doc, sparse_config, trailing_zero_config
-from oracles import expected_drift, reference_drift_check, reference_run, state_entry
+from oracles import decide, expected_drift, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
 # along (1, 1), both toys have rho* = 0.5
@@ -138,9 +139,10 @@ def _drift_cases(desk, toy_goodbad):
     """(config, probe, rate) for every drift comparison: toy_goodbad at a
     loaded and an empty probe, desk at its interior and warm exterior
     probes, a synthetic N=1/K=3 config at a warm and a hand-made probe, and
-    a synthetic N=1/K=9 config at sources 1000 * sqrt(k + 2), whose squares
-    do not sum exactly: a running sum over k differs there from numpy's
-    pairwise row sum, which the reference takes."""
+    a synthetic N=1/K=9 config at sources 1000 * sqrt(k + 2).  A first hop
+    takes more bits than the empty probe's and the hand probe's empty source
+    queues hold, so the clamp (.)+ bites there; the synthetic rates times
+    T = 7 are not integers, so uniform-integer arrivals have a top-up."""
     probe = cs.QueueState.zeros(toy_goodbad)
     probe.source[:] = 300.0
     probe.relay[:] = 40.0
@@ -161,29 +163,67 @@ def _drift_cases(desk, toy_goodbad):
     return cases
 
 
-def test_drift_check_matches_reference(desk, toy_goodbad):
-    cases = itertools.product(sim.DISTRIBUTIONS, _drift_cases(desk, toy_goodbad))
-    for seed, (distribution, (config, probe, rate)) in enumerate(cases):
-        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
-        got = cs.drift_check(config, arrivals, probe, 1500, seed=seed)
-        want = reference_drift_check(config, arrivals, probe, 1500, seed=seed)
-        assert [_bits(getattr(got, f)) for f in ("mean", "stderr", "samples")] == [
-            _bits(getattr(want, f)) for f in ("mean", "stderr", "samples")
-        ]
-
-
 @pytest.mark.parametrize("distribution", sim.DISTRIBUTIONS)
-def test_drift_check_within_4_stderr_of_expected_drift(desk, toy_goodbad, distribution):
-    for seed, (config, probe, rate) in enumerate(_drift_cases(desk, toy_goodbad)[:4]):  # the toy and desk cases
-        arrivals = cs.ArrivalConfig(rates=(rate,) * config.shape.num_destinations, distribution=distribution)
-        est = cs.drift_check(config, arrivals, probe, 20_000, seed=seed)
+def test_drift_check_matches_expected_drift(desk, toy_goodbad, distribution):
+    # every case with K <= 3; the K = 9 one where its outcomes can be listed,
+    # 1 under constant and 2**9 = 512 under bernoulli-batch arrivals
+    for config, probe, rate in _drift_cases(desk, toy_goodbad):
+        k = config.shape.num_destinations
+        if k > 3 and distribution == "uniform-integer":
+            continue
+        arrivals = cs.ArrivalConfig(rates=(rate,) * k, distribution=distribution)
+        got = cs.drift_check(config, arrivals, probe, 2)
         exact = expected_drift(config, arrivals, probe)
-        # plus rounding: the oracle's probabilities sum to 1 only to float precision
-        assert abs(est.mean - exact) <= 4 * est.stderr + 1e-12 * abs(exact), (config.shape, rate, est, exact)
+        assert (got.stderr, got.samples) == (0.0, 2)
+        assert abs(got.mean - exact) <= 1e-12 * abs(exact), (config.shape, rate, got.mean, exact)
+
+
+def _fraction_drift(config, probe, mu):
+    """E[V(next) - V(probe)] for K = 1 and arrivals uniform on {0..2 mu}, mu
+    an integer, in Fractions: per drawable state, sum_u (y + u)^2 over the
+    u > -y, y = Qs - s, as cnt y^2 + 2 y sum(u) + sum(u^2) in integer sums."""
+    T = config.shape.block_length
+    x = Fraction(probe.source[0])
+    n = 2 * mu
+    total = Fraction(0)
+    for f in config.sorted_states:
+        if config.fading[f] == 0.0:
+            continue
+        d = decide(probe, f)
+        g1 = config.g1_index[f[0] if d.variant == cs.FIRST_HOP else d.g1]
+        y = x - (Fraction(config.schemes[d.m][0]) * T if d.variant == cs.FIRST_HOP else 0)
+        lo = min(max(0, math.floor(-y) + 1), n + 1)
+        cnt = n + 1 - lo
+        sum_u = (n * (n + 1) - (lo - 1) * lo) // 2
+        sum_u2 = (n * (n + 1) * (2 * n + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+        source = (cnt * y * y + 2 * y * sum_u + sum_u2) / (n + 1) - x * x
+        q = Fraction(probe.relay[d.m, g1])
+        new = q + T if d.variant == cs.FIRST_HOP else max(q - T, Fraction(0))
+        w = Fraction(config.rate_sums[d.m])
+        relay = config.shape.num_relays * w * w * (new * new - q * q)
+        total += Fraction(config.fading[f]) * (source + relay)
+    return total
+
+
+def test_drift_check_sums_an_unlistable_uniform_support(toy_goodbad):
+    # a uniform-integer mean of 2**61 bits: 2**62 + 1 outcomes per block.
+    # Qs = 3 is below r T = 10, so the first hop (under f2 = B) empties it
+    # and the second hop (under f2 = G) drains the relay queue of 5.
+    mu = 2**61
+    probe = cs.QueueState.zeros(toy_goodbad)
+    probe.source[:] = 3.0
+    probe.relay[:] = 5.0
+    arrivals = cs.ArrivalConfig(rates=(mu / toy_goodbad.shape.block_length,))
+    assert arrivals.rates[0] * toy_goodbad.shape.block_length == mu
+    assert {decide(probe, f).variant for f in toy_goodbad.sorted_states} == {"first_hop", "second_hop"}
+    got = cs.drift_check(toy_goodbad, arrivals, probe, 2).mean
+    exact = _fraction_drift(toy_goodbad, probe, mu)
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * abs(exact), (got, float(exact))
 
 
 def test_expected_drift_point_mass(toy_single):
-    # one fading state and constant arrivals: every sample is the exact drift
+    # one fading state and constant arrivals: one outcome, and every value is
+    # exact in binary, so the closed form equals the enumeration
     probe = cs.QueueState.zeros(toy_single)
     probe.source[:] = 123.0
     probe.relay[:] = 7.0
@@ -201,20 +241,23 @@ def _recording_choose(entries):
     return recording_choose
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a random draw")
+
+
 def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
     probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls choose once per block
     entries = []
     monkeypatch.setattr(sim, "choose", _recording_choose(entries))
-    arrivals = cs.ArrivalConfig(rates=(rate, rate))
-    cs.drift_check(desk, arrivals, probe, 5000, seed=1)
-    drawn = set(sim._draws(desk, arrivals, 5000, 1)[0].tolist())
+    monkeypatch.setattr(sim.np.random, "default_rng", _no_draw)
+    cs.drift_check(desk, cs.ArrivalConfig(rates=(rate, rate)), probe, 5000, seed=1)
+    drawable = [f for f in desk.sorted_states if desk.fading[f] > 0.0]
     groups = {}  # (f1, the (m, g1) pairs f2 drains) -> member states, from the raw support
-    for s in drawn:
-        f1, f2 = desk.sorted_states[s]
+    for f1, f2 in drawable:
         drained = frozenset((m, g1) for m, g1, g2 in desk.support if g2 == f2)
-        groups.setdefault((f1, drained), []).append(desk.sorted_states[s])
-    # one call per distinct drawn group, each on the entry of its member states
-    assert len(entries) == len(groups) < len(drawn)
+        groups.setdefault((f1, drained), []).append((f1, f2))
+    # one call per drawable group, each on the entry of its member states
+    assert len(entries) == len(groups) < len(drawable)
     expected = [state_entry(desk, members[0]) for members in groups.values()]
     assert all(state_entry(desk, f) == entry for members, entry in zip(groups.values(), expected) for f in members)
     assert sorted(map(repr, entries)) == sorted(map(repr, expected))

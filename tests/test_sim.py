@@ -273,15 +273,10 @@ def test_drift_check_rejects_overflow(toy_single, toy_goodbad):
         warnings.simplefilter("error")  # no RuntimeWarning may escape
         with pytest.raises(ValueError, match="potential V overflows"):
             cs.drift_check(toy_single, cs.ArrivalConfig(rates=(0.3,)), probe, samples=10)
-        # V(probe) is finite, but the spread of the changes overflows
-        doc = toy_goodbad.to_document()
-        doc["schemes"][0]["rates"] = [1e140]
-        cfg = cs.validate_config(doc)
-        probe = cs.QueueState.zeros(cfg)
-        probe.source[:] = 1e150
-        probe.relay[:] = 1e10
-        with pytest.raises(ValueError, match="estimate overflows"):
-            cs.drift_check(cfg, cs.ArrivalConfig(rates=(0.3,)), probe, samples=100)
+        # V(probe) = 0, but the change (1e300 - 10)^2 of the source term overflows
+        arrivals = cs.ArrivalConfig(rates=(1e299,), distribution="constant")
+        with pytest.raises(ValueError, match="drift estimate overflows"):
+            cs.drift_check(toy_goodbad, arrivals, cs.QueueState.zeros(toy_goodbad), samples=10)
 
 
 def test_drift_determinism(toy_single):
