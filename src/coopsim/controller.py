@@ -28,7 +28,7 @@ The rule reads the state (f1, f2) only through f1 and D(f2), the queues f2
 drains.  ``decision_table`` keeps one entry per group of
 ``NetworkConfig.state_groups``, the region LP's partition too, cached as
 ``NetworkConfig.decision_table``: ``sim.run`` calls ``choose`` once per
-block on its state's entry, and ``sim.drift_check`` once per drawable group;
+block on its state's entry, and ``sim.drift_check`` once per group;
 there is no adapter for a ``QueueState``.
 """
 

@@ -25,12 +25,13 @@ Config files are single JSON documents::
       "support": [{"m": 0, "g1": ["G","G"], "g2": ["G","G","G","G"]}, ...]
     }
 
-Unknown fields are rejected.  States missing from the table are treated as
-probability zero.  Scheme ids must be the contiguous integers 0..M-1.
-``validate_config`` turns the document into a ``NetworkConfig`` of plain
-data: the shape, the alphabet, the fading table as a dict, one rate tuple
-per scheme (its position is its id) and the support as a frozenset of
-triples.
+Unknown fields are rejected.  States missing from the table have
+probability zero, and a state listed with p = 0 is checked like any other,
+then dropped: it is never drawn and weighs nothing in the region.  Scheme
+ids must be the contiguous integers 0..M-1.  ``validate_config`` turns the
+document into a ``NetworkConfig`` of plain data: the shape, the alphabet,
+the fading table of the states with p > 0 as a dict, one rate tuple per
+scheme (its position is its id) and the support as a frozenset of triples.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class NetworkShape:
 class NetworkConfig:
     shape: NetworkShape
     alphabet: tuple[Label, ...]
-    # (f1, f2) -> p, a pair of label tuples to a probability.  The table is
-    # sparse; the key space is semantically the full product F^N x F^(N*K).
+    # (f1, f2) -> p > 0, a pair of label tuples to a probability.  The table
+    # is sparse; the key space is semantically the full product F^N x F^(N*K).
     fading: dict
     schemes: tuple[tuple[float, ...], ...]  # bits/symbol per destination; index = scheme id
     support: frozenset  # the (m, g1, g2) triples a second-hop transmission may use
@@ -137,11 +138,6 @@ class NetworkConfig:
         return out
 
     @cached_property
-    def last_drawable_state(self) -> int:
-        """Index of the last sorted state with p > 0."""
-        return max(i for i, s in enumerate(self.sorted_states) if self.fading[s] > 0)
-
-    @cached_property
     def drain_cells(self) -> dict:
         """g2 -> the flat indices m * |F|^N + g1 of the relay queues (m, g1)
         with (m, g1, g2) supported, ascending; a g2 that drains nothing is
@@ -155,18 +151,16 @@ class NetworkConfig:
     @cached_property
     def state_groups(self) -> tuple:
         """(keys, members, group_of): the sorted states grouped by (f1, D(f2)),
-        D(f2) from ``drain_cells``.  ``keys[g]`` is group g's pair,
-        ``members[g]`` its p > 0 states in order, ``group_of`` a read-only
-        intp array of each sorted state's group.  Groups with a p > 0 state
-        lead, in order of their first one: the region LP's time rows."""
+        D(f2) from ``drain_cells``, numbered in order of their first state:
+        the region LP's time rows.  ``keys[g]`` is group g's pair,
+        ``members[g]`` its states in order, ``group_of`` a read-only intp
+        array of each sorted state's group."""
         drains = self.drain_cells
         keys = [(f1, drains.get(f2, ())) for f1, f2 in self.sorted_states]
-        drawn = [key for f, key in zip(self.sorted_states, keys) if self.fading[f] > 0.0]
-        index = {key: g for g, key in enumerate(dict.fromkeys(drawn + keys))}
+        index = {key: g for g, key in enumerate(dict.fromkeys(keys))}
         members = [[] for _ in index]
         for f, key in zip(self.sorted_states, keys):
-            if self.fading[f] > 0.0:
-                members[index[key]].append(f)
+            members[index[key]].append(f)
         group_of = np.array([index[key] for key in keys], dtype=np.intp)
         group_of.setflags(write=False)
         return tuple(index), tuple(map(tuple, members)), group_of
@@ -242,6 +236,8 @@ def _number(raw, what: str, code: str, integral: bool = False):
     if isinstance(raw, bool):
         raise ConfigError("boolean-value", f"{what} must be a number, got {raw!r}")
     if not isinstance(raw, (int, float)) or not abs(raw) <= sys.float_info.max:  # exact for ints of any size
+        if isinstance(raw, int):  # beyond the float range: shown as the float it rounds to
+            raw = math.inf if raw > 0 else -math.inf
         raise ConfigError(code, f"{what} must be a finite number, got {raw!r}")
     if integral and raw != int(raw):
         raise ConfigError("non-integral-value", f"{what} must be an integer, got {raw!r}")
@@ -320,7 +316,8 @@ def validate_config(raw) -> NetworkConfig:
         g2 = _label_tuple(ent.get("g2"), n * k, alpha_set, "support g2")
         triples.add((m, g1, g2))
 
-    return NetworkConfig(shape, alphabet, table, tuple(schemes), frozenset(triples))
+    fading = {f: p for f, p in table.items() if p > 0.0}  # a p = 0 state is never drawn
+    return NetworkConfig(shape, alphabet, fading, tuple(schemes), frozenset(triples))
 
 
 def parse_json_int(text: str):
@@ -347,10 +344,9 @@ def fading_indices(config: NetworkConfig, u):
     variate, as ``np.searchsorted(..., side="right")`` counts them.
 
     A variate at or above the table's total probability, which rounding can
-    leave just below 1, maps to the last state with p > 0, never to a
-    trailing zero-probability state.
+    leave just below 1, maps to the last state.
     """
-    return np.minimum(np.searchsorted(config.cumulative_probs, u, side="right"), config.last_drawable_state)
+    return np.minimum(np.searchsorted(config.cumulative_probs, u, side="right"), len(config.sorted_states) - 1)
 
 
 def queue_count_encoding_based(config: NetworkConfig) -> int:

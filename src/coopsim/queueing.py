@@ -1,4 +1,4 @@
-"""Queue state and the snapshot header.
+"""Queue state.
 
 The source keeps one queue of bits per destination.  Every relay keeps one
 virtual queue of buffered symbols per (encoding scheme, first-hop fading
@@ -66,15 +66,3 @@ class QueueState:
 
     def copy(self) -> "QueueState":
         return QueueState(self.config, self.source.copy(), self.relay.copy())
-
-
-# ---------------------------------------------------------------------------
-# snapshot serialization: block, Qs_1..Qs_K, then one relay's queues in
-# (m, g1) lexicographic order (every relay holds the same)
-
-
-def snapshot_header(config: NetworkConfig) -> list[str]:
-    cols = ["block"]
-    cols += [f"Qs_{k + 1}" for k in range(config.shape.num_destinations)]
-    cols += [f"Q_m{m}_{'|'.join(g1)}" for m in range(len(config.schemes)) for g1 in config.first_hop_space]
-    return cols

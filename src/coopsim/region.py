@@ -3,9 +3,11 @@
 The throughput region of the network is the set of arrival-rate vectors
 (bits/symbol per destination) for which time-sharing fractions exist.  The
 flow classes are the relays' own queues: the (m, g1) pairs of the support.
-The states are the fading table's states with p > 0.  ``a_f^{m,g1}`` is the
-fraction of blocks in state f spent sending first-hop packets into class
-(m, g1), ``b_f^{m,g1}`` the fraction spent draining it on the second hop.
+The states are those of the fading table, each with pi_f > 0: a state with
+p = 0 carries no rate and no flow, and the config drops it when it is read.
+``a_f^{m,g1}`` is the fraction of blocks in state f spent sending first-hop
+packets into class (m, g1), ``b_f^{m,g1}`` the fraction spent draining it
+on the second hop.
 Columns exist only where they can be nonzero: ``a`` needs f1 = g1, ``b``
 needs (m, g1, f2) supported.  The constraint system is
 
@@ -16,11 +18,10 @@ needs (m, g1, f2) supported.  The constraint system is
 This region is exact.  A first-hop packet enters queue (m, g1) whichever
 second-hop state later drains it, so a per-(m, g1, g2) solution sums to a
 per-class one, and a per-class one splits back across g2 in proportion to
-its drain flow under each.  A p = 0 state carries no rate and no flow.  The
-flow row may be an inequality because fill = drain admits the same rate
-vectors: in a class drained more than it is filled, scale every b down by
-the factor fill/drain.  Its drain then equals its fill, no rate row reads
-a b, and every time row only loosens.
+its drain flow under each.  The flow row may be an inequality because
+fill = drain admits the same rate vectors: in a class drained more than it
+is filled, scale every b down by the factor fill/drain.  Its drain then
+equals its fill, no rate row reads a b, and every time row only loosens.
 
 The LP is built over groups of states, not over single states, and this is
 exact too.  A state can fill the classes with g1 = f1 and drain those in
@@ -38,12 +39,12 @@ config in which no two states share a key builds the per-state LP.
 
 What depends on the config alone is computed once per config and cached on
 it: the states' (f1, D(f2)) partition (``NetworkConfig.state_groups``, the
-controller's too) and ``lp_layout``, which takes a time row per drawable
-group, orders the support classes and records the column tags and every
-rate, flow and time entry.  Per query, ``_assemble`` fills a fresh LP from
-that layout, and ``build_scale_lp`` and ``build_slack_lp`` write only their
-rho or delta column and rhs; the cached arrays are read-only, so no query
-can change what the next one reads.
+controller's too) and ``lp_layout``, which takes a time row per group,
+orders the support classes and records the column tags and every rate,
+flow and time entry.  Per query, ``_assemble`` fills a fresh LP from that
+layout, and ``build_scale_lp`` and ``build_slack_lp`` write only their rho
+or delta column and rhs; the cached arrays are read-only, so no query can
+change what the next one reads.
 
 Two queries are exposed.  ``scale_witness`` pushes rho * direction as far
 as possible (rate rows relaxed to >=, excess is discardable).  The slack
@@ -374,16 +375,14 @@ class LpLayout:
 
 def lp_layout(config: NetworkConfig) -> LpLayout:
     """Lay out the rate/flow/time skeleton.  The classes are the support's
-    (m, g1) pairs by flat index m * |F|^N + g1, the groups the drawable
-    ones of ``config.state_groups``, pi summed in member order.  Per class,
+    (m, g1) pairs by flat index m * |F|^N + g1, the groups those of
+    ``config.state_groups``, pi summed in member order.  Per class,
     one a column per group with f1 = g1, then one b column per group whose
     drain set holds the class."""
     k_dest = config.shape.num_destinations
     n_g1 = len(config.first_hop_space)
     classes = sorted({c for drained in config.drain_cells.values() for c in drained})  # flat indices
     keys, members, _ = config.state_groups
-    n_groups = len(members) - members.count(())  # the drawable groups lead
-    keys, members = keys[:n_groups], members[:n_groups]
     columns, class_of, group_of = [], [], []
     for c, cell in enumerate(classes):
         m, g1 = cell // n_g1, config.first_hop_space[cell % n_g1]

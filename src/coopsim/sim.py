@@ -45,7 +45,7 @@ the flat queue reshaped to (M, |F|^N).  The summary is derived where it
 is printed, in ``summary_dict``.
 
 A drift probe gives E[V(next) - V(probe)] at a fixed probe exactly: the
-sum over the drawable (f1, D(f2)) groups of the same table, with one
+sum over the (f1, D(f2)) groups of the same table, with one
 ``choose`` call each, of p * (sum_k E[(Qs_k - s_k + a_k)+^2] - Qs_k^2 +
 N * (r_m . 1)^2 * (Q'^2 - Q^2)).  The action takes s_k = r_m^k * T bits on
 a first hop into queue c, m = c // |F|^N, else none, and moves queue c
@@ -75,7 +75,7 @@ import numpy as np
 
 from .controller import VARIANT_NAMES, choose
 from .model import NetworkConfig, fading_indices
-from .queueing import QueueState, snapshot_header
+from .queueing import QueueState
 
 DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
 
@@ -288,6 +288,7 @@ def _relay_rows(start, cells, values) -> np.ndarray:
     return written[last]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as ValueError
 def run(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -299,7 +300,9 @@ def run(
     """Simulate ``horizon`` blocks from empty queues.
 
     ``snapshot_sink``, when given, receives the full queue snapshot CSV
-    (header plus one row per block) as it is produced.
+    (header plus one row per block) as it is produced.  A series value
+    beyond the float range raises ValueError naming its block, after the
+    last block; B = -inf, no drainable queue, is kept.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -368,6 +371,13 @@ def run(
             _write_rows(snapshot_sink, (f"{t}," for t in range(lo, hi)), np.concatenate((source, relay), axis=1))
 
     offered = arr.sum(axis=1)
+    # A finite V bounds a block's arrivals and deliveries by 2 sqrt(V) < 3e154
+    # bits, so the offered and delivered totals of a checked run stay finite.
+    ok = w_second < math.inf
+    for series in (src_series, rel_series, rel_bits_series, v_series, w_first):
+        ok &= np.isfinite(series)
+    if not ok.all():
+        raise ValueError(f"block {ok.argmin()}: a queue, the potential V or a weight A or B overflows the float range")
     return Metrics(
         horizon=horizon,
         block_length=T,
@@ -426,8 +436,6 @@ def drift_check(
     w2 = (config.rate_sums * config.rate_sums).tolist()
     drift = 0.0
     for entry, states in zip(config.decision_table[0], config.state_groups[1]):
-        if not states:  # a group of p = 0 states is never drawn
-            continue
         code, c = choose(qs, q, entry, n_relays, False)[:2]
         m = c // n_g1
         new = q[c] + T if code == 0 else max(q[c] - T, 0.0)
@@ -442,6 +450,15 @@ def drift_check(
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def snapshot_header(config: NetworkConfig) -> list[str]:
+    """The --queues columns: block, Qs_1..Qs_K, then one relay's queues in
+    (m, g1) lexicographic order (every relay holds the same)."""
+    cols = ["block"]
+    cols += [f"Qs_{k + 1}" for k in range(config.shape.num_destinations)]
+    cols += [f"Q_m{m}_{'|'.join(g1)}" for m in range(len(config.schemes)) for g1 in config.first_hop_space]
+    return cols
 
 
 def _write_rows(fh, heads, values) -> None:

@@ -1,11 +1,14 @@
 """Config builders shared by the tests: the shipped configs' directory,
 ``make_doc`` (a small config document), ``sparse_config`` (a deterministic
 sparse random config), the two zero-probability edge cases
-``trailing_zero_config`` and ``zero_gap_config`` and, when hypothesis is
-installed, the ``small_configs`` strategy.  Nothing here imports pytest, so the module can
-be imported outside a test run.
+``trailing_zero_doc`` and ``zero_gap_doc`` with the configs read from them,
+``without_zero_rows`` (a document without its p = 0 rows) and, when
+hypothesis is installed, the ``small_docs`` and ``small_configs``
+strategies.  Nothing here imports pytest, so the module can be imported
+outside a test run.
 """
 
+import copy
 import itertools
 from pathlib import Path
 
@@ -82,37 +85,56 @@ def sparse_config(n, k, m, states, seed):
     return cs.validate_config(doc)
 
 
-def trailing_zero_config():
+def without_zero_rows(doc):
+    """A copy of the config document ``doc`` without its p = 0 fading rows."""
+    doc = copy.deepcopy(doc)
+    doc["fading"]["states"] = [s for s in doc["fading"]["states"] if s["p"] != 0.0]
+    return doc
+
+
+def trailing_zero_doc():
     """Two states whose last, in sorted order, has p = 0, and whose
     cumulative probabilities end just below the largest float below 1."""
     states = [
         {"f1": ["a"], "f2": ["a"], "p": 1.0 - 1e-13},
         {"f1": ["b"], "f2": ["b"], "p": 0.0},  # sorts last
     ]
-    config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
+    return make_doc(alphabet=("a", "b"), states=states)
+
+
+def trailing_zero_config():
+    """``trailing_zero_doc`` as read: its one state with p > 0, whose
+    probability is the table's total."""
+    config = cs.validate_config(trailing_zero_doc())
     assert config.cumulative_probs[-1] < np.nextafter(1.0, 0.0)
-    assert config.sorted_states[-1] == (("b",), ("b",))
+    assert config.sorted_states == ((("a",), ("a",)),)
     return config
 
 
-def zero_gap_config():
+def zero_gap_doc():
     """N = 1, K = 2 over {a, b}, all eight states listed in sorted order with
-    p = 0 first, between drawable states and last, so the cumulative
-    probabilities 0, .1, .1, .1, .4, .4, 1, 1 repeat."""
+    p = 0 first, between the states with p > 0 and last."""
     probs = [0.0, 0.1, 0.0, 0.0, 0.3, 0.0, 0.6, 0.0]
     combos = itertools.product(itertools.product("ab", repeat=1), itertools.product("ab", repeat=2))
     states = [{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(combos, probs)]
-    config = cs.validate_config(make_doc(k=2, alphabet=("a", "b"), rates=((1.0, 0.5),), states=states))
-    assert [config.fading[f] for f in config.sorted_states] == probs
+    return make_doc(k=2, alphabet=("a", "b"), rates=((1.0, 0.5),), states=states)
+
+
+def zero_gap_config():
+    """``zero_gap_doc`` as read: its three states with p > 0, (a, ab),
+    (b, aa) and (b, ba), with cumulative probabilities .1, .4, 1."""
+    config = cs.validate_config(zero_gap_doc())
+    assert config.sorted_states == ((("a",), ("a", "b")), (("b",), ("a", "a")), (("b",), ("b", "a")))
+    assert [config.fading[f] for f in config.sorted_states] == [0.1, 0.3, 0.6]
     return config
 
 
 if st is not None:
 
     @st.composite
-    def small_configs(draw):
-        """N <= 3, K <= 2 over {G, B}: a sparse table whose first state has
-        p = 0, halved integer rates and a random support of up to 8 triples."""
+    def small_docs(draw):
+        """N <= 3, K <= 2 over {G, B}: a sparse table whose first listed state
+        has p = 0, halved integer rates and a random support of up to 8 triples."""
         n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
         f1s = list(itertools.product("GB", repeat=n))
         f2s = list(itertools.product("GB", repeat=n * k))
@@ -125,7 +147,7 @@ if st is not None:
         )
         triples = list(itertools.product(range(len(rates)), f1s, f2s))
         support = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
-        doc = make_doc(
+        return make_doc(
             n=n,
             k=k,
             alphabet=("G", "B"),
@@ -133,4 +155,7 @@ if st is not None:
             support=[{"m": m, "g1": list(g1), "g2": list(g2)} for m, g1, g2 in support],
             states=[{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(states, probs)],
         )
-        return cs.validate_config(doc)
+
+    def small_configs():
+        """The configs read from ``small_docs``."""
+        return small_docs().map(cs.validate_config)

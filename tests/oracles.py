@@ -70,9 +70,9 @@ import numpy as np
 
 from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose
 from coopsim.model import fading_indices
-from coopsim.queueing import QueueState, snapshot_header
+from coopsim.queueing import QueueState
 from coopsim.region import PIVOT_TOL, DegeneracyError
-from coopsim.sim import METRICS_COLUMNS, Metrics, _draws
+from coopsim.sim import METRICS_COLUMNS, Metrics, _draws, snapshot_header
 
 # ---------------------------------------------------------------------------
 # the spec-level model: pure queue updates on a QueueState, the controller's
@@ -145,10 +145,10 @@ def check_decision_table(config) -> None:
     """Assert the spec of ``config.state_groups`` and ``config.decision_table``:
     each sorted state's group has the key (f1, D(f2)), D(f2) from the raw
     support, and the entry ``state_entry``; the entries are pairwise
-    distinct, one per group; the groups holding a state with p > 0 are
-    numbered first, in order of their first such state, and ``members``
-    lists exactly those states; and the region LP's time rows are those
-    groups in order, every column in time row r tagged with ``members[r]``."""
+    distinct, one per group; the groups are numbered in order of their
+    first state, and ``members`` lists each group's states; and the region
+    LP's time rows are the groups in order, every column in time row r
+    tagged with ``members[r]``."""
     keys, members, group_of = config.state_groups
     entries, table_group_of = config.decision_table
     assert config.state_groups is config.state_groups  # cached per config
@@ -165,14 +165,12 @@ def check_decision_table(config) -> None:
         assert keys[g] == (f1, tuple(sorted(drained.get(f2, ()))))
     assert [entries[g] for g in group_of.tolist()] == [state_entry(config, f) for f in config.sorted_states]
     assert len({repr(e) for e in entries}) == len(entries)
-    drawn = [(g, f) for g, f in zip(group_of.tolist(), config.sorted_states) if config.fading[f] > 0.0]
-    leading = list(dict.fromkeys(g for g, _ in drawn))
-    assert leading == list(range(len(leading)))
-    assert sorted(set(group_of.tolist())) == list(range(len(entries)))
-    assert members == tuple(tuple(f for g, f in drawn if g == h) for h in range(len(entries)))
+    assert list(dict.fromkeys(group_of.tolist())) == list(range(len(entries)))
+    assert members == tuple(
+        tuple(f for g, f in zip(group_of.tolist(), config.sorted_states) if g == h) for h in range(len(entries))
+    )
     layout = config.lp_layout
-    time_rows = layout.shape[0] - layout.flows.stop
-    assert time_rows == len(leading)
+    assert layout.shape[0] - layout.flows.stop == len(entries)  # one time row per group
     rows, cols = np.divmod(layout.cells, layout.shape[1])
     for r, j in zip(rows.tolist(), cols.tolist()):
         if r >= layout.flows.stop:
@@ -181,10 +179,9 @@ def check_decision_table(config) -> None:
 
 def fading_indices_spec(config, u):
     """Sorted-state indices of variates ``u``, one at a time: the number of
-    cumulative probabilities at or below each, at most the last state with
-    p > 0."""
+    cumulative probabilities at or below each, at most the last state."""
     cum = config.cumulative_probs.tolist()
-    last = max(i for i, f in enumerate(config.sorted_states) if config.fading[f] > 0.0)
+    last = len(cum) - 1
     return np.array([min(bisect.bisect_right(cum, x), last) for x in np.ravel(u).tolist()], dtype=np.intp)
 
 

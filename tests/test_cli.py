@@ -9,7 +9,7 @@ import pytest
 import coopsim as cs
 from coopsim.cli import _witness_records, main
 from coopsim.sim import DISTRIBUTIONS
-from configs import CONFIG_DIR, make_doc
+from configs import CONFIG_DIR, make_doc, without_zero_rows, zero_gap_doc
 
 TOY = str(CONFIG_DIR / "toy_single.json")
 GOODBAD = str(CONFIG_DIR / "toy_goodbad.json")
@@ -348,6 +348,24 @@ def test_simulate_overflowing_arrivals_exit_2(tmp_path, capsys, arrival):
     assert list(tmp_path.iterdir()) == []  # neither metrics.csv nor the --queues file
 
 
+@pytest.mark.parametrize(
+    "config,lam,arrival,block",
+    [(TOY, "1e160", "constant", 0), (TOY, "1e306", "constant", 0), (DESK, "1e153", "bernoulli-batch", 1)],
+)
+def test_simulate_overflowing_run_exits_2(tmp_path, capsys, config, lam, arrival, block):
+    # finite arrivals whose queues or potential V leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        assert main(["simulate", config, "--lambda", lam, "--arrival", arrival, "--horizon", "1000",
+                     "--out", str(tmp_path), "--queues", "q.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"coopsim: error: block {block}: a queue, the potential V or a weight A or B overflows the float range\n"
+    )
+    assert list(tmp_path.iterdir()) == []  # neither metrics.csv nor the --queues file
+
+
 HUGE_MEAN_ERROR = (
     "coopsim: error: destination 0: uniform-integer mean 4.7e+18 bits per block (rate times T=10)"
     " must be below 2**62 = 4611686018427387904\n"
@@ -395,6 +413,22 @@ def test_refused_simulate_leaves_no_out_path(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("coopsim: error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_probability_rows_change_no_output(tmp_path, capsys):
+    # zero_gap lists five p = 0 states: the outputs equal the ones of its
+    # document without them, byte for byte
+    outputs = []
+    for name, doc in (("listed", zero_gap_doc()), ("left_out", without_zero_rows(zero_gap_doc()))):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--lambda", "0.2", "--horizon", "700", "--out", str(out),
+                     "--queues", "queues.csv"]) == 0
+        assert main(["region", str(path), "--witness"]) == 0
+        assert main(["drift-check", str(path), "--lambda", "0.2", "--qs", "40", "--relay-fill", "20"]) == 0
+        files = [(out / f).read_bytes() for f in ("metrics.csv", "queues.csv", "summary.json")]
+        outputs.append((capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_negative_seed_exits_2(tmp_path, capsys):

@@ -236,26 +236,26 @@ def test_state_entries_cover_the_edge_configs():
     assert undrained.probability((("a",), ("b",))) > 0 and entries[("a",), ("b",)][1] == ()
     assert entries[("a",), ("a",)][1] == ((1, 1.0), (2, 4.0))  # (m, g1) = (0, "b"), then (1, "a")
     trailing = _trailing_zero_state_config()
-    assert trailing.probability(trailing.sorted_states[-1]) == 0.0
-    assert len(_state_entries(trailing)) == 2
+    assert trailing.probability((("b",), ("b",))) == 0.0
+    assert list(_state_entries(trailing)) == [(("a",), ("a",))]
 
 
-def test_state_groups_number_the_drawable_groups_first():
-    # the p = 0 state sorts first and shares no group: its group comes last,
-    # holds no member and gets no time row
+def test_state_groups_leave_out_zero_probability_states():
+    # the p = 0 state sorts first and is dropped when the config is read: it
+    # gets no group and no time row, while both support classes keep a flow row
     states = [{"f1": ["a"], "f2": ["a"], "p": 0.0}, {"f1": ["b"], "f2": ["b"], "p": 1.0}]
     config = cs.validate_config(make_doc(alphabet=("a", "b"), states=states))
     check_decision_table(config)
     keys, members, group_of = config.state_groups
-    assert keys == ((("b",), (0, 1)), (("a",), (0, 1)))
-    assert members == (((("b",), ("b",)),), ())
-    assert group_of.tolist() == [1, 0]
+    assert keys == ((("b",), (0, 1)),)
+    assert members == (((("b",), ("b",)),),)
+    assert group_of.tolist() == [0]
     assert config.lp_layout.shape[0] == 1 + 2 + 1  # rate, 2 classes, 1 time row
 
 
 def test_zero_gap_time_rows_hold_only_drawable_states():
-    # zero_gap's p = 0 states lead both groups, (a, aa) and (b, ab), yet each
-    # time row's members are its drawable states
+    # zero_gap lists p = 0 states (a, aa) and (b, ab) ahead of both groups'
+    # first member; each time row's members are the states with p > 0
     config = zero_gap_config()
     check_decision_table(config)
     keys, members, group_of = config.state_groups
@@ -263,7 +263,7 @@ def test_zero_gap_time_rows_hold_only_drawable_states():
         ((("a",), ("a", "b")),),
         ((("b",), ("a", "a")), (("b",), ("b", "a"))),
     )
-    assert group_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert group_of.tolist() == [0, 1, 1]
 
 
 # (groups, sorted states) per config: desk's 64 states fall into 12 groups,
@@ -275,7 +275,7 @@ DECISION_GROUPS = {
     "sparse_n3": (300, 300),
     "sparse_n4": (800, 800),
     "undrained_g2": (4, 4),
-    "trailing_p0": (2, 2),
+    "trailing_p0": (1, 1),
 }
 
 

@@ -6,7 +6,16 @@ import pytest
 
 import coopsim as cs
 from coopsim.model import fading_indices
-from configs import CONFIG_DIR, make_doc, sparse_config, trailing_zero_config, zero_gap_config
+from configs import (
+    CONFIG_DIR,
+    make_doc,
+    sparse_config,
+    trailing_zero_config,
+    trailing_zero_doc,
+    without_zero_rows,
+    zero_gap_config,
+    zero_gap_doc,
+)
 from oracles import check_fading_indices
 
 
@@ -82,6 +91,15 @@ def test_integers_beyond_float_range_rejected(mutate, code):
     with pytest.raises(cs.ConfigError, match="must be a finite number") as exc:
         cs.validate_config(doc)
     assert exc.value.code == code
+    assert str(exc.value).endswith(", got inf")  # not the integer's 401 digits
+
+
+def test_negative_integer_beyond_float_range_shown_as_minus_inf():
+    doc = make_doc()
+    doc["schemes"][0]["rates"] = [-HUGE]
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(doc)
+    assert (exc.value.code, str(exc.value)) == ("non-finite-rate", "scheme 0 rate must be a finite number, got -inf")
 
 
 def test_zero_rate_vector_rejected_multidest():
@@ -136,6 +154,37 @@ def test_to_document_round_trip(request, name):
     again = cs.validate_config(json.loads(json.dumps(doc)))
     assert again == cfg
     assert again.to_document() == doc
+
+
+@pytest.mark.parametrize("build", [zero_gap_doc, trailing_zero_doc], ids=["zero_gap", "trailing_zero"])
+def test_zero_probability_rows_are_dropped(build):
+    # a config listing p = 0 rows is the config without them
+    doc = build()
+    left_out = without_zero_rows(doc)
+    assert len(left_out["fading"]["states"]) < len(doc["fading"]["states"])
+    config = cs.validate_config(doc)
+    assert config == cs.validate_config(left_out)
+    assert config.to_document() == cs.validate_config(left_out).to_document()
+    assert all(s["p"] > 0.0 for s in config.to_document()["fading"]["states"])
+
+
+@pytest.mark.parametrize(
+    "row,code",
+    [
+        ({"f1": ["a"], "f2": ["a", "b"], "p": 0.0}, "duplicate-state"),  # zero_gap lists (a, ab) with p = .1
+        ({"f1": ["a"], "f2": ["a", "a"], "p": 0.0}, "duplicate-state"),  # listed with p = 0 too
+        ({"f1": ["a"], "f2": ["a", "c"], "p": 0.0}, "dimension-mismatch"),
+        ({"f1": ["a"], "f2": ["a"], "p": 0.0}, "dimension-mismatch"),
+        ({"f1": ["a"], "f2": ["a", "a"], "p": 0.0, "q": 1}, "unknown-field"),
+        ({"f1": ["a"], "f2": ["a", "a"], "p": math.nan}, "non-finite-probability"),
+    ],
+)
+def test_zero_probability_rows_are_checked_before_they_are_dropped(row, code):
+    doc = zero_gap_doc()
+    doc["fading"]["states"].append(row)
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(doc)
+    assert exc.value.code == code
 
 
 def test_sparse_table_zero_states_implicit():

@@ -25,7 +25,7 @@ st = hypothesis.strategies
 import coopsim as cs  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
 from coopsim.sim import CHUNK, _relay_rows, write_metrics_csv  # noqa: E402
-from configs import small_configs  # noqa: E402
+from configs import small_configs, small_docs, without_zero_rows  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
     apply_idle,
@@ -78,6 +78,15 @@ def test_decide_matches_bruteforce(case):
 @hypothesis.given(small_configs())
 def test_decision_table_matches_spec(config):
     check_decision_table(config)
+
+
+@SETTINGS
+@hypothesis.given(small_docs())
+def test_zero_probability_rows_are_dropped(doc):
+    # every small doc lists its first state with p = 0
+    config, left_out = cs.validate_config(doc), cs.validate_config(without_zero_rows(doc))
+    assert config == left_out
+    assert config.to_document() == left_out.to_document()
 
 
 # ratio-test columns: exact ties, +-0.0, entries far below the pivot

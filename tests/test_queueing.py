@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.queueing import snapshot_header
+from coopsim.sim import snapshot_header
 from configs import make_doc
 from oracles import apply_first_hop, apply_idle, apply_second_hop
 

@@ -426,7 +426,7 @@ def test_pinned_direction_matches_highs(desk):
 
 
 def _replay_config():
-    # N=1, K=2 over {G, B}; the p = 0 state (G, GG) stays in the table
+    # N=1, K=2 over {G, B}; the p = 0 state (G, GG) is dropped when read
     states = [
         (("G",), ("G", "G"), 0.0),
         (("B",), ("B", "G"), 1 / 6),

@@ -319,5 +319,6 @@ def test_drift_check_never_draws_zero_probability_state(monkeypatch):
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
     monkeypatch.setattr(sim, "choose", _recording_choose(entries))
     cs.drift_check(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), cs.QueueState.zeros(config), 10)
-    assert state_entry(config, config.sorted_states[1]) != state_entry(config, config.sorted_states[0])
+    # the listed p = 0 state (b, b) would be decided on an entry of its own
+    assert state_entry(config, (("b",), ("b",))) != state_entry(config, config.sorted_states[0])
     assert entries == [state_entry(config, config.sorted_states[0])]

@@ -279,6 +279,16 @@ def test_drift_check_rejects_overflow(toy_single, toy_goodbad):
             cs.drift_check(toy_goodbad, arrivals, cs.QueueState.zeros(toy_goodbad), samples=10)
 
 
+def test_run_refuses_overflow_at_the_first_such_block(toy_single):
+    # V = Qs^2 leaves the float range after 1340 blocks of 1e151 bits, across chunks
+    arrivals = cs.ArrivalConfig(rates=(1e150,), distribution="constant")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        with pytest.raises(ValueError, match="^block 1340: "):
+            cs.run(toy_single, arrivals, 6 * CHUNK, 0)
+        assert math.isfinite(cs.run(toy_single, arrivals, 1340, 0).lyapunov[-1])
+
+
 def test_drift_determinism(toy_single):
     probe = cs.QueueState.zeros(toy_single)
     probe.source[:] = [500.0]
