@@ -32,6 +32,16 @@ ids must be the contiguous integers 0..M-1.  ``validate_config`` turns the
 document into a ``NetworkConfig`` of plain data: the shape, the alphabet,
 the fading table of the states with p > 0 as a dict, one rate tuple per
 scheme (its position is its id) and the support as a frozenset of triples.
+A scheme whose (r_m . 1)^2 or (r_m^k * T)^2 is not a finite float is
+refused (``rate-overflow``): the controller and the potential weigh relay
+queues by the first, and a first hop sends r_m^k * T bits.
+
+``group_pi``, cached like the other derived views, holds the probability
+of each (f1, D(f2)) group of ``state_groups``: its members' p added one
+float addition at a time in member order from 0.0.  The region LP and the
+drift probe weigh a group by that one float, on every Python version (the
+builtin ``sum`` of floats is compensated from Python 3.12 on and can round
+a group's pi differently).
 """
 
 from __future__ import annotations
@@ -89,7 +99,8 @@ class NetworkConfig:
     # Each is computed on first use and shared by every later call on this
     # config.  Per config: the drain relation and the states' (f1, D(f2))
     # partition built on it, which the controller and the region LP share,
-    # the controller's decision table and the region LP's layout.  Per
+    # each group's probability, the controller's decision table and the
+    # region LP's layout.  Per
     # region query: a fresh matrix filled from ``lp_layout``, its rho or
     # delta column and its rhs.
     # Cached arrays are read-only; the other views are only read.
@@ -164,6 +175,20 @@ class NetworkConfig:
         group_of = np.array([index[key] for key in keys], dtype=np.intp)
         group_of.setflags(write=False)
         return tuple(index), tuple(map(tuple, members)), group_of
+
+    @cached_property
+    def group_pi(self) -> tuple:
+        """One probability per group of ``state_groups``: its members' p
+        added in member order from 0.0, one float addition at a time, as
+        ``reduce(add, ..., 0.0)`` adds them.  The region LP's a and b
+        entries and the drift probe's group weights both read it."""
+        out = []
+        for states in self.state_groups[1]:
+            pi = 0.0
+            for f in states:
+                pi += self.fading[f]
+            out.append(pi)
+        return tuple(out)
 
     @cached_property
     def decision_table(self) -> tuple:
@@ -304,6 +329,16 @@ def validate_config(raw) -> NetworkConfig:
             raise ConfigError("negative-rate", f"scheme {pos} has a negative rate")
         if all(r == 0 for r in rates):
             raise ConfigError("zero-rate-vector", f"scheme {pos} has an all-zero rate vector")
+        rate_sum = 0.0  # r_m . 1, added as ``NetworkConfig.rate_sums`` adds it
+        for r in rates:
+            rate_sum += r
+        # the controller and the potential weigh queues by (r_m . 1)^2, a first hop takes r_m^k * T bits
+        if not all(math.isfinite(x * x) for x in (rate_sum, *(r * t for r in rates))):
+            raise ConfigError(
+                "rate-overflow",
+                f"scheme {pos}: the square of its rate sum {rate_sum!r} or of a rate times T={t}"
+                " overflows the float range",
+            )
         schemes.append(rates)
 
     triples = set()

@@ -39,7 +39,8 @@ config in which no two states share a key builds the per-state LP.
 
 What depends on the config alone is computed once per config and cached on
 it: the states' (f1, D(f2)) partition (``NetworkConfig.state_groups``, the
-controller's too) and ``lp_layout``, which takes a time row per group,
+controller's too), each group's pi_G (``NetworkConfig.group_pi``, the drift
+probe's too) and ``lp_layout``, which takes a time row per group,
 orders the support classes and records the column tags and every rate,
 flow and time entry.  Per query, ``_assemble`` fills a fresh LP from that
 layout, and ``build_scale_lp`` and ``build_slack_lp`` write only their rho
@@ -91,8 +92,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -376,7 +375,7 @@ class LpLayout:
 def lp_layout(config: NetworkConfig) -> LpLayout:
     """Lay out the rate/flow/time skeleton.  The classes are the support's
     (m, g1) pairs by flat index m * |F|^N + g1, the groups those of
-    ``config.state_groups``, pi summed in member order.  Per class,
+    ``config.state_groups``, pi each one's ``config.group_pi``.  Per class,
     one a column per group with f1 = g1, then one b column per group whose
     drain set holds the class."""
     k_dest = config.shape.num_destinations
@@ -393,7 +392,7 @@ def lp_layout(config: NetworkConfig) -> LpLayout:
         group_of += fill + drain
     fills = np.array([col[0] == "a" for col in columns], dtype=bool)
     class_of, group_of = np.array(class_of, dtype=int), np.array(group_of, dtype=int)
-    pi = np.array([reduce(add, (config.fading[f] for f in states), 0.0) for states in members])[group_of]
+    pi = np.array(config.group_pi)[group_of]
     scheme = (np.array(classes, dtype=int) // n_g1)[class_of]
 
     j = np.arange(len(columns))

@@ -46,13 +46,18 @@ is printed, in ``summary_dict``.
 
 A drift probe gives E[V(next) - V(probe)] at a fixed probe exactly: the
 sum over the (f1, D(f2)) groups of the same table, with one
-``choose`` call each, of p * (sum_k E[(Qs_k - s_k + a_k)+^2] - Qs_k^2 +
-N * (r_m . 1)^2 * (Q'^2 - Q^2)).  The action takes s_k = r_m^k * T bits on
-a first hop into queue c, m = c // |F|^N, else none, and moves queue c
+``choose`` call each, of p_G * (N * (r_m . 1)^2 * (Q'^2 - Q^2) +
+sum_k E[(Qs_k - s_k + a_k)+^2] - Qs_k^2), p_G the group's entry of
+``NetworkConfig.group_pi``.  The action takes s_k = r_m^k * T bits on a
+first hop into queue c, m = c // |F|^N, else none, and moves queue c
 alone, to Q' = Q + T or (Q - T)+.  Arrivals are independent across
 destinations and of the fading, so each destination has one closed-form
-expectation, next to its draw.  Each term is a change, e (2x + e), never a
-difference of squares, so no large squares cancel.
+expectation, next to its draw, and it depends on the group only through
+the send: a call keeps a table of the terms per send, filled the first
+time a group makes that send, so at most K * (M + 1) closed forms are
+evaluated however many groups there are.  A group's change starts from
+its relay term and adds the K terms k ascending.  Each term is a change,
+e (2x + e), never a difference of squares, so no large squares cancel.
 
 The relay series sum one relay's queue: every relay holds a copy of each
 buffered packet, so a packet counts once in the backlog.  Only the
@@ -399,7 +404,6 @@ def run(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as ValueError
 def drift_check(
     config: NetworkConfig,
     arrivals: ArrivalConfig,
@@ -422,27 +426,32 @@ def drift_check(
             f"the probe's queues must have shapes {(k_dest,)} and {relay_shape}, "
             f"got {probe_state.source.shape} and {probe_state.relay.shape}"
         )
-    for queue in (probe_state.source, probe_state.relay):
-        if not (np.isfinite(queue).all() and (queue >= 0.0).all()):
-            raise ValueError("probe queues must be finite and non-negative")
+    qs, rows = probe_state.source.tolist(), probe_state.relay.tolist()
+    q = [x for row in rows for x in row]
+    if not all(0.0 <= x < math.inf for x in qs + q):
+        raise ValueError("probe queues must be finite and non-negative")
     T = config.shape.block_length
     n_relays = config.shape.num_relays
-    source = probe_state.source
-    weighted = probe_state.relay * config.rate_sums[:, None]
-    v0 = float((source * source).sum() + n_relays * (weighted * weighted).sum())
+    w = config.rate_sums.tolist()
+    v0 = sum(x * x for x in qs) + n_relays * sum((wm * x) * (wm * x) for wm, row in zip(w, rows) for x in row)
     if not math.isfinite(v0):
         raise ValueError("the probe's potential V overflows the float range")
-    qs, q = source.tolist(), probe_state.relay.ravel().tolist()
-    w2 = (config.rate_sums * config.rate_sums).tolist()
+    arrival = {}  # the send's scheme m, -1 for none -> sum_k's terms, k ascending
     drift = 0.0
-    for entry, states in zip(config.decision_table[0], config.state_groups[1]):
+    for entry, pi in zip(config.decision_table[0], config.group_pi):
         code, c = choose(qs, q, entry, n_relays, False)[:2]
         m = c // n_g1
         new = q[c] + T if code == 0 else max(q[c] - T, 0.0)
-        change = n_relays * w2[m] * ((new - q[c]) * (new + q[c]))
-        for k, x in enumerate(qs):
-            change += _expected_square_change(arrivals, k, T, x, config.schemes[m][k] * T if code == 0 else 0.0)
-        drift += sum(config.fading[f] for f in states) * change
+        change = n_relays * (w[m] * w[m]) * ((new - q[c]) * (new + q[c]))
+        send = m if code == 0 else -1
+        if send not in arrival:
+            arrival[send] = [
+                _expected_square_change(arrivals, k, T, x, config.schemes[m][k] * T if code == 0 else 0.0)
+                for k, x in enumerate(qs)
+            ]
+        for term in arrival[send]:
+            change += term
+        drift += pi * change
     if not math.isfinite(drift):
         raise ValueError("the drift estimate overflows the float range")
     return DriftEstimate(mean=drift, stderr=0.0, samples=samples)

@@ -43,7 +43,12 @@ formats each distinct bit pattern of a chunk once.
 every fading state and every point of the finite arrival support, weighted
 by its probability, of V(next) - V(probe) after one ``decide``, one pure
 queue update and one full potential.  It is the spec of ``sim.drift_check``,
-which sums per destination in closed form.
+which sums per destination in closed form.  ``drift_spec`` is that closed
+form evaluated per group: one ``choose`` call, the relay term and one
+``sim._expected_square_change`` call per destination, each group's pi
+added in member order by ``reduce(add)``; ``drift_check``, which evaluates
+each (destination, send) expectation once per call and reads
+``NetworkConfig.group_pi``, must equal it bit for bit.
 
 ``ratio_row`` is the simplex's ratio test written in numpy, the reference
 for the package's one-pass loop over Python floats.
@@ -65,6 +70,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -72,7 +79,7 @@ from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choos
 from coopsim.model import fading_indices
 from coopsim.queueing import QueueState
 from coopsim.region import PIVOT_TOL, DegeneracyError
-from coopsim.sim import METRICS_COLUMNS, Metrics, _draws, snapshot_header
+from coopsim.sim import METRICS_COLUMNS, Metrics, _draws, _expected_square_change, snapshot_header
 
 # ---------------------------------------------------------------------------
 # the spec-level model: pure queue updates on a QueueState, the controller's
@@ -423,6 +430,28 @@ def expected_drift(config, arrivals, probe_state):
                 nxt = apply_second_hop(probe_state, a, m, g1)
             terms.append(p_action * p_arr * (lyapunov(nxt) - v0))
     return math.fsum(terms)
+
+
+def drift_spec(config, arrivals, probe_state):
+    """The exact drift as a sum over the (f1, D(f2)) groups, one group at a
+    time: p_G * (N (r_m . 1)^2 (Q'^2 - Q^2) + sum_k E[(Qs_k - s_k + a_k)+^2]
+    - Qs_k^2), the relay term first, then the destinations k ascending, with
+    p_G the members' p added in member order from 0.0."""
+    T = config.shape.block_length
+    n_relays = config.shape.num_relays
+    n_g1 = len(config.first_hop_space)
+    qs, q = probe_state.source.tolist(), probe_state.relay.ravel().tolist()
+    w2 = (config.rate_sums * config.rate_sums).tolist()
+    drift = 0.0
+    for entry, states in zip(config.decision_table[0], config.state_groups[1]):
+        code, c = choose(qs, q, entry, n_relays, False)[:2]
+        m = c // n_g1
+        new = q[c] + T if code == 0 else max(q[c] - T, 0.0)
+        change = n_relays * w2[m] * ((new - q[c]) * (new + q[c]))
+        for k, x in enumerate(qs):
+            change += _expected_square_change(arrivals, k, T, x, config.schemes[m][k] * T if code == 0 else 0.0)
+        drift += reduce(add, (config.fading[f] for f in states), 0.0) * change
+    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,26 @@ def test_simulate_overflowing_run_exits_2(tmp_path, capsys, config, lam, arrival
     assert list(tmp_path.iterdir()) == []  # neither metrics.csv nor the --queues file
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["region"], ["drift-check", "--lambda", "1"], ["simulate", "--lambda", "1", "--horizon", "10"]],
+)
+def test_rate_whose_square_overflows_exits_2(tmp_path, capsys, command):
+    # (1e200)^2 overflows: the config is refused before any LP, probe or block
+    p = tmp_path / "huge_rate.json"
+    p.write_text(json.dumps(make_doc(rates=((1e200,),))))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command[0], str(p), *command[1:], *(["--out", str(out)] if command[0] == "simulate" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coopsim: config error [rate-overflow]: scheme 0: ")
+    assert captured.err.count("\n") == 1 and "RuntimeWarning" not in captured.err
+    assert [w.category.__name__ for w in caught] == []
+    assert not out.exists()
+
+
 HUGE_MEAN_ERROR = (
     "coopsim: error: destination 0: uniform-integer mean 4.7e+18 bits per block (rate times T=10)"
     " must be below 2**62 = 4611686018427387904\n"

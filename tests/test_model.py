@@ -102,6 +102,28 @@ def test_negative_integer_beyond_float_range_shown_as_minus_inf():
     assert (exc.value.code, str(exc.value)) == ("non-finite-rate", "scheme 0 rate must be a finite number, got -inf")
 
 
+@pytest.mark.parametrize(
+    "T,rates,squared",
+    [
+        (1, (1e154, 1e154), "rate sum 2e+154"),  # each r^2 and (r T)^2 fits, (r . 1)^2 does not
+        (10, (5e153,), "rate times T=10"),  # (r . 1)^2 fits, (r T)^2 does not
+        (1, (1e200,), "rate sum 1e+200"),
+    ],
+)
+def test_rates_whose_square_overflows_rejected(T, rates, squared):
+    doc = make_doc(k=len(rates), T=T, rates=(rates,))
+    with pytest.raises(cs.ConfigError) as exc:
+        cs.validate_config(doc)
+    assert exc.value.code == "rate-overflow"
+    assert str(exc.value).startswith("scheme 0: the square of its")
+    assert squared in str(exc.value)
+
+
+def test_rates_whose_squares_fit_accepted():
+    config = cs.validate_config(make_doc(k=2, T=1, rates=((1e154, 3e153),)))
+    assert math.isfinite(config.rate_sums[0] ** 2)
+
+
 def test_zero_rate_vector_rejected_multidest():
     doc = make_doc(k=2, rates=((0.0, 0.0),))
     with pytest.raises(cs.ConfigError) as exc:

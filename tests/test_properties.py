@@ -2,7 +2,9 @@
 random support): the controller against ``oracles.bruteforce_decide``,
 ``NetworkConfig.state_groups`` and ``decision_table`` against the per-state
 ``oracles.state_entry`` and the region LP's time rows,
-the pure ``oracles.apply_*`` updates against their bit-accounting
+``sim.drift_check`` against the per-group ``oracles.drift_spec`` bit for
+bit, ``NetworkConfig.group_pi`` against ``reduce(add)`` over each group's
+members, the pure ``oracles.apply_*`` updates against their bit-accounting
 rules, ``sim._relay_rows``, the chunk rebuild of the relay queues,
 against a copy of the queues after every block, and the simplex's ratio
 test ``region._ratio_row`` against ``oracles.ratio_row`` in numpy, and
@@ -15,6 +17,8 @@ over relays, n ascending, on a shape no shipped config has.
 """
 
 import io
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
-from coopsim.sim import CHUNK, _relay_rows, write_metrics_csv  # noqa: E402
+from coopsim.sim import CHUNK, DISTRIBUTIONS, _relay_rows, write_metrics_csv  # noqa: E402
 from configs import small_configs, small_docs, without_zero_rows  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
@@ -34,6 +38,7 @@ from oracles import (  # noqa: E402
     check_decision_table,
     check_fading_indices,
     decide,
+    drift_spec,
     ratio_row,
     reference_run,
     write_metrics_csv_spec,
@@ -78,6 +83,34 @@ def test_decide_matches_bruteforce(case):
 @hypothesis.given(small_configs())
 def test_decision_table_matches_spec(config):
     check_decision_table(config)
+
+
+# empty queues, relay queues below T = 10 (a second hop empties them), and
+# backlogs large enough that no arrival empties a source queue
+DRIFT_QUEUE = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e4), st.floats(1e6, 1e12))
+
+
+@st.composite
+def drift_cases(draw):
+    """A probe on a small config and arrivals under one of the three laws."""
+    state = draw(probes(DRIFT_QUEUE))
+    k = state.config.shape.num_destinations
+    rates = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0)), min_size=k, max_size=k))
+    return state, cs.ArrivalConfig(rates=rates, distribution=draw(st.sampled_from(DISTRIBUTIONS)))
+
+
+@SETTINGS
+@hypothesis.given(drift_cases())
+def test_drift_check_equals_the_per_group_spec(case):
+    state, arrivals = case
+    assert cs.drift_check(state.config, arrivals, state, 1).mean == drift_spec(state.config, arrivals, state)
+
+
+@SETTINGS
+@hypothesis.given(small_configs())
+def test_group_pi_adds_each_group_in_member_order(config):
+    members = config.state_groups[1]
+    assert config.group_pi == tuple(reduce(add, (config.fading[f] for f in states), 0.0) for states in members)
 
 
 @SETTINGS

@@ -138,7 +138,7 @@ def test_zero_probability_states_add_no_rows():
 
 # -- per-config views ------------------------------------------------------
 
-CACHED_VIEWS = ("drain_cells", "state_groups", "lp_layout")
+CACHED_VIEWS = ("drain_cells", "state_groups", "group_pi", "lp_layout")
 
 
 def test_queries_on_one_config_match_fresh_configs():
@@ -151,6 +151,23 @@ def test_queries_on_one_config_match_fresh_configs():
     for query, arg in queries:
         got, want = query(shared, arg), query(cs.load_config(CONFIG_DIR / "desk.json"), arg)
         assert (got.value, got.x.tobytes(), got.stats) == (want.value, want.x.tobytes(), want.stats)
+
+
+def test_layout_entries_carry_group_pi(desk):
+    # each a or b column's flow entry is +-pi_G and each rate entry -pi_G r_m^k,
+    # pi_G the column's group's entry of the cached group_pi
+    layout = desk.lp_layout
+    matrix = np.zeros(layout.shape)
+    matrix.flat[layout.cells] = layout.values
+    members = desk.state_groups[1]
+    k_dest = desk.shape.num_destinations
+    flows = matrix[layout.flows]
+    for j, (family, m, _, states) in enumerate(layout.columns):
+        pi = desk.group_pi[members.index(states)]
+        (row,) = np.flatnonzero(flows[:, j])
+        assert flows[row, j] == (pi if family == "a" else -pi)
+        rates = [-pi * r for r in desk.schemes[m]] if family == "a" else [0.0] * k_dest
+        assert matrix[:k_dest, j].tolist() == rates
 
 
 def test_cached_layout_is_read_only(desk):

@@ -6,7 +6,9 @@ raw bytes (so the sign of every zero and every -inf counts), scalars the
 same way, and ``final_state`` through both of its arrays.  ``drift_check``,
 a closed-form sum, is held within 1e-12 relative to the exactly enumerated
 ``oracles.expected_drift``, and where the arrival support is too large to
-list, to the same sum taken in ``fractions.Fraction``.
+list, to the same sum taken in ``fractions.Fraction``.  On desk it decides
+once per state group, evaluates each (destination, send) closed form at
+most once and reads each group's p from ``NetworkConfig.group_pi`` alone.
 """
 
 import dataclasses
@@ -261,6 +263,28 @@ def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
     expected = [state_entry(desk, members[0]) for members in groups.values()]
     assert all(state_entry(desk, f) == entry for members, entry in zip(groups.values(), expected) for f in members)
     assert sorted(map(repr, entries)) == sorted(map(repr, expected))
+
+
+def test_drift_check_evaluates_each_arrival_term_once(monkeypatch):
+    config = cs.load_config(CONFIG_DIR / "desk.json")  # fresh: its fading table is taken away below
+    cases = [(probe, cs.ArrivalConfig(rates=(rate, rate))) for probe, rate in _desk_probes(config)]
+    wants = [cs.drift_check(config, arrivals, probe, 2).mean for probe, arrivals in cases]
+    object.__setattr__(config, "fading", None)  # every group's p must come from group_pi
+    real = sim._expected_square_change
+    for (probe, arrivals), want in zip(cases, wants):
+        entries, terms = [], []
+
+        def counting(cfg, k, T, x, s):
+            terms.append((k, s))
+            return real(cfg, k, T, x, s)
+
+        monkeypatch.setattr(sim, "choose", _recording_choose(entries))
+        monkeypatch.setattr(sim, "_expected_square_change", counting)
+        assert cs.drift_check(config, arrivals, probe, 2).mean == want
+        # one choose per group; at most K * (M + 1) = 8 distinct (destination, send) terms
+        assert len(entries) == len(config.state_groups[0]) == 12
+        assert 0 < len(terms) == len(set(terms)) <= 2 * (len(config.schemes) + 1) == 8
+        assert {s for _, s in terms} <= {r * 10 for rates in config.schemes for r in rates} | {0.0}
 
 
 def test_run_and_drift_check_build_the_decision_table_once(monkeypatch):
