@@ -18,6 +18,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +135,7 @@ def _witness_records(config, wit) -> dict:
         weights = drain.get((m, g1))
         if not weights:
             weights = {t[2]: 1.0 for t in sorted(config.support) if t[:2] == (m, g1)}
-        total = sum(weights.values())
+        total = reduce(add, weights.values(), 0.0)  # in dict order, the same on every Python
         a += [(f, m, g1, g2, val * w / total) for g2, w in weights.items()]
     b = [(f, m, g1, f[1], val) for (f, m, g1), val in wit.b.items()]
 

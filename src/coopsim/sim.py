@@ -17,13 +17,13 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
 
 The block loop keeps the state's one relay queue as a flat list of length
 M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
-block it calls ``controller.choose`` on the entry of the state's
-(f1, D(f2)) group in the config's cached ``decision_table``, and applies
-the exact queue updates (given in ``queueing``) inline.  Queues start
-empty and move only in whole multiples of the integer T.  An action writes
-at most one relay queue, so per block the loop records three things:
-``choose``'s (variant code, c, A, B), the new source queues (appended to
-one flat list) and the new value of queue c.
+block it calls the step ``controller.chooser(K)``, bound once per run, on
+the entry of the state's (f1, D(f2)) group in the config's cached
+``decision_table``, and applies the exact queue updates (given in
+``queueing``) inline.  Queues start empty and move only in whole multiples
+of the integer T.  An action writes at most one relay queue, so per block
+the loop records three things: the step's (variant code, c, A, B), the new
+source queues (appended to one flat list) and the new value of queue c.
 
 After each chunk of blocks, ``_relay_rows`` rebuilds the relay queue after
 every block from the row at the chunk's start: it scatters each block's
@@ -39,15 +39,17 @@ the running total.  ``accumulate`` adds strictly in sequence, so the sums
 are those of the running d + sent * r_m^k.  One writer, ``_write_rows``,
 formats a chunk's floats for the snapshot rows and metrics.csv alike: the
 repr of each distinct float64 bit pattern of the chunk, so no memo
-outlives a chunk and memory stays flat in the horizon.  The decision
-columns m and g1 are split from c after the loop, and the final state is
-the flat queue reshaped to (M, |F|^N).  The summary is derived where it
-is printed, in ``summary_dict``.
+outlives a chunk and memory stays flat in the horizon, and writes them
+with the leading text columns (metrics.csv's from arrays of names, where
+index -1 reads "") as one string.  The decision columns m and g1 are split
+from c after the loop, and the final state is the flat queue reshaped to
+(M, |F|^N).  The summary is derived where it is printed, in
+``summary_dict``.
 
 A drift probe gives E[V(next) - V(probe)] at a fixed probe exactly: the
-sum over the (f1, D(f2)) groups of the same table, with one
-``choose`` call each, of p_G * (N * (r_m . 1)^2 * (Q'^2 - Q^2) +
-sum_k E[(Qs_k - s_k + a_k)+^2] - Qs_k^2), p_G the group's entry of
+sum over the (f1, D(f2)) groups of the same table, with one step each, of
+p_G * (N * (r_m . 1)^2 * (Q'^2 - Q^2) + sum_k E[(Qs_k - s_k + a_k)+^2] -
+Qs_k^2), p_G the group's entry of
 ``NetworkConfig.group_pi``.  The action takes s_k = r_m^k * T bits on a
 first hop into queue c, m = c // |F|^N, else none, and moves queue c
 alone, to Q' = Q + T or (Q - T)+.  Arrivals are independent across
@@ -78,7 +80,7 @@ from operator import add
 
 import numpy as np
 
-from .controller import VARIANT_NAMES, choose
+from .controller import VARIANT_NAMES, chooser
 from .model import NetworkConfig, fading_indices
 from .queueing import QueueState
 
@@ -171,8 +173,8 @@ class Metrics:
     relay_backlog: np.ndarray = None  # one relay's symbols: a packet counts once, not N times
     relay_backlog_bits: np.ndarray = None  # the same symbols weighted by each queue's r_m . 1
     lyapunov: np.ndarray = None
-    variants: np.ndarray = None  # choose()'s codes into VARIANT_NAMES
-    decision_m: np.ndarray = None  # c // |F|^N of choose()'s queue index c, -1 when idle
+    variants: np.ndarray = None  # the step's codes into VARIANT_NAMES
+    decision_m: np.ndarray = None  # c // |F|^N of the step's queue index c, -1 when idle
     decision_g1: np.ndarray = None  # c % |F|^N, an index into g1_space, on a second hop only; else -1
     weight_first: np.ndarray = None
     weight_second: np.ndarray = None
@@ -319,6 +321,7 @@ def run(
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     table, group_of = config.decision_table
+    choose = chooser(k_dest)
     cell_rates = np.repeat(config.rates, n_g1, axis=0)  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
@@ -373,7 +376,7 @@ def run(
         steps = np.minimum(T, rows[second, drained])[:, None] * cell_rates[drained]
         delivered = np.add.accumulate(np.vstack((delivered, steps)), axis=0)[-1]
         if snapshot_sink is not None:
-            _write_rows(snapshot_sink, (f"{t}," for t in range(lo, hi)), np.concatenate((source, relay), axis=1))
+            _write_rows(snapshot_sink, [list(map(str, range(lo, hi)))], np.concatenate((source, relay), axis=1))
 
     offered = arr.sum(axis=1)
     # A finite V bounds a block's arrivals and deliveries by 2 sqrt(V) < 3e154
@@ -436,6 +439,7 @@ def drift_check(
     v0 = sum(x * x for x in qs) + n_relays * sum((wm * x) * (wm * x) for wm, row in zip(w, rows) for x in row)
     if not math.isfinite(v0):
         raise ValueError("the probe's potential V overflows the float range")
+    choose = chooser(k_dest)
     arrival = {}  # the send's scheme m, -1 for none -> sum_k's terms, k ascending
     drift = 0.0
     for entry, pi in zip(config.decision_table[0], config.group_pi):
@@ -471,18 +475,20 @@ def snapshot_header(config: NetworkConfig) -> list[str]:
 
 
 def _write_rows(fh, heads, values) -> None:
-    """One CSV line per row of the float64 matrix ``values``: its head, then
-    the repr of each value, comma-separated.  Each distinct bit pattern is
-    formatted once, so -0.0 keeps its own text."""
+    """One CSV line per row of the float64 matrix ``values``: its entry in
+    each str column of ``heads``, then the repr of each value, comma-separated.
+    Each distinct bit pattern is formatted once, so -0.0 keeps its own text."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse.ravel()]
-    fh.writelines(f"{head}{','.join(row)}\n" for head, row in zip(heads, texts.reshape(values.shape).tolist()))
+    fh.write("\n".join(map(",".join, zip(*heads, *texts.reshape(values.shape).T.tolist()))) + "\n")
 
 
 def write_metrics_csv(metrics: Metrics, fh) -> None:
     """Frozen column order; floats use shortest round-trip formatting."""
     fh.write(",".join(METRICS_COLUMNS) + "\n")
-    g1_names = ["|".join(g1) for g1 in metrics.g1_space]
+    names = [np.array(VARIANT_NAMES, dtype=object)]
+    names.append(np.array([*map(str, range(metrics.decision_m.max() + 1)), ""], dtype=object))
+    names.append(np.array(["|".join(g1) for g1 in metrics.g1_space] + [""], dtype=object))
     decisions = (metrics.variants, metrics.decision_m, metrics.decision_g1)
     floats = (
         metrics.weight_first,
@@ -493,9 +499,9 @@ def write_metrics_csv(metrics: Metrics, fh) -> None:
         metrics.lyapunov,
     )
     for lo in range(0, metrics.horizon, CHUNK):
-        rows = zip(range(lo, metrics.horizon), *(c[lo:lo + CHUNK].tolist() for c in decisions))
-        heads = (f"{t},{VARIANT_NAMES[v]},{'' if m < 0 else m},{'' if g1 < 0 else g1_names[g1]}," for t, v, m, g1 in rows)
-        _write_rows(fh, heads, np.stack([c[lo:lo + CHUNK] for c in floats], axis=1))
+        hi = min(lo + CHUNK, metrics.horizon)
+        heads = [list(map(str, range(lo, hi)))] + [t[c[lo:hi]].tolist() for t, c in zip(names, decisions)]
+        _write_rows(fh, heads, np.stack([c[lo:hi] for c in floats], axis=1))
 
 
 def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:

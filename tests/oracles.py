@@ -8,8 +8,11 @@ and never mutate their input; ``state_entry`` is the entry
 ``controller.decision_table`` holds for one fading state's group, written
 per state from the raw support triples, and ``check_decision_table`` holds
 ``NetworkConfig.state_groups``, ``NetworkConfig.decision_table`` and the
-region LP's time rows to it; ``decide`` is ``controller.choose`` on
-a ``QueueState`` and any (f1, f2), on that entry, returning a
+region LP's time rows to it; ``choose_spec`` is the controller's rule as
+a loop over the K destinations, the spec of the step
+``controller.chooser`` compiles per K, and ``step_bits`` is a step's
+result with its weights as bytes; ``decide`` is that step on a
+``QueueState`` and any (f1, f2), on that entry, returning a
 ``Decision``; ``lyapunov`` is the quadratic potential V.  The package
 applies the same updates inline in ``sim.run``, and these are what it is
 checked against.
@@ -27,7 +30,7 @@ and picks the maximum under the documented preference order.
 
 ``reference_run`` is the simulator's block loop written with
 ``bruteforce_decide`` (``sim.run`` and ``decide`` share one rule,
-``controller.choose``, so ``decide`` would check that rule against
+``controller.chooser``'s, so ``decide`` would check that rule against
 itself), the pure ``apply_*`` updates, ``lyapunov`` and numpy reductions
 over the state's one ``(M, |F|^N)`` relay array for every other series.
 It records each block's scheme m and first-hop state g1 as it decides
@@ -44,7 +47,7 @@ every fading state and every point of the finite arrival support, weighted
 by its probability, of V(next) - V(probe) after one ``decide``, one pure
 queue update and one full potential.  It is the spec of ``sim.drift_check``,
 which sums per destination in closed form.  ``drift_spec`` is that closed
-form evaluated per group: one ``choose`` call, the relay term and one
+form evaluated per group: one ``chooser`` step, the relay term and one
 ``sim._expected_square_change`` call per destination, each group's pi
 added in member order by ``reduce(add)``; ``drift_check``, which evaluates
 each (destination, send) expectation once per call and reads
@@ -69,13 +72,14 @@ local refinement converges to the global optimum.
 import bisect
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 import numpy as np
 
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, choose
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, VARIANT_NAMES, chooser
 from coopsim.model import fading_indices
 from coopsim.queueing import QueueState
 from coopsim.region import PIVOT_TOL, DegeneracyError
@@ -223,10 +227,41 @@ class Decision:
     weight_second: float  # B, -inf when no drainable queue exists
 
 
+def choose_spec(src, q, entry, n_relays, allow_idle) -> tuple:
+    """The rule as a loop over the K destinations: (variant code, flat index,
+    A, B), the spec of each step ``controller.chooser`` compiles."""
+    first, drains = entry
+    for i, (c, r) in enumerate(first):
+        col = n_relays * q[c]
+        w = 0.0
+        for x, rk in zip(src, r):
+            w += (x - rk * col) * rk
+        if i == 0 or w > a:
+            a, fill = w, c
+    b = -math.inf
+    for c, w2 in drains:
+        w = w2 * (n_relays * q[c])
+        if w > b:
+            b, drain = w, c
+    if allow_idle and a <= 0.0 and b <= 0.0:
+        return 2, -1, a, b
+    if a >= b:
+        return 0, fill, a, b
+    return 1, drain, a, b
+
+
+def step_bits(step) -> tuple:
+    """A step's (code, index, A, B) with A and B as their IEEE bytes, so
+    comparing two steps tells -0.0 from 0.0."""
+    code, c, a, b = step
+    return code, c, struct.pack("<d", a), struct.pack("<d", b)
+
+
 def decide(state: QueueState, f, allow_idle: bool = False) -> Decision:
-    """``controller.choose`` on a queue state and fading state f = (f1, f2)."""
+    """``controller.chooser``'s rule on a queue state and fading state f = (f1, f2)."""
     cfg = state.config
     q = state.relay.ravel().tolist()
+    choose = chooser(cfg.shape.num_destinations)
     code, c, a, b = choose(state.source.tolist(), q, state_entry(cfg, f), cfg.shape.num_relays, allow_idle)
     variant = VARIANT_NAMES[code]
     if variant == IDLE:
@@ -442,6 +477,7 @@ def drift_spec(config, arrivals, probe_state):
     n_g1 = len(config.first_hop_space)
     qs, q = probe_state.source.tolist(), probe_state.relay.ravel().tolist()
     w2 = (config.rate_sums * config.rate_sums).tolist()
+    choose = chooser(config.shape.num_destinations)
     drift = 0.0
     for entry, states in zip(config.decision_table[0], config.state_groups[1]):
         code, c = choose(qs, q, entry, n_relays, False)[:2]

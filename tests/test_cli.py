@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import runpy
 import sys
 import warnings
@@ -175,6 +176,22 @@ def test_witness_records_split_undrained_class_evenly(toy_goodbad):
     records = _witness_records(cfg, wit)
     assert [(r["g2"], r["value"]) for r in records["a"]] == [(["B"], 0.25), (["G"], 0.25)]
     assert records["b"] == []
+
+
+def test_witness_records_add_the_weights_in_order():
+    # drain weights 0.1, 0.2, 0.3: added in order from 0.0 they make
+    # 0.6000000000000001, while a compensated sum (math.fsum, or builtin sum()
+    # from Python 3.12 on) makes 0.6; the split must use the sequential total
+    f = [(("a",), (g,)) for g in "abc"]
+    states = [{"f1": ["a"], "f2": [g], "p": p} for g, p in zip("abc", (0.1, 0.2, 0.3))]
+    cfg = cs.validate_config(make_doc(alphabet=("a", "b", "c"), states=[*states, {"f1": ["b"], "f2": ["a"], "p": 0.4}]))
+    weights = [cfg.probability(x) for x in f]
+    total = ((0.0 + weights[0]) + weights[1]) + weights[2]
+    assert total != math.fsum(weights)
+    wit = cs.RegionWitness("optimal", "slack", 0.0, a={(f[0], 0, ("a",)): 0.7}, b={(x, 0, ("a",)): 1.0 for x in f})
+    records = _witness_records(cfg, wit)
+    assert [r["value"] for r in records["a"]] == [0.7 * w / total for w in weights]
+    assert [0.7 * w / total for w in weights] != [0.7 * w / math.fsum(weights) for w in weights]
 
 
 def test_region_pinned_direction(capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, chooser
 from configs import make_doc, sparse_config, zero_gap_config
-from oracles import bruteforce_decide, check_decision_table, decide, lyapunov, state_entry
+from oracles import bruteforce_decide, check_decision_table, choose_spec, decide, lyapunov, state_entry, step_bits
 
 
 def _two_scheme_cfg(support="all"):
@@ -303,3 +303,24 @@ def test_no_first_hop_fills_an_undrainable_class():
         f1 = [cfg.g1_index[cfg.sorted_states[i][0]] for i in m.fading_state_idx[first].tolist()]
         filled = set((m.decision_m[first] * n_g1 + np.array(f1, dtype=np.int32)).tolist())
         assert filled <= drained, (seed, sorted(filled - drained), m.final_state.relay.tolist())
+
+
+def test_chooser_compiles_and_matches_the_spec_at_5000_destinations():
+    k = 5000
+    rng = np.random.default_rng(11)
+    src = rng.uniform(0.0, 1e4, k).tolist()
+    q = rng.uniform(0.0, 1e3, 6).tolist()
+    first = tuple((c, tuple(rng.uniform(0.0, 3.0, k).tolist())) for c in (0, 2, 4))
+    entry = (first, ((1, 2.5), (4, 7.0)))
+    for allow_idle in (False, True):
+        args = (src, q, entry, 2, allow_idle)
+        assert step_bits(chooser(k)(*args)) == step_bits(choose_spec(*args))
+
+
+def test_chooser_is_compiled_once_per_k(desk):
+    assert chooser(2) is chooser(2)
+    misses = chooser.cache_info().misses
+    arrivals = cs.ArrivalConfig(rates=(1.0, 1.0))
+    cs.run(desk, arrivals, 300, 0)
+    cs.run(desk, arrivals, 300, 1)
+    assert chooser.cache_info().misses == misses

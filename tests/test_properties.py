@@ -1,5 +1,7 @@
 """Property tests on random small configs (N <= 3, K <= 2, sparse tables,
 random support): the controller against ``oracles.bruteforce_decide``,
+the step ``controller.chooser`` compiles per K against the loop
+``oracles.choose_spec`` bitwise on raw arguments,
 ``NetworkConfig.state_groups`` and ``decision_table`` against the per-state
 ``oracles.state_entry`` and the region LP's time rows,
 ``sim.drift_check`` against the per-group ``oracles.drift_spec`` bit for
@@ -27,6 +29,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import coopsim as cs  # noqa: E402
+from coopsim.controller import chooser  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
 from coopsim.sim import CHUNK, DISTRIBUTIONS, _relay_rows, write_metrics_csv  # noqa: E402
 from configs import small_configs, small_docs, without_zero_rows  # noqa: E402
@@ -37,10 +40,12 @@ from oracles import (  # noqa: E402
     bruteforce_decide,
     check_decision_table,
     check_fading_indices,
+    choose_spec,
     decide,
     drift_spec,
     ratio_row,
     reference_run,
+    step_bits,
     write_metrics_csv_spec,
 )
 
@@ -77,6 +82,32 @@ def test_decide_matches_bruteforce(case):
     state, f = case
     d = decide(state, f)
     assert (d.variant, d.m, d.g1, d.weight_first, d.weight_second) == bruteforce_decide(state, f)
+
+
+# weights that tie often, both zeros, and arbitrary floats
+STEP_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 10.0]), st.floats(0.0, 1e4))
+
+
+@st.composite
+def step_cases(draw):
+    """Raw arguments of a compiled step: K in {1, 2, 3, 9}, up to 4 schemes
+    over up to 4 flat queues, a drain set that may be empty."""
+    k = draw(st.sampled_from([1, 2, 3, 9]))
+    cells = draw(st.integers(1, 4))
+    index = st.integers(0, cells - 1)
+    rates = st.tuples(*[STEP_VALUE] * k)
+    first = draw(st.lists(st.tuples(index, rates), min_size=1, max_size=4))
+    drains = draw(st.lists(st.tuples(index, STEP_VALUE), max_size=4))
+    src = draw(st.lists(STEP_VALUE, min_size=k, max_size=k))
+    q = draw(st.lists(STEP_VALUE, min_size=cells, max_size=cells))
+    return src, q, (tuple(first), tuple(drains)), draw(st.integers(1, 3)), draw(st.booleans())
+
+
+@SETTINGS
+@hypothesis.given(step_cases())
+def test_compiled_step_equals_the_loop_spec_bitwise(case):
+    src = case[0]
+    assert step_bits(chooser(len(src))(*case)) == step_bits(choose_spec(*case))
 
 
 @SETTINGS

@@ -235,12 +235,19 @@ def test_expected_drift_point_mass(toy_single):
     assert est.mean == expected_drift(toy_single, arrivals, probe)
 
 
-def _recording_choose(entries):
-    def recording_choose(src, q, entry, n_relays, allow_idle):
-        entries.append(entry)
-        return controller.choose(src, q, entry, n_relays, allow_idle)
+def _recording_chooser(entries):
+    """A stand-in for ``controller.chooser`` whose step records each entry."""
 
-    return recording_choose
+    def recording_chooser(k_dest):
+        choose = controller.chooser(k_dest)
+
+        def recording_choose(src, q, entry, n_relays, allow_idle):
+            entries.append(entry)
+            return choose(src, q, entry, n_relays, allow_idle)
+
+        return recording_choose
+
+    return recording_chooser
 
 
 def _no_draw(*args, **kwargs):
@@ -248,9 +255,9 @@ def _no_draw(*args, **kwargs):
 
 
 def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
-    probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls choose once per block
+    probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls the step once per block
     entries = []
-    monkeypatch.setattr(sim, "choose", _recording_choose(entries))
+    monkeypatch.setattr(sim, "chooser", _recording_chooser(entries))
     monkeypatch.setattr(sim.np.random, "default_rng", _no_draw)
     cs.drift_check(desk, cs.ArrivalConfig(rates=(rate, rate)), probe, 5000, seed=1)
     drawable = [f for f in desk.sorted_states if desk.fading[f] > 0.0]
@@ -278,10 +285,10 @@ def test_drift_check_evaluates_each_arrival_term_once(monkeypatch):
             terms.append((k, s))
             return real(cfg, k, T, x, s)
 
-        monkeypatch.setattr(sim, "choose", _recording_choose(entries))
+        monkeypatch.setattr(sim, "chooser", _recording_chooser(entries))
         monkeypatch.setattr(sim, "_expected_square_change", counting)
         assert cs.drift_check(config, arrivals, probe, 2).mean == want
-        # one choose per group; at most K * (M + 1) = 8 distinct (destination, send) terms
+        # one step per group; at most K * (M + 1) = 8 distinct (destination, send) terms
         assert len(entries) == len(config.state_groups[0]) == 12
         assert 0 < len(terms) == len(set(terms)) <= 2 * (len(config.schemes) + 1) == 8
         assert {s for _, s in terms} <= {r * 10 for rates in config.schemes for r in rates} | {0.0}
@@ -310,6 +317,17 @@ def test_run_and_drift_check_build_the_decision_table_once(monkeypatch):
     cs.drift_check(config, arrivals, probe, 2000, seed=2)
     assert tables == [config] and partitions == [config]
     assert len(config.decision_table[0]) == len(config.state_groups[0]) == 12
+
+
+def test_run_matches_reference_at_5000_destinations():
+    # the compiled step's source grows with K; thousands of destinations still run
+    k = 5000
+    rates = (tuple(np.linspace(0.5, 1.5, k).tolist()), (1.0,) * k)
+    states = [{"f1": [g], "f2": [g] * k, "p": 0.5} for g in "ab"]  # not the 2 * 2**5000 product
+    support = [{"m": m, "g1": [g], "g2": [g] * k} for m in (0, 1) for g in "ab"]
+    config = cs.validate_config(make_doc(k=k, alphabet=("a", "b"), rates=rates, support=support, states=states))
+    arrivals = cs.ArrivalConfig(rates=(1e-3,) * k)
+    assert_bit_identical(cs.run(config, arrivals, 12, 3), reference_run(config, arrivals, 12, 3))
 
 
 # -- the zero-probability clamp ---------------------------------------------
@@ -341,7 +359,7 @@ def test_drift_check_never_draws_zero_probability_state(monkeypatch):
     config = trailing_zero_config()
     entries = []
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed=None: _TopDraws())
-    monkeypatch.setattr(sim, "choose", _recording_choose(entries))
+    monkeypatch.setattr(sim, "chooser", _recording_chooser(entries))
     cs.drift_check(config, cs.ArrivalConfig(rates=(0.5,), distribution="constant"), cs.QueueState.zeros(config), 10)
     # the listed p = 0 state (b, b) would be decided on an entry of its own
     assert state_entry(config, (("b",), ("b",))) != state_entry(config, config.sorted_states[0])
