@@ -2,7 +2,9 @@
 
 Subcommands: region, simulate, sweep, queue-count, drift-check.  Standard
 output carries machine-readable CSV or JSON only; diagnostics go to
-standard error.  Exit codes: 0 ok, 2 bad config or arguments (a horizon
+standard error.  The sweep spec is checked by the config's validators,
+so a bad spec, like a bad config, is a ``ConfigError`` with its code.
+Exit codes: 0 ok, 2 bad config, sweep spec or arguments (a horizon
 too large to allocate included), 3 LP solver failure,
 4 queue-count overflow.  The environment variable
 COOPSIM_OUTPUT_DIR, when set and not empty, overrides the output directory
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +28,9 @@ import numpy as np
 from .model import (
     ConfigError,
     CountOverflowError,
+    _number,
+    _require_keys,
+    _typed,
     load_config,
     parse_json_int,
     queue_count_encoding_based,
@@ -57,33 +61,6 @@ def _vector(text: str, k: int, what: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _spec_list(spec: dict, key: str, default=()) -> list:
-    value = spec.get(key, list(default))
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _spec_number(value, what: str, integral: bool = False):
-    """A finite JSON number, or an integral one; never a boolean or a string.
-    ``json`` reads NaN, Infinity and 1e309 as floats, and an integer may lie
-    beyond the float range: a number that is not finite as a float is refused."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and integral:
-        ok = isinstance(value, int) or value.is_integer()
-    if not ok:
-        raise ValueError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    if integral:
-        return int(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be a finite number, got {number!r}")
-    return number
-
-
 def _out_dir(flag_value: str) -> Path:
     """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``.
     The directory is made when the first file in it is opened, so a run
@@ -111,9 +88,6 @@ class _SnapshotFile:
 
     def write(self, text):
         self._file().write(text)
-
-    def writelines(self, lines):
-        self._file().writelines(lines)
 
 
 def _fmt(x) -> str:
@@ -179,8 +153,6 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     k = config.shape.num_destinations
     lam = _vector(args.lam, k, "lambda")
-    if (lam < 0).any():
-        raise ValueError("lambda must be non-negative")
     arrivals = ArrivalConfig(rates=tuple(lam), distribution=args.arrival)
     out = _out_dir(args.out)
     queues = out / args.queues if args.queues else None
@@ -220,8 +192,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_task(config_path, rates, horizon, seed, allow_idle, load_factor):
-    config = load_config(config_path)
+def _sweep_task(config, rates, horizon, seed, allow_idle, load_factor):
     metrics = run(config, ArrivalConfig(rates=rates), horizon, seed, allow_idle=allow_idle)
     verdict = stability_verdict(metrics)
     return (load_factor, seed, verdict.growth_rate, verdict.verdict)
@@ -232,32 +203,30 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = load_config(args.config)
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh, parse_int=parse_json_int)
-    if not isinstance(spec, dict):
-        raise ValueError("sweep spec must be a JSON object")
-    allowed = {"direction", "load_factors", "horizon", "seeds", "allow_idle"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"unknown sweep field(s) {sorted(unknown)}")
+        spec = _typed(json.load(fh, parse_int=parse_json_int), dict, "sweep spec")
+    _require_keys(spec, {"direction", "load_factors", "horizon", "seeds", "allow_idle"}, "sweep spec")
     k = config.shape.num_destinations
-    direction = [_spec_number(x, "direction entry") for x in _spec_list(spec, "direction", [1.0] * k)]
-    load_factors = [_spec_number(x, "load factor") for x in _spec_list(spec, "load_factors")]
+    raw_direction = _typed(spec.get("direction", [1.0] * k), list, "direction")
+    direction = [_number(x, "direction entry", "bad-sweep-spec") for x in raw_direction]
+    raw_load_factors = _typed(spec.get("load_factors", []), list, "load_factors")
+    load_factors = [_number(x, "load factor", "bad-sweep-spec") for x in raw_load_factors]
     if not load_factors or any(lf <= 0 for lf in load_factors):
-        raise ValueError("load_factors must be a non-empty list of positive numbers")
-    seeds = [_spec_number(s, "seed", integral=True) for s in _spec_list(spec, "seeds")]
+        raise ConfigError("bad-sweep-spec", "load_factors must be a non-empty list of positive numbers")
+    raw_seeds = _typed(spec.get("seeds", []), list, "seeds")
+    seeds = [_number(s, "seed", "bad-sweep-spec", integral=True) for s in raw_seeds]
     if not seeds:
-        raise ValueError("seeds must be a non-empty list")
-    horizon = _spec_number(spec.get("horizon", 0), "horizon", integral=True)
+        raise ConfigError("bad-sweep-spec", "seeds must be a non-empty list")
+    horizon = _number(spec.get("horizon", 0), "horizon", "bad-sweep-spec", integral=True)
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ConfigError("bad-sweep-spec", "horizon must be >= 1")
     allow_idle = spec.get("allow_idle", False)
     if not isinstance(allow_idle, bool):
-        raise ValueError(f"allow_idle must be true or false, got {allow_idle!r}")
+        raise ConfigError("wrong-type", f"allow_idle must be true or false, got {allow_idle!r}")
 
     direction = np.array(direction)
     rho = scale_witness(config, direction).value
     tasks = [
-        (args.config, tuple(lf * rho * direction), horizon, seed, allow_idle, lf)
+        (config, tuple(lf * rho * direction), horizon, seed, allow_idle, lf)
         for lf in load_factors
         for seed in seeds
     ]

@@ -427,13 +427,19 @@ def _assemble(config: NetworkConfig, tag: tuple, kind: str) -> tuple:
     return lp, layout.flows
 
 
+def _finite_vector(config: NetworkConfig, raw, what: str) -> np.ndarray:
+    """``raw`` as a float array of K finite entries."""
+    vec = np.asarray(raw, dtype=float)
+    if vec.shape != (config.shape.num_destinations,):
+        raise ValueError(f"{what} must have {config.shape.num_destinations} entries")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} entries must be finite")
+    return vec
+
+
 def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
     """LP maximizing the interior margin delta of the rate vector lam."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (config.shape.num_destinations,):
-        raise ValueError(f"lambda must have {config.shape.num_destinations} entries")
-    if not np.isfinite(lam).all():
-        raise ValueError("lambda entries must be finite")
+    lam = _finite_vector(config, lam, "lambda")
     if (lam < 0).any():
         raise ValueError("lambda must be non-negative")
 
@@ -449,11 +455,7 @@ def build_slack_lp(config: NetworkConfig, lam) -> LinearProgram:
 
 def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
     """LP maximizing rho with rho * direction achievable (rate rows >=)."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (config.shape.num_destinations,):
-        raise ValueError(f"direction must have {config.shape.num_destinations} entries")
-    if not np.isfinite(direction).all():
-        raise ValueError("direction entries must be finite")
+    direction = _finite_vector(config, direction, "direction")
     if (direction < 0).any() or not (direction > 0).any():
         raise ValueError("direction must be non-negative with at least one positive entry")
 

@@ -344,7 +344,7 @@ def test_simulate_queues_naming_an_output_exits_2(tmp_path, capsys, name):
 
 def test_simulate_bad_lambda(capsys):
     assert main(["simulate", TOY, "--lambda", "-0.5", "--horizon", "10"]) == 2
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == "coopsim: error: arrival rates must be finite and non-negative\n"
 
 
 def test_simulate_non_finite_lambda(tmp_path, capsys):
@@ -557,27 +557,45 @@ def test_sweep_empty_load_factors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec,line",
     [
-        5,
-        [],
-        {"load_factors": 5, "horizon": 10, "seeds": [1]},
-        {"load_factors": ["0.5"], "horizon": 10, "seeds": [1]},
-        {"load_factors": [0.5], "horizon": 10, "seeds": 3},
-        {"load_factors": [0.5], "horizon": 10, "seeds": [1.5]},
-        {"load_factors": [0.5], "horizon": [10], "seeds": [1]},
-        {"load_factors": [0.5], "horizon": True, "seeds": [1]},
-        {"load_factors": [0.5], "horizon": 10, "seeds": [1], "direction": {"a": 1}},
-        {"load_factors": [0.5], "horizon": 10, "seeds": [1], "allow_idle": "no"},
+        (5, "[wrong-type]: sweep spec must be an object, got 5"),
+        ([], "[wrong-type]: sweep spec must be an object, got []"),
+        ({"load_factors": 5, "horizon": 10, "seeds": [1]}, "[wrong-type]: load_factors must be a list, got 5"),
+        (
+            {"load_factors": ["0.5"], "horizon": 10, "seeds": [1]},
+            "[bad-sweep-spec]: load factor must be a finite number, got '0.5'",
+        ),
+        ({"load_factors": [0.5], "horizon": 10, "seeds": 3}, "[wrong-type]: seeds must be a list, got 3"),
+        (
+            {"load_factors": [0.5], "horizon": 10, "seeds": [1.5]},
+            "[non-integral-value]: seed must be an integer, got 1.5",
+        ),
+        (
+            {"load_factors": [0.5], "horizon": [10], "seeds": [1]},
+            "[bad-sweep-spec]: horizon must be a finite number, got [10]",
+        ),
+        (
+            {"load_factors": [0.5], "horizon": True, "seeds": [1]},
+            "[boolean-value]: horizon must be a number, got True",
+        ),
+        (
+            {"load_factors": [0.5], "horizon": 10, "seeds": [1], "direction": {"a": 1}},
+            "[wrong-type]: direction must be a list, got {'a': 1}",
+        ),
+        (
+            {"load_factors": [0.5], "horizon": 10, "seeds": [1], "allow_idle": "no"},
+            "[wrong-type]: allow_idle must be true or false, got 'no'",
+        ),
     ],
+    ids=["5", *(f"spec{i}" for i in range(1, 10))],
 )
-def test_sweep_wrong_spec_types_exit_2(tmp_path, capsys, spec):
+def test_sweep_wrong_spec_types_exit_2(tmp_path, capsys, spec, line):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("coopsim: error: ") and captured.err.count("\n") == 1
+    assert (captured.out, captured.err) == ("", f"coopsim: config error {line}\n")
 
 
 @pytest.mark.parametrize(
@@ -602,7 +620,43 @@ def test_sweep_non_finite_spec_number_exits_2(tmp_path, capsys, value, shown, fi
     )
     assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"coopsim: error: {what} must be a finite number, got {shown}\n")
+    assert (captured.out, captured.err) == (
+        "",
+        f"coopsim: config error [bad-sweep-spec]: {what} must be a finite number, got {shown}\n",
+    )
+
+
+_SPEC = {"load_factors": [0.5], "horizon": 10, "seeds": [1]}
+
+
+@pytest.mark.parametrize(
+    "change,line",
+    [
+        pytest.param({"seeds": "1"}, "[wrong-type]: seeds must be a list, got '1'", id="wrong-type"),
+        pytest.param({"seed": 1}, "[unknown-field]: unknown field(s) ['seed'] in sweep spec", id="unknown-field"),
+        pytest.param({"seeds": [True]}, "[boolean-value]: seed must be a number, got True", id="boolean-value"),
+        pytest.param(
+            {"horizon": 10.5}, "[non-integral-value]: horizon must be an integer, got 10.5", id="non-integral-value"
+        ),
+        # a spec integer beyond the float range is refused, as it is in a config
+        pytest.param(
+            {"seeds": [10**399]}, "[bad-sweep-spec]: seed must be a finite number, got inf", id="400-digit-seed"
+        ),
+        pytest.param(
+            {"load_factors": [0.5, 0.0]},
+            "[bad-sweep-spec]: load_factors must be a non-empty list of positive numbers",
+            id="zero-load-factor",
+        ),
+        pytest.param({"seeds": []}, "[bad-sweep-spec]: seeds must be a non-empty list", id="no-seeds"),
+        pytest.param({"horizon": 0}, "[bad-sweep-spec]: horizon must be >= 1", id="zero-horizon"),
+    ],
+)
+def test_sweep_spec_errors_carry_config_codes(tmp_path, capsys, change, line):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({**_SPEC, **change}))
+    assert main(["sweep", TOY, str(spec_path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"coopsim: config error {line}\n")
 
 
 def test_queue_count_formats(tmp_path, capsys):

@@ -148,10 +148,6 @@ class _DiscardingSink:
     def write(self, text):
         pass
 
-    def writelines(self, lines):
-        for _ in lines:
-            pass
-
 
 def test_snapshot_sink_memory_stays_flat(desk):
     # at 1.5 rho* along (1, 1) the queues grow, so nearly every block brings
