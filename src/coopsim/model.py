@@ -205,6 +205,11 @@ class NetworkConfig:
 
         return lp_layout(self)
 
+    def __reduce__(self):
+        # The five fields, not the cached views: a pickled config (a sweep's
+        # pool task) rebuilds only the views its reader uses.
+        return type(self), (self.shape, self.alphabet, self.fading, self.schemes, self.support)
+
     def probability(self, f) -> float:
         return self.fading.get(f, 0.0)
 

@@ -15,15 +15,20 @@ Arrival models (mean exactly rate_k * T bits per block, bounded support):
                    is plain uniform {0..2*mu} whenever mu is an integer
   bernoulli-batch  2 * mu bits with probability 1/2, else 0
 
-The block loop keeps the state's one relay queue as a flat list of length
-M * |F|^N, index c = m * |F|^N + g1, and runs over Python floats: once per
-block it calls the step ``controller.chooser(K)``, bound once per run, on
-the entry of the state's (f1, D(f2)) group in the config's cached
-``decision_table``, and applies the exact queue updates (given in
+The block loop runs over Python floats and is compiled once per K,
+``chunk_loop(K)``; one call runs a chunk of ``CHUNK`` blocks.  It keeps the
+state's one relay queue as a flat list of length M * |F|^N, index
+c = m * |F|^N + g1, and the K source queues as locals.  Each block it
+decides on the entry of the state's (f1, D(f2)) group in the config's
+cached ``decision_table`` by the controller's rule, spliced in as the text
+``controller.rule_text`` gives (the step ``controller.chooser`` compiles
+the same text), and applies the exact queue updates (given in
 ``queueing``) inline.  Queues start empty and move only in whole multiples
-of the integer T.  An action writes at most one relay queue, so per block
-the loop records three things: the step's (variant code, c, A, B), the new
-source queues (appended to one flat list) and the new value of queue c.
+of the integer T.  An action writes at most one relay queue, so each block
+extends one flat list with one record: (variant code, c, A, B, the new
+value of queue c, the K new source queues).  After the chunk one
+``np.array`` of that list is sliced into the decision columns, the
+weights, the written values and the source rows.
 
 After each chunk of blocks, ``_relay_rows`` rebuilds the relay queue after
 every block from the row at the chunk's start: it scatters each block's
@@ -74,13 +79,13 @@ quadratic potential uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
-from .controller import VARIANT_NAMES, chooser
+from .controller import VARIANT_NAMES, chooser, compile_function, rule_text
 from .model import NetworkConfig, fading_indices
 from .queueing import QueueState
 
@@ -88,8 +93,10 @@ DISTRIBUTIONS = ("constant", "uniform-integer", "bernoulli-batch")
 
 # Blocks per chunk: draws are converted to Python lists, and the relay rows
 # rebuilt and the series and snapshot rows computed, one chunk at a time, so
-# memory stays flat in the horizon.
-CHUNK = 256
+# memory stays flat in the horizon.  Each chunk pays fixed numpy and CSV
+# costs; on desk, 1024 blocks run faster than 256 or 512, as fast as 2048,
+# and hold less memory than 2048 or 4096.
+CHUNK = 1024
 
 METRICS_COLUMNS = (
     "block",
@@ -295,6 +302,52 @@ def _relay_rows(start, cells, values) -> np.ndarray:
     return written[last]
 
 
+# One call runs a chunk of blocks: the controller's rule spliced in, the K
+# source queues held as locals x0..x{K-1}, the exact queue updates written out
+# and one flat record per block.
+_LOOP = """\
+def loop(src, q, rec, groups, arrivals, table, sends, n_relays, allow_idle, T):
+    {xs} = src
+    for g, {ys} in zip(groups, *arrivals):
+        entry = table[g]
+{rule}
+        if code == 0:  # first hop into queue c
+            {ss} = sends[c]
+{clamps}
+            q[c] += T
+        else:
+{adds}
+            if code == 1:  # second hop draining queue c
+                q[c] = v if (v := q[c] - T) > 0.0 else 0.0
+        rec += (code, c, a, b, q[c], {xs})  # q[c] is unused when idle (c = -1)
+    return [{xs}]
+"""
+
+
+@functools.cache
+def chunk_loop(k_dest: int):
+    """The block loop compiled for K = ``k_dest``, once per K: ``loop(src, q,
+    rec, groups, arrivals, table, sends, n_relays, allow_idle, T)`` runs one
+    block per entry of ``groups`` (decision-table indices) and of the K lists
+    ``arrivals``, updates the relay queues ``q`` in place, extends ``rec`` per
+    block with (variant code, c, A, B, the new value of queue c, the K new
+    source queues) and returns the source queues.  ``sends[c]`` holds the
+    bits a first hop into queue c takes from each destination."""
+    xs = "".join(f"x{k}, " for k in range(k_dest))
+    # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
+    clamps = "\n".join(f"            x{k} = v if (v := x{k} + y{k} - s{k}) > 0.0 else 0.0" for k in range(k_dest))
+    adds = "\n".join(f"            x{k} += y{k}" for k in range(k_dest))
+    source = _LOOP.format(
+        xs=xs,
+        ys=xs.replace("x", "y"),
+        ss=xs.replace("x", "s"),
+        rule=rule_text(k_dest, " " * 8),
+        clamps=clamps,
+        adds=adds,
+    )
+    return compile_function(source, "loop", k_dest)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as ValueError
 def run(
     config: NetworkConfig,
@@ -321,7 +374,7 @@ def run(
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
     table, group_of = config.decision_table
-    choose = chooser(k_dest)
+    loop = chunk_loop(k_dest)
     cell_rates = np.repeat(config.rates, n_g1, axis=0)  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
     cell_rate_sums = np.repeat(config.rate_sums, n_g1)  # r_m . 1 per flat index
@@ -344,25 +397,14 @@ def run(
     for lo in range(0, horizon, CHUNK):
         hi = min(lo + CHUNK, horizon)
         start = np.array(q)
-        ch_act, ch_src, ch_val = [], [], []
-        for g, a in zip(group_of[state_idx[lo:hi]].tolist(), arr[:, lo:hi].T.tolist()):
-            act = choose(src, q, table[g], n_relays, allow_idle)
-            code, c = act[0], act[1]
-            if code == 0:  # first hop into queue c
-                # v > 0.0, not max(): np.maximum(-0.0, 0.0) is +0.0
-                src = [v if (v := x + y - z) > 0.0 else 0.0 for x, y, z in zip(src, a, cell_sends[c])]
-                q[c] += T
-            else:
-                src = list(map(add, src, a))
-                if code == 1:  # second hop draining queue c
-                    q[c] = v if (v := q[c] - T) > 0.0 else 0.0
-            ch_act.append(act)
-            ch_src += src
-            ch_val.append(q[c])  # the one queue the action wrote; unused when idle (c = -1)
-
-        variants[lo:hi], cells[lo:hi], w_first[lo:hi], w_second[lo:hi] = zip(*ch_act)
-        source = np.array(ch_src).reshape(hi - lo, k_dest)
-        rows = _relay_rows(start, cells[lo:hi], ch_val)
+        rec = []
+        groups = group_of[state_idx[lo:hi]].tolist()
+        # N and T as floats, the same values: float-only arithmetic runs faster
+        src = loop(src, q, rec, groups, arr[:, lo:hi].tolist(), table, cell_sends, float(n_relays), allow_idle, float(T))
+        block = np.array(rec, dtype=float).reshape(hi - lo, 5 + k_dest)
+        variants[lo:hi], cells[lo:hi], w_first[lo:hi], w_second[lo:hi] = block[:, :4].T
+        source = block[:, 5:]
+        rows = _relay_rows(start, cells[lo:hi], block[:, 4])
         relay = rows[1:]
         weighted = relay * cell_rate_sums
         src_series[lo:hi] = source.sum(axis=1)

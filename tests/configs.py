@@ -132,10 +132,13 @@ def zero_gap_config():
 if st is not None:
 
     @st.composite
-    def small_docs(draw):
-        """N <= 3, K <= 2 over {G, B}: a sparse table whose first listed state
-        has p = 0, halved integer rates and a random support of up to 8 triples."""
-        n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    def small_docs(draw, ks=st.integers(1, 2)):
+        """N <= 3 and K drawn from ``ks`` over {G, B}, N = 1 when K > 2: a
+        sparse table whose first listed state has p = 0, halved integer rates
+        and a random support of up to 8 triples, whose g2 is a listed state's
+        f2 when K > 2 (a random one of 2**K would drain nothing)."""
+        n, k = draw(st.integers(1, 3)), draw(ks)
+        n = n if k <= 2 else 1
         f1s = list(itertools.product("GB", repeat=n))
         f2s = list(itertools.product("GB", repeat=n * k))
         combos = list(itertools.product(f1s, f2s))
@@ -145,7 +148,8 @@ if st is not None:
         rates = draw(
             st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any), min_size=1, max_size=3)
         )
-        triples = list(itertools.product(range(len(rates)), f1s, f2s))
+        g2s = f2s if k <= 2 else sorted({f2 for _, f2 in states})
+        triples = list(itertools.product(range(len(rates)), f1s, g2s))
         support = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
         return make_doc(
             n=n,
@@ -156,6 +160,6 @@ if st is not None:
             states=[{"f1": list(f1), "f2": list(f2), "p": p} for (f1, f2), p in zip(states, probs)],
         )
 
-    def small_configs():
+    def small_configs(ks=st.integers(1, 2)):
         """The configs read from ``small_docs``."""
-        return small_docs().map(cs.validate_config)
+        return small_docs(ks).map(cs.validate_config)

@@ -36,7 +36,8 @@ over the state's one ``(M, |F|^N)`` relay array for every other series.
 It records each block's scheme m and first-hop state g1 as it decides
 them, so it checks the decision columns ``sim.run`` splits from its flat
 queue indices after the loop.  ``sim.run`` must reproduce every field bit
-for bit, so the summary ``sim.summary_dict`` derives from them matches too.
+for bit, so the summary ``sim.summary_dict`` derives from them matches too;
+``assert_bit_identical`` compares two runs' ``Metrics`` that way.
 
 ``write_metrics_csv_spec`` and ``snapshot_row_spec`` format every float
 on its own with ``repr``, the spec of ``sim``'s one CSV writer, which
@@ -73,7 +74,7 @@ import bisect
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 
@@ -392,6 +393,22 @@ def reference_run(config, arrivals, horizon, seed, allow_idle=False, snapshot_si
         offered_bits=offered,
         final_state=state,
     )
+
+
+def _bits(value):
+    if isinstance(value, QueueState):
+        return (_bits(value.source), _bits(value.relay))
+    if isinstance(value, (np.ndarray, np.generic, float)):
+        arr = np.asarray(value)
+        return (arr.dtype.str, arr.shape, arr.tobytes())
+    return value
+
+
+def assert_bit_identical(got, want):
+    """Every ``Metrics`` field equal bit for bit: arrays by dtype, shape and
+    raw bytes, scalars the same way, ``final_state`` through both arrays."""
+    for f in fields(Metrics):
+        assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
 
 def snapshot_row_spec(t, values) -> str:

@@ -1,10 +1,12 @@
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
 import coopsim as cs
-from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, chooser
+from coopsim.controller import FIRST_HOP, IDLE, SECOND_HOP, chooser, rule_text
+from coopsim.sim import chunk_loop
 from configs import make_doc, sparse_config, zero_gap_config
 from oracles import bruteforce_decide, check_decision_table, choose_spec, decide, lyapunov, state_entry, step_bits
 
@@ -318,9 +320,19 @@ def test_chooser_compiles_and_matches_the_spec_at_5000_destinations():
 
 
 def test_chooser_is_compiled_once_per_k(desk):
-    assert chooser(2) is chooser(2)
-    misses = chooser.cache_info().misses
+    # run() compiles the block loop, drift_check() the step, each once per K
+    assert chooser(2) is chooser(2) and chunk_loop(2) is chunk_loop(2)
+    loops, steps = chunk_loop.cache_info().misses, chooser.cache_info().misses
     arrivals = cs.ArrivalConfig(rates=(1.0, 1.0))
-    cs.run(desk, arrivals, 300, 0)
+    probe = cs.run(desk, arrivals, 300, 0).final_state
     cs.run(desk, arrivals, 300, 1)
-    assert chooser.cache_info().misses == misses
+    assert chunk_loop.cache_info().misses == loops
+    cs.drift_check(desk, arrivals, probe, 1)
+    cs.drift_check(desk, arrivals, cs.QueueState.zeros(desk), 1)
+    assert chooser.cache_info().misses == steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_step_and_block_loop_splice_one_rule_text(k):
+    assert rule_text(k, " " * 4) in inspect.getsource(chooser(k))
+    assert rule_text(k, " " * 8) in inspect.getsource(chunk_loop(k))

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -322,3 +324,16 @@ def test_state_count_overflow_detected():
         cs.queue_count_state_based(10, 50, 2, 1)
     with pytest.raises(ValueError):
         cs.queue_count_state_based(0, 1, 1, 1)
+
+
+def test_pickle_carries_the_fields_not_the_cached_views():
+    # a sweep's pool tasks take the config after the scale LP filled its layout
+    fresh = pickle.dumps(sparse_config(3, 3, 4, 300, 1))
+    config = sparse_config(3, 3, 4, 300, 1)
+    cs.build_scale_lp(config, [1.0, 1.0, 1.0])
+    assert "lp_layout" in vars(config)
+    blob = pickle.dumps(config)
+    assert len(blob) <= len(fresh)
+    copy = pickle.loads(blob)
+    assert copy == config
+    assert vars(copy).keys() == {f.name for f in dataclasses.fields(config)}

@@ -1,7 +1,9 @@
 """Property tests on random small configs (N <= 3, K <= 2, sparse tables,
 random support): the controller against ``oracles.bruteforce_decide``,
 the step ``controller.chooser`` compiles per K against the loop
-``oracles.choose_spec`` bitwise on raw arguments,
+``oracles.choose_spec`` bitwise on raw arguments, the block loop
+``sim.chunk_loop`` compiles per K (K in {1, 2, 9}) against
+``oracles.reference_run`` bit for bit across chunk edges,
 ``NetworkConfig.state_groups`` and ``decision_table`` against the per-state
 ``oracles.state_entry`` and the region LP's time rows,
 ``sim.drift_check`` against the per-group ``oracles.drift_spec`` bit for
@@ -32,11 +34,12 @@ import coopsim as cs  # noqa: E402
 from coopsim.controller import chooser  # noqa: E402
 from coopsim.region import PIVOT_TOL, _ratio_row  # noqa: E402
 from coopsim.sim import CHUNK, DISTRIBUTIONS, _relay_rows, write_metrics_csv  # noqa: E402
-from configs import small_configs, small_docs, without_zero_rows  # noqa: E402
+from configs import make_doc, small_configs, small_docs, without_zero_rows  # noqa: E402
 from oracles import (  # noqa: E402
     apply_first_hop,
     apply_idle,
     apply_second_hop,
+    assert_bit_identical,
     bruteforce_decide,
     check_decision_table,
     check_fading_indices,
@@ -108,6 +111,32 @@ def step_cases(draw):
 def test_compiled_step_equals_the_loop_spec_bitwise(case):
     src = case[0]
     assert step_bits(chooser(len(src))(*case)) == step_bits(choose_spec(*case))
+
+
+@st.composite
+def run_cases(draw):
+    """A small config with K in {1, 2, 9}, arrivals under one of the three
+    laws at rates that keep queues empty, tied or growing, a horizon on
+    either side of a chunk edge, a seed and ``allow_idle``."""
+    config = draw(small_configs(st.sampled_from([1, 2, 9])))
+    k = config.shape.num_destinations
+    rates = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=k, max_size=k))
+    arrivals = cs.ArrivalConfig(rates=rates, distribution=draw(st.sampled_from(DISTRIBUTIONS)))
+    horizon = draw(st.sampled_from([1, 2, 40, CHUNK - 1, CHUNK, CHUNK + 1]))
+    return config, arrivals, horizon, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+# two schemes with equal rates tie on A in every block
+TIED = cs.validate_config(make_doc(n=2, alphabet=("G", "B"), rates=((1.0,), (1.0,))))
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(run_cases())
+@hypothesis.example((TIED, cs.ArrivalConfig(rates=(0.45,)), CHUNK + 1, 3, False))
+def test_compiled_loop_equals_the_reference_run_bitwise(case):
+    config, arrivals, horizon, seed, allow_idle = case
+    got = cs.run(config, arrivals, horizon, seed, allow_idle=allow_idle)
+    assert_bit_identical(got, reference_run(config, arrivals, horizon, seed, allow_idle=allow_idle))
 
 
 @SETTINGS

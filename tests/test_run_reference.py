@@ -11,7 +11,6 @@ once per state group, evaluates each (destination, send) closed form at
 most once and reads each group's p from ``NetworkConfig.group_pi`` alone.
 """
 
-import dataclasses
 import io
 import itertools
 import math
@@ -24,7 +23,7 @@ import coopsim as cs
 from coopsim import controller, sim
 from coopsim.model import fading_indices
 from configs import CONFIG_DIR, make_doc, sparse_config, trailing_zero_config
-from oracles import decide, expected_drift, reference_run, state_entry
+from oracles import assert_bit_identical, decide, expected_drift, reference_run, state_entry
 
 # (config fixture, interior rate, exterior rate); desk rho* is about 1.213
 # along (1, 1), both toys have rho* = 0.5
@@ -34,20 +33,6 @@ CONFIG_RATES = {
     "toy_single": (0.45, 0.7),
 }
 HORIZON = 2 * sim.CHUNK + 188
-
-
-def _bits(value):
-    if isinstance(value, cs.QueueState):
-        return (_bits(value.source), _bits(value.relay))
-    if isinstance(value, (np.ndarray, np.generic, float)):
-        arr = np.asarray(value)
-        return (arr.dtype.str, arr.shape, arr.tobytes())
-    return value
-
-
-def assert_bit_identical(got, want):
-    for f in dataclasses.fields(sim.Metrics):
-        assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
 
 def _synthetic_config(n, k, seed):
@@ -255,7 +240,7 @@ def _no_draw(*args, **kwargs):
 
 
 def test_drift_check_decides_once_per_state_group(desk, monkeypatch):
-    probe, rate = _desk_probes(desk)[1]  # before the patch: run() calls the step once per block
+    probe, rate = _desk_probes(desk)[1]  # before the patch: run() would record its blocks' steps too
     entries = []
     monkeypatch.setattr(sim, "chooser", _recording_chooser(entries))
     monkeypatch.setattr(sim.np.random, "default_rng", _no_draw)
