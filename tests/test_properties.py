@@ -1,7 +1,8 @@
-"""Property tests on random small configs (N <= 3, K <= 2, sparse tables,
-random support): the controller against ``oracles.bruteforce_decide``,
-the step ``controller.chooser`` compiles per K against the loop
-``oracles.choose_spec`` bitwise on raw arguments, the block loop
+"""Property tests on random small configs (N <= 3, K <= 2, and K = 9 at
+N = 1 for the block loop, sparse tables, random support): the controller
+against ``oracles.bruteforce_decide``, the step ``controller.chooser``
+compiles per K against the loop ``oracles.choose_spec`` bitwise on raw
+arguments, the block loop
 ``sim.chunk_loop`` compiles per K (K in {1, 2, 9}) against
 ``oracles.reference_run`` bit for bit across chunk edges,
 ``NetworkConfig.state_groups`` and ``decision_table`` against the per-state

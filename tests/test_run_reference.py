@@ -102,7 +102,10 @@ def test_run_matches_reference_on_96_cells(rate):
     assert got_rows.getvalue() == want_rows.getvalue()
 
 
-@pytest.mark.parametrize("horizon", [1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1])
+@pytest.mark.parametrize(
+    "horizon",
+    [1, pytest.param(sim.CHUNK - 1, id="chunk-1"), pytest.param(sim.CHUNK, id="chunk"), pytest.param(sim.CHUNK + 1, id="chunk+1")],
+)
 def test_run_matches_reference_at_chunk_edges(desk, horizon):
     arrivals = cs.ArrivalConfig(rates=(1.3, 1.3), distribution="bernoulli-batch")
     got_rows, want_rows = io.StringIO(), io.StringIO()
