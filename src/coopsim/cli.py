@@ -62,10 +62,15 @@ def _vector(text: str, k: int, what: str) -> np.ndarray:
 
 
 def _out_dir(flag_value: str) -> Path:
-    """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``.
-    The directory is made when the first file in it is opened, so a run
-    refused before it writes anything leaves nothing behind."""
-    return Path(os.environ.get("COOPSIM_OUTPUT_DIR") or flag_value)
+    """COOPSIM_OUTPUT_DIR if it is set and not empty, else ``flag_value``,
+    refused if it or the nearest of its parents that exists is not a
+    directory.  The directory is made when the first file in it is opened,
+    so a run refused before it writes anything leaves nothing behind."""
+    out = Path(os.environ.get("COOPSIM_OUTPUT_DIR") or flag_value)
+    first = next(p for p in (out, *out.parents) if p.exists())
+    if not first.is_dir():
+        raise ValueError(f"output directory {out} cannot be made: {first} is not a directory")
+    return out
 
 
 def _create(out: Path, name):
@@ -159,6 +164,8 @@ def cmd_simulate(args) -> int:
     for name in ("metrics.csv", "summary.json"):
         if queues is not None and queues.resolve() == (out / name).resolve():
             raise ValueError(f"--queues {args.queues} names the run's own {name}, which would overwrite it")
+    if queues is not None and (queues.resolve() == out.resolve() or queues.resolve().is_dir()):
+        raise ValueError(f"--queues {args.queues} names a directory, not a file")
     if queues is not None and queues.parent != out and not queues.parent.is_dir():
         raise ValueError(f"--queues {args.queues}: no directory {queues.parent}")
     sink = _SnapshotFile(out, args.queues) if queues else None
@@ -208,6 +215,10 @@ def cmd_sweep(args) -> int:
     k = config.shape.num_destinations
     raw_direction = _typed(spec.get("direction", [1.0] * k), list, "direction")
     direction = [_number(x, "direction entry", "bad-sweep-spec") for x in raw_direction]
+    if len(direction) != k:
+        raise ConfigError("bad-sweep-spec", f"direction must have {k} entries")
+    if any(x < 0 for x in direction) or not any(x > 0 for x in direction):
+        raise ConfigError("bad-sweep-spec", "direction must be non-negative with at least one positive entry")
     raw_load_factors = _typed(spec.get("load_factors", []), list, "load_factors")
     load_factors = [_number(x, "load factor", "bad-sweep-spec") for x in raw_load_factors]
     if not load_factors or any(lf <= 0 for lf in load_factors):

@@ -29,10 +29,11 @@ apart.  The step's loop form, the spec, is ``tests/oracles.py``'s
 ``NetworkConfig.rate_sums``, summed the same way, for any K.
 
 The rule reads the state (f1, f2) only through f1 and D(f2), the queues f2
-drains.  ``decision_table`` keeps one entry per group of
+drains.  ``decision_table`` is a tuple of one entry per group of
 ``NetworkConfig.state_groups``, the region LP's partition too, cached as
-``NetworkConfig.decision_table``: ``sim.run``'s loop decides each block on
-its state's entry, and ``sim.drift_check`` calls the step once per group;
+``NetworkConfig.decision_table``; a state's group number is read from
+``state_groups`` alone.  ``sim.run``'s loop decides each block on its
+state's entry, and ``sim.drift_check`` calls the step once per group;
 there is no adapter for a ``QueueState``.
 """
 
@@ -52,15 +53,15 @@ VARIANT_NAMES = (FIRST_HOP, SECOND_HOP, IDLE)  # indexed by the step's variant c
 
 
 def decision_table(config: NetworkConfig) -> tuple:
-    """(entries, group_of): per group of ``config.state_groups``, what
-    the step reads: per scheme m, the flat index of queue (m, f1) and r_m
-    (one tuple per f1); then D(f2) as (flat index, (r_m . 1)^2)."""
-    keys, _, group_of = config.state_groups
+    """One entry per group of ``config.state_groups``, what the step reads:
+    per scheme m, the flat index of queue (m, f1) and r_m (one tuple per
+    f1); then D(f2) as (flat index, (r_m . 1)^2)."""
+    keys = config.state_groups[0]
     n_g1 = len(config.first_hop_space)
     rates = config.rates.tolist()
     w2 = (config.rate_sums * config.rate_sums).tolist()
     firsts = [tuple((m * n_g1 + g1i, r) for m, r in enumerate(rates)) for g1i in range(n_g1)]
-    return tuple((firsts[config.g1_index[f1]], tuple((c, w2[c // n_g1]) for c in cells)) for f1, cells in keys), group_of
+    return tuple((firsts[config.g1_index[f1]], tuple((c, w2[c // n_g1]) for c in cells)) for f1, cells in keys)
 
 
 # The rule's one text.  One statement per term of A: one nested sum of K

@@ -192,8 +192,8 @@ class NetworkConfig:
 
     @cached_property
     def decision_table(self) -> tuple:
-        """The controller's entry per group of ``state_groups`` and each
-        sorted state's group, ``controller.decision_table(self)``."""
+        """The controller's entry per group of ``state_groups``,
+        ``controller.decision_table(self)``."""
         from .controller import decision_table  # controller builds on this module
 
         return decision_table(self)

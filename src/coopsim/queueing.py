@@ -25,6 +25,10 @@ symbols per relay even if the source queue held fewer than r_m^k * T bits
 (the missing bits are padding); the clamp on Qs models exactly that.  The
 tests keep these updates as pure functions on a ``QueueState``
 (``tests/oracles.py``), the spec the inline ones are checked against.
+
+``QueueState`` is plain data, built by ``zeros`` or by the dataclass
+constructor on float arrays of the shapes above.  It checks nothing;
+``sim.drift_check`` checks its probe.
 """
 
 from __future__ import annotations
@@ -49,20 +53,3 @@ class QueueState:
             source=np.zeros(config.shape.num_destinations),
             relay=np.zeros((len(config.schemes), len(config.first_hop_space))),
         )
-
-    @classmethod
-    def from_values(cls, config: NetworkConfig, source, relay) -> "QueueState":
-        state = cls.zeros(config)
-        src = np.asarray(source, dtype=float)
-        rel = np.asarray(relay, dtype=float)
-        if src.shape != state.source.shape or rel.shape != state.relay.shape:
-            raise ValueError(
-                f"expected shapes {state.source.shape} and {state.relay.shape}, "
-                f"got {src.shape} and {rel.shape}"
-            )
-        state.source = src.copy()
-        state.relay = rel.copy()
-        return state
-
-    def copy(self) -> "QueueState":
-        return QueueState(self.config, self.source.copy(), self.relay.copy())

@@ -373,7 +373,7 @@ def run(
     n_cells = len(config.schemes) * n_g1
     state_idx, arr = _draws(config, arrivals, horizon, seed)
 
-    table, group_of = config.decision_table
+    table, group_of = config.decision_table, config.state_groups[2]
     loop = chunk_loop(k_dest)
     cell_rates = np.repeat(config.rates, n_g1, axis=0)  # r_m per flat index
     cell_sends = np.repeat(config.rates * T, n_g1, axis=0).tolist()  # bits a first hop takes
@@ -484,7 +484,7 @@ def drift_check(
     choose = chooser(k_dest)
     arrival = {}  # the send's scheme m, -1 for none -> sum_k's terms, k ascending
     drift = 0.0
-    for entry, pi in zip(config.decision_table[0], config.group_pi):
+    for entry, pi in zip(config.decision_table, config.group_pi):
         code, c = choose(qs, q, entry, n_relays, False)[:2]
         m = c // n_g1
         new = q[c] + T if code == 0 else max(q[c] - T, 0.0)

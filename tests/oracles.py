@@ -162,10 +162,10 @@ def check_decision_table(config) -> None:
     LP's time rows are the groups in order, every column in time row r
     tagged with ``members[r]``."""
     keys, members, group_of = config.state_groups
-    entries, table_group_of = config.decision_table
+    entries = config.decision_table
     assert config.state_groups is config.state_groups  # cached per config
     assert config.decision_table is config.decision_table
-    assert table_group_of is group_of
+    assert type(entries) is tuple
     assert group_of.dtype == np.intp and not group_of.flags.writeable
     assert group_of.shape == (len(config.sorted_states),)
     assert len(keys) == len(members) == len(entries)
@@ -496,7 +496,7 @@ def drift_spec(config, arrivals, probe_state):
     w2 = (config.rate_sums * config.rate_sums).tolist()
     choose = chooser(config.shape.num_destinations)
     drift = 0.0
-    for entry, states in zip(config.decision_table[0], config.state_groups[1]):
+    for entry, states in zip(config.decision_table, config.state_groups[1]):
         code, c = choose(qs, q, entry, n_relays, False)[:2]
         m = c // n_g1
         new = q[c] + T if code == 0 else max(q[c] - T, 0.0)

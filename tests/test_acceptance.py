@@ -49,28 +49,28 @@ def test_queue_dynamics_exact(toy_single):
     ok = True
     # first hop: drain, clamp, componentwise
     c = cfg_with(n=2, rates=((0.5,),))
-    st = cs.QueueState.from_values(c, [8.0], np.zeros((1, 1)))
+    st = cs.QueueState(c, np.array([8.0]), np.zeros((1, 1)))
     out = apply_first_hop(st, [3.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [6.0] and out.relay.tolist() == [[10.0]]
 
     c = cfg_with(rates=((0.5,),))
-    out = apply_first_hop(cs.QueueState.from_values(c, [2.0], [[0.0]]), [0.0], 0, ("a",))
+    out = apply_first_hop(cs.QueueState(c, np.array([2.0]), np.zeros((1, 1))), [0.0], 0, ("a",))
     ok &= out.source.tolist() == [0.0]
 
     c = cfg_with(k=2, T=4, rates=((1.0, 0.5),))
     out = apply_first_hop(
-        cs.QueueState.from_values(c, [10.0, 10.0], [[0.0]]), [1.0, 1.0], 0, ("a",)
+        cs.QueueState(c, np.array([10.0, 10.0]), np.zeros((1, 1))), [1.0, 1.0], 0, ("a",)
     )
     ok &= out.source.tolist() == [7.0, 9.0]
 
     # second hop: drain, clamp, fixed point
     c = cfg_with(n=2)
-    st = cs.QueueState.from_values(c, [1.0], np.full((1, 1), 10.0))
+    st = cs.QueueState(c, np.array([1.0]), np.full((1, 1), 10.0))
     out = apply_second_hop(st, [2.0], 0, ("a", "a"))
     ok &= out.source.tolist() == [3.0] and out.relay.sum() == 0.0
 
     c = cfg_with()
-    out = apply_second_hop(cs.QueueState.from_values(c, [0.0], [[4.0]]), [0.0], 0, ("a",))
+    out = apply_second_hop(cs.QueueState(c, np.array([0.0]), np.array([[4.0]])), [0.0], 0, ("a",))
     ok &= out.relay[0, 0] == 0.0
 
     c = cfg_with(k=2, rates=((1.0, 1.0),))
@@ -80,11 +80,11 @@ def test_queue_dynamics_exact(toy_single):
 
     # idle accumulates arrivals only
     c = cfg_with()
-    ok &= apply_idle(cs.QueueState.from_values(c, [1.0], [[0.0]]), [2.0]).source.tolist() == [3.0]
+    ok &= apply_idle(cs.QueueState(c, np.array([1.0]), np.zeros((1, 1))), [2.0]).source.tolist() == [3.0]
     ok &= apply_idle(cs.QueueState.zeros(c), [0.0]).source.tolist() == [0.0]
     c = cfg_with(k=2, rates=((1.0, 1.0),))
     ok &= apply_idle(
-        cs.QueueState.from_values(c, [0.0, 5.0], [[0.0]]), [1.0, 0.0]
+        cs.QueueState(c, np.array([0.0, 5.0]), np.zeros((1, 1))), [1.0, 0.0]
     ).source.tolist() == [1.0, 5.0]
 
     _report("queue-dynamics-exact", bool(ok), time.time() - t0, 1.0)
@@ -102,7 +102,7 @@ def test_controller_matches_bruteforce(desk):
             (rng.uniform(0, 500, size=2), rng.uniform(0, 300, size=(3, 4)))
         )
     for source, relay in probes:
-        st = cs.QueueState.from_values(desk, source, relay)
+        st = cs.QueueState(desk, source, relay)
         f = states[int(rng.integers(0, len(states)))]
         d = decide(st, f)
         variant, m, g1, bf_a, bf_b = bruteforce_decide(st, f)

@@ -342,6 +342,46 @@ def test_simulate_queues_naming_an_output_exits_2(tmp_path, capsys, name):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("queues", [".", "./", "..", "other"])
+def test_simulate_queues_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, queues):
+    # refused before the output directory is made: the working directory stays empty
+    work, other = tmp_path / "work", tmp_path / "other"
+    work.mkdir()
+    other.mkdir()
+    monkeypatch.chdir(work)
+    queues = str(other) if queues == "other" else queues
+    assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", "--out", "D", "--queues", queues]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"coopsim: error: --queues {queues} names a directory, not a file\n")
+    assert list(work.iterdir()) == [] and list(other.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["out", "env"])
+def test_simulate_output_directory_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, via_env, below):
+    import coopsim.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    target = taken / below
+    if via_env:
+        monkeypatch.setenv("COOPSIM_OUTPUT_DIR", str(target))
+    else:
+        monkeypatch.delenv("COOPSIM_OUTPUT_DIR", raising=False)
+    out = str(tmp_path / "flag") if via_env else str(target)
+    assert main(["simulate", TOY, "--lambda", "0.3", "--horizon", "10", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"coopsim: error: output directory {target} cannot be made: {taken} is not a directory\n",
+    )
+    assert taken.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_simulate_bad_lambda(capsys):
     assert main(["simulate", TOY, "--lambda", "-0.5", "--horizon", "10"]) == 2
     assert capsys.readouterr().err == "coopsim: error: arrival rates must be finite and non-negative\n"
@@ -649,6 +689,17 @@ _SPEC = {"load_factors": [0.5], "horizon": 10, "seeds": [1]}
         ),
         pytest.param({"seeds": []}, "[bad-sweep-spec]: seeds must be a non-empty list", id="no-seeds"),
         pytest.param({"horizon": 0}, "[bad-sweep-spec]: horizon must be >= 1", id="zero-horizon"),
+        pytest.param({"direction": [1.0, 1.0]}, "[bad-sweep-spec]: direction must have 1 entries", id="long-direction"),
+        pytest.param(
+            {"direction": [-1.0]},
+            "[bad-sweep-spec]: direction must be non-negative with at least one positive entry",
+            id="negative-direction",
+        ),
+        pytest.param(
+            {"direction": [0.0]},
+            "[bad-sweep-spec]: direction must be non-negative with at least one positive entry",
+            id="zero-direction",
+        ),
     ],
 )
 def test_sweep_spec_errors_carry_config_codes(tmp_path, capsys, change, line):

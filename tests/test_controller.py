@@ -57,11 +57,11 @@ def test_second_hop_weight_examples():
     trimmed = [
         {"m": m, "g1": [g1], "g2": [g2]} for m in (0, 1) for g1 in "ab" for g2 in "ab" if (m, g1) != (1, "b")
     ]
-    st_trimmed = cs.QueueState.from_values(_two_scheme_cfg(trimmed), st.source, st.relay)
+    st_trimmed = cs.QueueState(_two_scheme_cfg(trimmed), st.source, st.relay)
     d = decide(st_trimmed, F_A)
     assert (d.variant, d.weight_second, d.m, d.g1) == (SECOND_HOP, 10.0, 0, ("a",))
 
-    st_empty = cs.QueueState.from_values(_two_scheme_cfg([]), st.source, st.relay)
+    st_empty = cs.QueueState(_two_scheme_cfg([]), st.source, st.relay)
     d = decide(st_empty, F_A)
     assert (d.variant, d.weight_second) == (FIRST_HOP, -np.inf)
 
@@ -146,7 +146,7 @@ def test_second_hop_weight_scales_linearly():
         f = (f1, second_hop_space[int(rng.integers(0, len(second_hop_space)))])
         base = decide(st, f)  # empty sources: A <= 0 < B
         c = float(rng.uniform(0.1, 9.0))
-        scaled = cs.QueueState.from_values(cfg, st.source * c, st.relay * c)
+        scaled = cs.QueueState(cfg, st.source * c, st.relay * c)
         out = decide(scaled, f)
         assert base.variant == out.variant == SECOND_HOP
         assert (out.m, out.g1) == (base.m, base.g1)  # same maximizer
@@ -166,7 +166,7 @@ def test_controller_ignores_fading_distribution(desk):
         st = cs.QueueState.zeros(desk)
         st.source[:] = rng.uniform(0, 200, size=2)
         st.relay[:] = rng.uniform(0, 100, size=st.relay.shape)
-        st2 = cs.QueueState.from_values(other, st.source, st.relay)
+        st2 = cs.QueueState(other, st.source, st.relay)
         f = desk.sorted_states[int(rng.integers(0, len(desk.sorted_states)))]
         d1 = decide(st, f)
         d2 = decide(st2, f)
@@ -219,8 +219,8 @@ SPEC_CONFIGS = {
 
 def _state_entries(config) -> dict:
     """Each sorted state's entry in the config's decision table."""
-    entries, group_of = config.decision_table
-    return {f: entries[g] for f, g in zip(config.sorted_states, group_of.tolist())}
+    entries = config.decision_table
+    return {f: entries[g] for f, g in zip(config.sorted_states, config.state_groups[2].tolist())}
 
 
 @pytest.mark.parametrize("name", ["toy_single", "toy_goodbad", "desk", *SPEC_CONFIGS])
@@ -229,7 +229,7 @@ def test_state_entries_match_spec(request, name):
     states = config.sorted_states
     assert list(_state_entries(config).values()) == [state_entry(config, f) for f in states]
     # groups sharing f1 share one first-hop tuple
-    assert len({id(first) for first, _ in config.decision_table[0]}) == len({f1 for f1, _ in states})
+    assert len({id(first) for first, _ in config.decision_table}) == len({f1 for f1, _ in states})
 
 
 def test_state_entries_cover_the_edge_configs():
@@ -285,8 +285,7 @@ DECISION_GROUPS = {
 def test_decision_table_groups_states_by_f1_and_drain_set(request, name):
     config = SPEC_CONFIGS[name]() if name in SPEC_CONFIGS else request.getfixturevalue(name)
     check_decision_table(config)
-    entries, group_of = config.decision_table
-    assert (len(entries), len(group_of)) == DECISION_GROUPS[name]
+    assert (len(config.decision_table), len(config.state_groups[2])) == DECISION_GROUPS[name]
 
 
 @pytest.mark.xfail(

@@ -304,7 +304,7 @@ def test_run_and_drift_check_build_the_decision_table_once(monkeypatch):
     cs.drift_check(config, arrivals, probe, 2000, seed=1)
     cs.drift_check(config, arrivals, probe, 2000, seed=2)
     assert tables == [config] and partitions == [config]
-    assert len(config.decision_table[0]) == len(config.state_groups[0]) == 12
+    assert len(config.decision_table) == len(config.state_groups[0]) == 12
 
 
 def test_run_matches_reference_at_5000_destinations():
