@@ -144,7 +144,7 @@ def cmd_region(args) -> int:
             "solver": dataclasses.asdict(wit.stats),
             **_witness_records(config, wit),
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     else:
         for i, x in enumerate(direction):
             print(f"direction_{i + 1},{_fmt(x)}")
@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
     summary = summary_dict(metrics, verdict)
     summary["lambda"] = [float(x) for x in lam]
     summary["allow_idle"] = bool(args.allow_idle)
-    text = json.dumps(summary, sort_keys=True, indent=2)
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     with _create(out, "summary.json") as fh:
         fh.write(text + "\n")
     print(text)

@@ -56,8 +56,9 @@ exterior one.  Since every column of a LinearProgram is non-negative while
 delta may legitimately be negative, the slack LP optimizes the shifted
 variable d = delta + shift (shift = max(lambda) + 1, a lower bound
 certified by the all-zero assignment) and the reported value is d - shift.
-Both LPs are bounded, so each query raises SolverError unless its solve
-ends optimal.
+Both LPs are bounded (a rate row with a positive direction entry caps rho,
+and every rate row caps d), so each query returns a certified optimum; an
+unbounded LP would raise SolverError.
 
 Both LPs are written as ``<=`` rows with a non-negative rhs, so x = 0 is
 feasible and the solver is a deterministic one-phase revised simplex that
@@ -113,11 +114,10 @@ class DegeneracyError(SolverError):
 
 @dataclass
 class LinearProgram:
-    """maximize objective @ x  s.t.  matrix @ x (sense) rhs,  x >= 0."""
+    """maximize objective @ x  s.t.  matrix @ x <= rhs,  x >= 0."""
 
     objective: np.ndarray
     matrix: np.ndarray
-    senses: tuple  # "<=" per row, the only sense solve_lp takes
     rhs: np.ndarray
     # per-column tags: ("a", m, g1, members), ("b", m, g1, members), ("delta",),
     # ("rho",); members is the tuple of the fading states, in sorted_states
@@ -125,6 +125,11 @@ class LinearProgram:
     columns: tuple
     kind: str = "generic"  # "slack" | "scale" | "generic"
     objective_shift: float = 0.0  # reported value = raw optimum - shift
+
+    @property
+    def senses(self) -> tuple:
+        """Every row's sense, all "<=" (the benchmark's HiGHS check reads it)."""
+        return ("<=",) * len(self.rhs)
 
 
 @dataclass
@@ -144,7 +149,8 @@ class SolveStats:
 
 @dataclass
 class RegionWitness:
-    """Feasibility certificate: time-sharing fractions plus the margin.
+    """Feasibility certificate: time-sharing fractions plus the margin, at
+    an optimum ``solve_lp`` has certified (``status`` is always "optimal").
 
     ``value`` is the slack delta (kind "slack"), the scale rho (kind
     "scale") or the raw objective (generic LPs).  ``a`` and ``b`` hold the
@@ -153,7 +159,7 @@ class RegionWitness:
     fraction, so they share a value.
     """
 
-    status: str  # "optimal" | "unbounded"
+    status = "optimal"  # a class constant: solve_lp returns optima only
     kind: str
     value: float
     a: dict = field(default_factory=dict)
@@ -254,9 +260,11 @@ class _Basis:
             self.refactor()
 
 
-def _iterate(basis: _Basis) -> str:
+def _iterate(basis: _Basis, kind: str) -> None:
     """Devex pricing while the objective improves, Bland's rule once it
-    stalls; optimality is only declared on freshly computed values."""
+    stalls; optimality is only declared on freshly computed values.  An
+    entering column with no leaving row raises SolverError: the ``kind``
+    LP is unbounded."""
     stats = basis.stats
     weights = np.ones(len(basis.cost))
     stall = 0
@@ -269,7 +277,7 @@ def _iterate(basis: _Basis) -> str:
             col = int(np.argmax(eligible))
         if not eligible[col]:
             if basis.fresh:
-                return "optimal"
+                return
             basis.refactor()
             continue
         if stats.pivots >= MAX_PIVOTS:
@@ -277,7 +285,7 @@ def _iterate(basis: _Basis) -> str:
         column = basis.inverse @ basis.full[:, col]
         row = _ratio_row(column, basis.x_b, basis.cols, col)
         if row is None:
-            return "unbounded"
+            raise SolverError(f"{kind} LP ended unbounded")
         value -= basis.reduced[col] * basis.x_b[row] / column[row]
         basis.pivot(row, col, column, weights)
         if stats.bland_from is None:
@@ -312,39 +320,33 @@ def _certify(matrix, rhs, objective, x, y) -> tuple:
 
 
 def solve_lp(lp: LinearProgram) -> RegionWitness:
-    """Solve with a one-phase revised simplex from the slack basis;
-    deterministic for a fixed LP.
+    """The certified optimum, by a one-phase revised simplex from the slack
+    basis; deterministic for a fixed LP.
 
-    Every row must be "<=" with a non-negative rhs, so that x = 0 is
-    feasible; anything else raises ValueError.  An optimum that does not
-    replay against every row, or whose prices do not prove it maximal,
-    raises DegeneracyError.
+    The rhs must be non-negative, so that x = 0 is feasible; anything else
+    raises ValueError.  An unbounded LP raises SolverError, and an optimum
+    that does not replay against every row, or whose prices do not prove
+    it maximal, raises DegeneracyError.
     """
     matrix = np.asarray(lp.matrix, dtype=float)
     rhs = np.asarray(lp.rhs, dtype=float)
     objective = np.asarray(lp.objective, dtype=float)
-    if matrix.ndim != 2 or matrix.shape != (len(lp.senses), len(objective)) or len(rhs) != len(lp.senses):
+    if matrix.ndim != 2 or matrix.shape != (len(rhs), len(objective)):
         raise ValueError("inconsistent LP dimensions")
-    if any(s != "<=" for s in lp.senses):
-        raise ValueError(f"solve_lp takes '<=' rows only, got {sorted(set(lp.senses) - {'<='})}")
     if not (rhs >= 0.0).all():
         raise ValueError("solve_lp needs a non-negative rhs")
     n_cols = matrix.shape[1]
 
     stats = SolveStats()
     basis = _Basis(matrix, rhs, objective, stats)
-    if _iterate(basis) == "unbounded":
-        return RegionWitness(status="unbounded", kind=lp.kind, value=float("nan"), stats=stats)
-
+    _iterate(basis, lp.kind)
     x_full = np.zeros(len(basis.cost))
     x_full[basis.cols] = basis.x_b
     x, y = x_full[:n_cols], basis.prices()
     del basis  # frees [A | I] before |A| is built for the certificate
     stats.primal_residual, stats.dual_residual = _certify(matrix, rhs, objective, x, y)
     raw = float(np.dot(objective, x))
-    wit = RegionWitness(
-        status="optimal", kind=lp.kind, value=raw - lp.objective_shift, x=x, stats=stats
-    )
+    wit = RegionWitness(kind=lp.kind, value=raw - lp.objective_shift, x=x, stats=stats)
     for j, col in enumerate(lp.columns):
         if col and col[0] in ("a", "b") and x[j] > PIVOT_TOL:
             family, m, g1, members = col
@@ -423,7 +425,7 @@ def _assemble(config: NetworkConfig, tag: tuple, kind: str) -> tuple:
     matrix.flat[layout.cells] = layout.values
     objective = np.zeros(width)
     objective[-1] = 1.0
-    lp = LinearProgram(objective, matrix, ("<=",) * rows, np.ones(rows), layout.columns + (tag,), kind)
+    lp = LinearProgram(objective, matrix, np.ones(rows), layout.columns + (tag,), kind)
     return lp, layout.flows
 
 
@@ -474,30 +476,21 @@ def build_scale_lp(config: NetworkConfig, direction) -> LinearProgram:
 def slack_witness(config: NetworkConfig, lam) -> RegionWitness:
     """The slack LP's witness at ``lam``: the largest delta with every rate
     and flow row satisfied by margin delta, positive iff some epsilon > 0
-    keeps lam + epsilon*1 inside the region.  The LP is bounded, as every
-    rate row caps delta, so a solve that does not end optimal raises
-    SolverError."""
-    wit = solve_lp(build_slack_lp(config, lam))
-    if wit.status != "optimal":
-        raise SolverError(f"slack LP ended {wit.status}")
-    return wit
+    keeps lam + epsilon*1 inside the region."""
+    return solve_lp(build_slack_lp(config, lam))
 
 
 def scale_witness(config: NetworkConfig, direction) -> RegionWitness:
     """The scale LP's witness: the largest rho with rho * direction inside
-    the region.  The LP is bounded, as a positive direction entry's rate row
-    caps rho, so a solve that does not end optimal raises SolverError.  It
-    is solved on the direction times the power of two 2^-e that puts its
-    largest entry in (0.5, 1], as the solver's tolerances are not
-    scale-free; rho(c * d) = rho(d) / c, so ``value`` and the rho entry of
-    ``x`` are scaled back by 2^-e exactly.  ``stats`` describe the scaled
-    solve."""
+    the region.  It is solved on the direction times the power of two 2^-e
+    that puts its largest entry in (0.5, 1], as the solver's tolerances are
+    not scale-free; rho(c * d) = rho(d) / c, so ``value`` and the rho entry
+    of ``x`` are scaled back by 2^-e exactly.  ``stats`` describe the
+    scaled solve."""
     direction = np.asarray(direction, dtype=float)
     mantissa, e = math.frexp(float(direction.max(initial=0.0)))
     e -= mantissa == 0.5  # a power of two scales to 1, not 0.5
     wit = solve_lp(build_scale_lp(config, np.ldexp(direction, -e)))
-    if wit.status != "optimal":
-        raise SolverError(f"scale LP ended {wit.status}")
     try:
         wit.value = wit.x[-1] = math.ldexp(wit.value, -e)
     except OverflowError:
@@ -516,8 +509,6 @@ def witness_max_violation(
     (delta for slack, 0 for scale), and an entry outside its family's states
     counts as an infinite breach.
     """
-    if witness.status != "optimal":
-        raise ValueError("can only replay an optimal witness")
     rate = np.zeros(config.shape.num_destinations)
     flow = {(m, g1): 0.0 for m, g1, _ in config.support}  # fill - drain per relay queue
     time_used: dict = {}

@@ -45,8 +45,8 @@ are those of the running d + sent * r_m^k.  One writer, ``_write_rows``,
 formats a chunk's floats for the snapshot rows and metrics.csv alike: the
 repr of each distinct float64 bit pattern of the chunk, so no memo
 outlives a chunk and memory stays flat in the horizon, and writes them
-with the leading text columns (metrics.csv's from arrays of names, where
-index -1 reads "") as one string.  The decision columns m and g1 are split
+after the block index and any other text columns (metrics.csv's from
+arrays of names, where index -1 reads "") as one string.  The decision columns m and g1 are split
 from c after the loop, and the final state is the flat queue reshaped to
 (M, |F|^N).  The summary is derived where it is printed, in
 ``summary_dict``.
@@ -418,7 +418,7 @@ def run(
         steps = np.minimum(T, rows[second, drained])[:, None] * cell_rates[drained]
         delivered = np.add.accumulate(np.vstack((delivered, steps)), axis=0)[-1]
         if snapshot_sink is not None:
-            _write_rows(snapshot_sink, [list(map(str, range(lo, hi)))], np.concatenate((source, relay), axis=1))
+            _write_rows(snapshot_sink, lo, [], np.concatenate((source, relay), axis=1))
 
     offered = arr.sum(axis=1)
     # A finite V bounds a block's arrivals and deliveries by 2 sqrt(V) < 3e154
@@ -516,13 +516,15 @@ def snapshot_header(config: NetworkConfig) -> list[str]:
     return cols
 
 
-def _write_rows(fh, heads, values) -> None:
-    """One CSV line per row of the float64 matrix ``values``: its entry in
-    each str column of ``heads``, then the repr of each value, comma-separated.
-    Each distinct bit pattern is formatted once, so -0.0 keeps its own text."""
+def _write_rows(fh, lo, heads, values) -> None:
+    """One CSV line per row of the float64 matrix ``values``, the rows of
+    blocks lo, lo + 1, ...: the block index, its entry in each str column
+    of ``heads``, then the repr of each value, comma-separated.  Each
+    distinct bit pattern is formatted once, so -0.0 keeps its own text."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse.ravel()]
-    fh.write("\n".join(map(",".join, zip(*heads, *texts.reshape(values.shape).T.tolist()))) + "\n")
+    blocks = map(str, range(lo, lo + len(values)))
+    fh.write("\n".join(map(",".join, zip(blocks, *heads, *texts.reshape(values.shape).T.tolist()))) + "\n")
 
 
 def write_metrics_csv(metrics: Metrics, fh) -> None:
@@ -542,14 +544,15 @@ def write_metrics_csv(metrics: Metrics, fh) -> None:
     )
     for lo in range(0, metrics.horizon, CHUNK):
         hi = min(lo + CHUNK, metrics.horizon)
-        heads = [list(map(str, range(lo, hi)))] + [t[c[lo:hi]].tolist() for t, c in zip(names, decisions)]
-        _write_rows(fh, heads, np.stack([c[lo:hi] for c in floats], axis=1))
+        heads = [t[c[lo:hi]].tolist() for t, c in zip(names, decisions)]
+        _write_rows(fh, lo, heads, np.stack([c[lo:hi] for c in floats], axis=1))
 
 
 def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:
     """The run's summary: the share of blocks per action and the mean
     backlogs over the trailing half of the horizon, derived from the
-    series, next to the verdict."""
+    series, next to the verdict.  A growth rate that could not be fitted
+    (NaN, a trailing half of fewer than two blocks) is None, JSON null."""
     counts = np.bincount(metrics.variants, minlength=3)
     start = metrics.horizon // 2
     return {
@@ -566,7 +569,7 @@ def summary_dict(metrics: Metrics, verdict: StabilityVerdict) -> dict:
         "trailing_avg_total_bits": float(metrics.total_backlog_bits()[start:].mean()),
         "final_total_bits": float(metrics.total_backlog_bits()[-1]),
         "verdict": verdict.verdict,
-        "growth_rate": verdict.growth_rate,
+        "growth_rate": None if math.isnan(verdict.growth_rate) else verdict.growth_rate,
         "theta_stable": verdict.theta_stable,
         "theta_unstable": verdict.theta_unstable,
     }

@@ -172,7 +172,7 @@ def test_witness_records_split_undrained_class_evenly(toy_goodbad):
     doc["support"].append({"m": 0, "g1": ["G"], "g2": ["B"]})
     cfg = cs.validate_config(doc)
     good = (("G",), ("G",))
-    wit = cs.RegionWitness("optimal", "slack", -0.1, a={(good, 0, ("G",)): 0.5})
+    wit = cs.RegionWitness("slack", -0.1, a={(good, 0, ("G",)): 0.5})
     records = _witness_records(cfg, wit)
     assert [(r["g2"], r["value"]) for r in records["a"]] == [(["B"], 0.25), (["G"], 0.25)]
     assert records["b"] == []
@@ -188,7 +188,7 @@ def test_witness_records_add_the_weights_in_order():
     weights = [cfg.probability(x) for x in f]
     total = ((0.0 + weights[0]) + weights[1]) + weights[2]
     assert total != math.fsum(weights)
-    wit = cs.RegionWitness("optimal", "slack", 0.0, a={(f[0], 0, ("a",)): 0.7}, b={(x, 0, ("a",)): 1.0 for x in f})
+    wit = cs.RegionWitness("slack", 0.0, a={(f[0], 0, ("a",)): 0.7}, b={(x, 0, ("a",)): 1.0 for x in f})
     records = _witness_records(cfg, wit)
     assert [r["value"] for r in records["a"]] == [0.7 * w / total for w in weights]
     assert [0.7 * w / total for w in weights] != [0.7 * w / math.fsum(weights) for w in weights]
@@ -218,7 +218,7 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
 def _unbounded_solves(monkeypatch):
     import coopsim.region as region
 
-    monkeypatch.setattr(region, "solve_lp", lambda lp: cs.RegionWitness("unbounded", lp.kind, float("nan")))
+    monkeypatch.setattr(region, "_ratio_row", lambda column, x_b, basis, col: None)  # every entering column is a ray
 
 
 def test_region_non_optimal_scale_lp_exits_3(capsys, monkeypatch):
@@ -253,6 +253,24 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     queues = (tmp_path / "queues.csv").read_text().splitlines()
     assert queues[0] == "block,Qs_1,Q_m0_a"
     assert len(queues) == 5001
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_short_runs_write_strict_json(tmp_path, capsys, horizon):
+    # the trailing half holds one block, so no slope is fitted: growth_rate
+    # is null, not NaN, which JSON does not have
+    rc = main(["simulate", TOY, "--lambda", "0.3", "--horizon", str(horizon), "--out", str(tmp_path)])
+    assert rc == 0
+    summary = _strict_json(capsys.readouterr().out)
+    assert summary == _strict_json((tmp_path / "summary.json").read_text())
+    assert (summary["growth_rate"], summary["verdict"]) == (None, "inconclusive")
 
 
 @pytest.mark.parametrize("lam,expected", [("0.3", "stable"), ("0.6", "unstable")])

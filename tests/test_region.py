@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,51 +16,51 @@ PINNED_DIRECTION = (0.6263039869788208, 0.7430217329347985)
 PINNED_RHO = 1.7510870485311762
 
 
-def _lp(objective, matrix, senses, rhs):
+def _lp(objective, matrix, rhs):
     return LinearProgram(
         objective=np.asarray(objective, dtype=float),
         matrix=np.asarray(matrix, dtype=float),
-        senses=tuple(senses),
         rhs=np.asarray(rhs, dtype=float),
         columns=(("x",),) * len(objective),
     )
 
 
 def test_solver_simple_bounded():
-    wit = cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+    wit = cs.solve_lp(_lp([1.0], [[1.0]], [3.0]))
     assert wit.status == "optimal"
     assert wit.value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_solver_rejects_rows_that_exclude_the_origin():
-    # x = 0 must be feasible: only "<=" rows with a non-negative rhs
-    for senses, rhs in (([">="], [2.0]), (["="], [2.0]), (["<="], [-2.0]), (["<="], [np.nan])):
+    # x = 0 must be feasible: every row is "<=", and its rhs non-negative
+    for rhs in ([-2.0], [np.nan]):
         with pytest.raises(ValueError):
-            cs.solve_lp(_lp([1.0], [[1.0]], senses, rhs))
+            cs.solve_lp(_lp([1.0], [[1.0]], rhs))
 
 
 def test_solver_unbounded():
-    wit = cs.solve_lp(_lp([1.0], [[-1.0]], ["<="], [2.0]))
-    assert wit.status == "unbounded"
-    assert cs.solve_lp(_lp([1.0], np.zeros((0, 1)), [], [])).status == "unbounded"  # no rows at all
+    # no optimum to return: the solve raises instead of returning a witness
+    for lp in (_lp([1.0], [[-1.0]], [2.0]), _lp([1.0], np.zeros((0, 1)), [])):  # the second has no rows at all
+        with pytest.raises(cs.SolverError, match="^generic LP ended unbounded$"):
+            cs.solve_lp(lp)
 
 
 def test_solver_rejects_non_2d_matrix():
     # a flat matrix is not reshaped into a guessed row count
     with pytest.raises(ValueError, match="inconsistent LP dimensions"):
-        cs.solve_lp(_lp([1.0], [1.0], ["<="], [3.0]))
+        cs.solve_lp(_lp([1.0], [1.0], [3.0]))
 
 
 def test_solver_reports_tiny_pivots():
     # the only ratio-eligible entry is far below the pivot tolerance
     with pytest.raises(cs.DegeneracyError):
-        cs.solve_lp(_lp([1.0], [[1e-13]], ["<="], [1.0]))
+        cs.solve_lp(_lp([1.0], [[1e-13]], [1.0]))
 
 
 def test_solver_two_rows():
     # max x + 2y s.t. x + y <= 4, y <= 3  ->  (1, 3), value 7
     wit = cs.solve_lp(
-        _lp([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], ["<=", "<="], [4.0, 3.0])
+        _lp([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 3.0])
     )
     assert wit.status == "optimal"
     assert wit.value == pytest.approx(7.0, abs=1e-9)
@@ -75,7 +76,6 @@ def test_solver_terminates_on_beales_cycling_lp(monkeypatch):
     lp = _lp(
         [0.75, -20.0, 0.5, -6.0],
         [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-        ["<="] * 3,
         [0.0, 0.0, 1.0],
     )
     for stall_limit, bland_from in ((region.STALL_LIMIT, None), (0, 1)):
@@ -89,6 +89,17 @@ def test_solver_terminates_on_beales_cycling_lp(monkeypatch):
 
 
 # -- LP structure -----------------------------------------------------------
+
+
+def test_lp_senses_and_witness_status_are_derived(toy_single, toy_goodbad, desk):
+    # every row is "<=": senses is derived from the rhs, not a field a caller
+    # could set to anything else, and every witness is an optimum
+    assert "senses" not in {f.name for f in dataclasses.fields(LinearProgram)}
+    assert "status" not in {f.name for f in dataclasses.fields(cs.RegionWitness)}
+    assert cs.RegionWitness.status == "optimal"
+    for cfg, k in ((toy_single, 1), (toy_goodbad, 1), (desk, 2)):
+        for lp in (cs.build_scale_lp(cfg, [1.0] * k), cs.build_slack_lp(cfg, [0.1] * k)):
+            assert lp.senses == ("<=",) * lp.matrix.shape[0]
 
 
 def test_toy_slack_lp_shape(toy_single):
@@ -294,11 +305,11 @@ def test_witness_replay_rejects_misplaced_fractions(desk):
     wit = cs.scale_witness(desk, [1.0, 1.0])
     (f, m, g1), val = next(iter(wit.a.items()))
     other = next(s for s in desk.sorted_states if s[0] != g1)
-    moved = cs.RegionWitness("optimal", "scale", wit.value, a={**wit.a, (other, m, g1): 0.0}, b=wit.b)
+    moved = cs.RegionWitness("scale", wit.value, a={**wit.a, (other, m, g1): 0.0}, b=wit.b)
     assert cs.witness_max_violation(desk, moved, direction=[1.0, 1.0]) == np.inf  # a needs f1 = g1
     (f, m, g1), val = next(iter(wit.b.items()))
     unsupported = next(s for s in desk.sorted_states if (m, g1, s[1]) not in desk.support)
-    moved = cs.RegionWitness("optimal", "scale", wit.value, a=wit.a, b={**wit.b, (unsupported, m, g1): 0.0})
+    moved = cs.RegionWitness("scale", wit.value, a=wit.a, b={**wit.b, (unsupported, m, g1): 0.0})
     assert cs.witness_max_violation(desk, moved, direction=[1.0, 1.0]) == np.inf  # b needs support
 
 
@@ -380,11 +391,10 @@ def test_solver_never_returns_a_broken_optimum(desk):
     rate, flow, time = _constraint_matrices(desk, _oracle_columns(desk))
     zero = np.zeros((len(flow) + len(time), 1))
     matrix = np.vstack([np.hstack([-rate, np.asarray(PINNED_DIRECTION)[:, None]]), np.hstack([np.vstack([flow, time]), zero])])
-    senses = ("<=",) * matrix.shape[0]  # fill - drain <= 0 per triple
     rhs = np.concatenate([np.zeros(len(rate) + len(flow)), np.ones(len(time))])
     objective = np.zeros(matrix.shape[1])
     objective[-1] = 1.0
-    lp = _lp(objective, matrix, senses, rhs)
+    lp = _lp(objective, matrix, rhs)  # fill - drain <= 0 per triple
     assert matrix.shape == (114, 961)
     ref = highs_value(lp)
     assert ref == pytest.approx(PINNED_RHO, abs=1e-9)
@@ -403,7 +413,7 @@ def test_post_solve_check_rejects_a_broken_point(monkeypatch):
     real = region._certify
     monkeypatch.setattr(region, "_certify", lambda m, r, c, x, y: real(m, r, c, x + 1.0, y))
     with pytest.raises(cs.DegeneracyError, match="post-solve residual"):
-        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+        cs.solve_lp(_lp([1.0], [[1.0]], [3.0]))
 
 
 def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
@@ -413,13 +423,13 @@ def test_dual_check_rejects_prices_that_do_not_bound_the_optimum(monkeypatch):
     real = region._certify
     monkeypatch.setattr(region, "_certify", lambda m, r, c, x, y: real(m, r, c, x, 0.5 * y))
     with pytest.raises(cs.DegeneracyError, match="dual residual"):
-        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+        cs.solve_lp(_lp([1.0], [[1.0]], [3.0]))
 
 
 def test_queries_raise_unless_optimal(toy_single, monkeypatch):
     import coopsim.region as region
 
-    monkeypatch.setattr(region, "solve_lp", lambda lp: cs.RegionWitness("unbounded", lp.kind, np.nan))
+    monkeypatch.setattr(region, "_ratio_row", lambda column, x_b, basis, col: None)  # every entering column is a ray
     with pytest.raises(cs.SolverError, match="^scale LP ended unbounded$"):
         cs.scale_witness(toy_single, [1.0])
     with pytest.raises(cs.SolverError, match="^slack LP ended unbounded$"):
@@ -435,7 +445,7 @@ def test_singular_basis_at_refactorization_raises(monkeypatch):
     monkeypatch.setattr(region, "REFACTOR_EVERY", 1)
     monkeypatch.setattr(region.np.linalg, "inv", singular)
     with pytest.raises(cs.DegeneracyError, match="singular"):
-        cs.solve_lp(_lp([1.0], [[1.0]], ["<="], [3.0]))
+        cs.solve_lp(_lp([1.0], [[1.0]], [3.0]))
 
 
 def test_pinned_direction_matches_highs(desk):
@@ -465,7 +475,6 @@ def _replay_witness(drain_1):
     # (0, G) drains 5/6 under (B, BG), (1, G) drains drain_1 under (B, GG)
     fill = (("G",), ("G", "B"))
     return cs.RegionWitness(
-        "optimal",
         "scale",
         5 / 18,
         a={(fill, 0, ("G",)): 1 / 3, (fill, 1, ("G",)): 2 / 3},
